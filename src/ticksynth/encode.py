@@ -3,11 +3,13 @@
 The timed system's run of horizon ``H`` is encoded with one-hot binary
 state vectors ``w[k]`` (k = 0..H) linked step-to-step through the graph's
 predecessor structure.  Tick occurrences are captured by binary step
-indicators ``ze[k]``; the tick count of a window is then the plain linear
-expression ``ze[k+1] + ... + ze[j]`` and never becomes a model variable.
+indicators ``ze[k]`` and summed by prefix tick counters ``c[k]`` (the
+integer ``ze[1] + ... + ze[k]``, with ``c[0] = 0`` left out), so the tick
+count of window k..j is the two-term expression ``c[j] - c[k]``.
 Formula satisfaction introduces one binary per (subformula, position),
-with until windows handled through big-M threshold indicators on the
-counter expression.
+with until windows handled through big-M threshold indicators on that
+count.  An until whose left operand is ``true`` (every ``F[m,n]``) leaves
+the constant operands out of its window conjunctions.
 
 Two tick-inference modes exist:
 
@@ -67,6 +69,7 @@ class Encoding:
     mode: str
     w: list[list[int]] = field(default_factory=list)
     ze: list[int | None] = field(default_factory=list)
+    c: list[int | None] = field(default_factory=list)
     formula: Formula | None = None
     table: SubformulaTable | None = None
     zphi: dict[tuple[int, int], int] = field(default_factory=dict)
@@ -76,9 +79,12 @@ class Encoding:
     edges: list[tuple[int, str, int]] = field(default_factory=list)
     edge_vars: dict[tuple[int, int], int] = field(default_factory=dict)
 
-    def counter_terms(self, k: int, j: int) -> list[int]:
-        """Variables whose sum is the tick count of window k..j."""
-        return [self.ze[i] for i in range(k + 1, j + 1)]
+    def counter_terms(self, k: int, j: int) -> tuple[list[int], list[int]]:
+        """Added and subtracted counters of window k..j's tick count,
+        ``c[j] - c[k]``; ``c[0] = 0`` and empty windows have no terms."""
+        if j == k:
+            return [], []
+        return [self.c[j]], [self.c[k]] if k else []
 
 
 def _predecessors(graph: TimedDes) -> list[list[int]]:
@@ -136,6 +142,7 @@ def encode_ticks(graph: TimedDes, horizon: int, enc: Encoding) -> None:
         model.add([(1, z)] + from_terms, "<=", 0)
         model.add([(1, z)] + into_terms, "<=", 0)
         model.add([(1, z)] + from_terms + into_terms, ">=", -1)
+    encode_counters(enc)
 
 
 def encode_edges_exact(graph: TimedDes, horizon: int, enc: Encoding) -> None:
@@ -177,6 +184,23 @@ def encode_edges_exact(graph: TimedDes, horizon: int, enc: Encoding) -> None:
         z = model.add_var(f"ze[{k}]", 0, 1)
         enc.ze.append(z)
         model.add([(1, z)] + [(-1, step_vars[t]) for t in ticks], "=", 0)
+    encode_counters(enc)
+
+
+def encode_counters(enc: Encoding) -> None:
+    """Prefix tick counters ``c[k] = c[k-1] + ze[k]`` in ``[0, k]``.
+
+    Shared by both tick modes; ``c[1] = ze[1]``.
+    """
+    model = enc.model
+    enc.c = [None]
+    for k in range(1, enc.horizon + 1):
+        counter = model.add_var(f"c[{k}]", 0, k)
+        terms = [(1, counter), (-1, enc.ze[k])]
+        if k > 1:
+            terms.append((-1, enc.c[k - 1]))
+        model.add(terms, "=", 0)
+        enc.c.append(counter)
 
 
 def add_counter_threshold(
@@ -186,17 +210,21 @@ def add_counter_threshold(
     upper: int,
     big_m: int,
     tag: str = "",
+    *,
+    minus: Sequence[int] = (),
 ) -> tuple[int, int]:
     """Indicator pair for ``lower <= counter`` and ``counter <= upper``.
 
-    ``counter`` is the sum of the given binary variables.  With
-    ``big_m > upper`` and ``big_m >= counter_max + 1`` the four rows force
-    the indicators to the exact threshold truth values; strict bounds are
-    shifted by one since everything is integral.
+    ``counter`` is the sum of ``counter_terms`` minus the sum of ``minus``:
+    a sum of tick binaries, or a prefix-counter difference ``c[j] - c[k]``.
+    With ``big_m > upper`` and ``big_m >= counter_max + 1``, where the
+    counter takes values in ``0..counter_max`` on every feasible point,
+    the four rows force the indicators to the exact threshold truth
+    values; strict bounds are shifted by one since everything is integral.
     """
     z_at_least = model.add_var(f"cge{tag}", 0, 1)
     z_at_most = model.add_var(f"cle{tag}", 0, 1)
-    unit = [(1, v) for v in counter_terms]
+    unit = [(1, v) for v in counter_terms] + [(-1, v) for v in minus]
     model.add(unit + [(-big_m, z_at_least)], "<=", lower - 1)
     model.add(unit + [(-big_m, z_at_least)], ">=", lower - big_m)
     model.add(unit + [(big_m, z_at_most)], ">=", upper + 1)
@@ -279,22 +307,28 @@ def encode_formula(
             # the horizon; larger bounds need M > upper.
             big_m = horizon + 1 if node.upper <= horizon else node.upper + 1
             enc.big_m[slot] = big_m
+            # An always-true left operand adds nothing to a window's
+            # conjunction, so its satisfaction binaries are left out.
+            constant_left = isinstance(table.entries[kids[0]], Truth)
             for k in range(horizon + 1):
                 steps = []
                 for j in range(k, horizon + 1):
+                    plus, minus = enc.counter_terms(k, j)
                     z_ge, z_le = add_counter_threshold(
                         model,
-                        enc.counter_terms(k, j),
+                        plus,
                         node.lower,
                         node.upper,
                         big_m,
                         tag=f"{slot}[{k},{j}]",
+                        minus=minus,
                     )
                     enc.zc[(slot, k, j)] = (z_ge, z_le)
                     operands = [z_ge, z_le, enc.zphi[(kids[1], j)]]
-                    operands += [
-                        enc.zphi[(kids[0], pos)] for pos in range(k, j)
-                    ]
+                    if not constant_left:
+                        operands += [
+                            enc.zphi[(kids[0], pos)] for pos in range(k, j)
+                        ]
                     z_step = model.add_var(f"u{slot}[{k},{j}]", 0, 1)
                     enc.zu[(slot, k, j)] = z_step
                     _and_rows(model, z_step, operands)
@@ -315,12 +349,15 @@ def variable_budget(
     graph: TimedDes, formula: Formula, horizon: int, mode: str
 ) -> int:
     """Documented upper bound on model size: Theta(H*N) plus Theta(H^2)
-    per until node (plus the per-step edge selectors in exact mode)."""
+    per until node (plus the per-step edge selectors in exact mode).
+    Tick indicators ``ze[k]`` and prefix tick counters ``c[k]`` add H each.
+    """
     table = subformulas(formula)
     n_until = sum(1 for e in table.entries if isinstance(e, Until))
     windows = (horizon + 1) * (horizon + 2) // 2
     bound = (horizon + 1) * graph.n  # state vectors
     bound += horizon  # tick indicators
+    bound += horizon  # prefix tick counters
     bound += (horizon + 1) * len(table)  # per-subformula satisfaction
     bound += n_until * 3 * windows  # thresholds + window indicators
     if mode == EXACT:

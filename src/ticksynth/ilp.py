@@ -8,6 +8,13 @@ fixpoint after every decision, the lowest-index unfixed variable is
 branched next, and candidate values are tried in ascending order (0
 before 1 for binaries).  The search is completely deterministic.
 
+Propagation is incremental and activity based, and ``solve`` and
+``propagate_bounds`` share it.  Each row's slack (right-hand side minus
+minimum activity) is updated on every bound move and restored on
+backtracking.  A variable's watch lists name the rows whose minimum
+activity its lower bound (positive coefficient) or its upper bound
+(negative coefficient) enters; a move touches only the matching list.
+
 There is no objective function: the engine answers feasibility only, and
 every returned assignment is re-checked by an independent verifier pass
 before being handed back.
@@ -17,7 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class ModelError(ValueError):
@@ -86,7 +93,11 @@ class IlpModel:
         self.constraints: list[LinearConstraint] = []
         # normalized rows: (vars, coefs, rhs) meaning sum(coef*var) <= rhs
         self._rows: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
-        self._occurs: list[list[int]] = []
+        # watch lists, flat (row, |coef|) pairs: the rows whose minimum
+        # activity a variable's lower bound (coef > 0) or upper bound
+        # (coef < 0) enters
+        self._watch_lo: list[list[int]] = []
+        self._watch_hi: list[list[int]] = []
 
     @property
     def num_variables(self) -> int:
@@ -102,7 +113,8 @@ class IlpModel:
         self.names.append(name)
         self.lower.append(lo)
         self.upper.append(hi)
-        self._occurs.append([])
+        self._watch_lo.append([])
+        self._watch_hi.append([])
         return len(self.names) - 1
 
     def add_constraint(self, constraint: LinearConstraint) -> None:
@@ -133,67 +145,102 @@ class IlpModel:
     ) -> None:
         row = len(self._rows)
         self._rows.append((variables, coefs, rhs))
-        for var in variables:
-            self._occurs[var].append(row)
-
-
-def _sweep(
-    rows: Sequence[tuple[tuple[int, ...], tuple[int, ...], int]],
-    occurs: Sequence[Sequence[int]],
-    lo: list[int],
-    hi: list[int],
-    queue: deque[int],
-    queued: bytearray,
-    trail: list[tuple[int, bool, int]],
-) -> bool:
-    """Bounds propagation to fixpoint; returns True on conflict.
-
-    Every bound change is recorded on ``trail`` (variable, is-upper,
-    previous value) so the caller can backtrack.  Tightenings are derived
-    from each row's minimum activity, which never excludes an integer
-    point satisfying the row.
-    """
-    while queue:
-        row = queue.popleft()
-        queued[row] = 0
-        variables, coefs, rhs = rows[row]
-        min_activity = 0
-        for idx in range(len(variables)):
-            coef = coefs[idx]
-            var = variables[idx]
-            min_activity += coef * (lo[var] if coef > 0 else hi[var])
-        if min_activity > rhs:
-            return True
-        slack = rhs - min_activity
-        for idx in range(len(variables)):
-            coef = coefs[idx]
-            var = variables[idx]
-            span = hi[var] - lo[var]
-            if span == 0:
-                continue
+        for var, coef in zip(variables, coefs):
             if coef > 0:
-                if coef * span > slack:
-                    new_hi = lo[var] + slack // coef
-                    trail.append((var, True, hi[var]))
-                    hi[var] = new_hi
-                    if new_hi < lo[var]:
-                        return True
-                    for other in occurs[var]:
-                        if not queued[other]:
-                            queued[other] = 1
-                            queue.append(other)
+                self._watch_lo[var] += (row, coef)
             else:
-                if -coef * span > slack:
-                    new_lo = hi[var] - slack // -coef
-                    trail.append((var, False, lo[var]))
-                    lo[var] = new_lo
-                    if new_lo > hi[var]:
-                        return True
-                    for other in occurs[var]:
-                        if not queued[other]:
-                            queued[other] = 1
-                            queue.append(other)
-    return False
+                self._watch_hi[var] += (row, -coef)
+
+
+class _Propagator:
+    """The box, row slacks and undo trail of one solve.
+
+    A row is queued only when its slack falls below its cap, ``max |coef|
+    * declared span``: with more slack it can neither fail nor tighten a
+    bound.  Tightenings never exclude an integer point of the row.
+    """
+
+    def __init__(self, model: IlpModel) -> None:
+        self.rows = model._rows
+        self.watch_lo = model._watch_lo
+        self.watch_hi = model._watch_hi
+        lower, upper = model.lower, model.upper
+        self.lo = list(lower)
+        self.hi = list(upper)
+        self.slack: list[int] = []
+        self.cap: list[int] = []
+        self.queue: deque[int] = deque()
+        self.queued = bytearray(len(self.rows))
+        # (variable, is-upper, previous value) per bound move
+        self.trail: list[tuple[int, bool, int]] = []
+        for row, (variables, coefs, rhs) in enumerate(self.rows):
+            activity = cap = 0
+            for var, coef in zip(variables, coefs):
+                activity += coef * (lower[var] if coef > 0 else upper[var])
+                cap = max(cap, abs(coef) * (upper[var] - lower[var]))
+            self.slack.append(rhs - activity)
+            self.cap.append(cap)
+            if rhs - activity < cap:
+                self.queued[row] = 1
+                self.queue.append(row)
+
+    def move(self, var: int, is_upper: bool, value: int) -> None:
+        """Tighten one bound of ``var`` and queue the rows it may affect."""
+        if is_upper:
+            step = self.hi[var] - value
+            self.trail.append((var, True, self.hi[var]))
+            self.hi[var] = value
+            watch = self.watch_hi[var]
+        else:
+            step = value - self.lo[var]
+            self.trail.append((var, False, self.lo[var]))
+            self.lo[var] = value
+            watch = self.watch_lo[var]
+        slack, cap, queued = self.slack, self.cap, self.queued
+        pairs = iter(watch)
+        for row, weight in zip(pairs, pairs):
+            room = slack[row] - weight * step
+            slack[row] = room
+            if room < cap[row] and not queued[row]:
+                queued[row] = 1
+                self.queue.append(row)
+
+    def propagate(self) -> bool:
+        """Run the queue to a fixpoint; returns True on conflict."""
+        rows, lo, hi, slack = self.rows, self.lo, self.hi, self.slack
+        queue, queued, move = self.queue, self.queued, self.move
+        while queue:
+            row = queue.popleft()
+            queued[row] = 0
+            room = slack[row]
+            if room < 0:
+                while queue:  # leave no stale flags behind
+                    queued[queue.popleft()] = 0
+                return True
+            variables, coefs, _ = rows[row]
+            for var, coef in zip(variables, coefs):
+                if coef > 0:
+                    if coef * (hi[var] - lo[var]) > room:
+                        move(var, True, lo[var] + room // coef)
+                elif -coef * (hi[var] - lo[var]) > room:
+                    move(var, False, hi[var] - room // -coef)
+        return False
+
+    def undo(self, mark: int) -> None:
+        """Restore the bounds and slacks from before trail position ``mark``."""
+        trail, lo, hi, slack = self.trail, self.lo, self.hi, self.slack
+        while len(trail) > mark:
+            var, is_upper, previous = trail.pop()
+            if is_upper:
+                step = previous - hi[var]
+                hi[var] = previous
+                pairs = iter(self.watch_hi[var])
+            else:
+                step = lo[var] - previous
+                lo[var] = previous
+                pairs = iter(self.watch_lo[var])
+            for row, weight in zip(pairs, pairs):
+                slack[row] += weight * step
 
 
 def propagate_bounds(
@@ -205,13 +252,10 @@ def propagate_bounds(
     is already proven infeasible.  The box never excludes any integer
     point that satisfies all constraints.
     """
-    lo = list(model.lower)
-    hi = list(model.upper)
-    queue = deque(range(len(model._rows)))
-    queued = bytearray([1]) * len(model._rows)
-    if _sweep(model._rows, model._occurs, lo, hi, queue, queued, []):
+    propagator = _Propagator(model)
+    if propagator.propagate():
         return None
-    return lo, hi
+    return propagator.lo, propagator.hi
 
 
 def check_assignment(model: IlpModel, assignment: Assignment) -> list[str]:
@@ -253,32 +297,10 @@ def solve(model: IlpModel) -> SolveResult:
     values in ascending order, so identical models yield identical
     assignments.  ``nodes`` counts value decisions.
     """
-    rows = model._rows
-    occurs = model._occurs
-    lo = list(model.lower)
-    hi = list(model.upper)
+    propagator = _Propagator(model)
+    lo, hi, trail = propagator.lo, propagator.hi, propagator.trail
+    move, propagate = propagator.move, propagator.propagate
     n = len(lo)
-    trail: list[tuple[int, bool, int]] = []
-    queued = bytearray(len(rows))
-
-    def propagate(seed_rows: Iterable[int]) -> bool:
-        queue: deque[int] = deque()
-        for row in seed_rows:
-            if not queued[row]:
-                queued[row] = 1
-                queue.append(row)
-        conflict = _sweep(rows, occurs, lo, hi, queue, queued, trail)
-        while queue:  # leave no stale flags behind after a conflict
-            queued[queue.popleft()] = 0
-        return conflict
-
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            var, is_upper, previous = trail.pop()
-            if is_upper:
-                hi[var] = previous
-            else:
-                lo[var] = previous
 
     def first_unfixed(start: int) -> int:
         var = start
@@ -296,7 +318,7 @@ def solve(model: IlpModel) -> SolveResult:
         return SolveResult(True, assignment, nodes)
 
     nodes = 0
-    if propagate(range(len(rows))):
+    if propagate():
         return SolveResult(False, None, nodes)
     cursor = first_unfixed(0)
     if cursor == n:
@@ -307,13 +329,10 @@ def solve(model: IlpModel) -> SolveResult:
     while True:
         var = cursor
         value = lo[var]
-        mark = len(trail)
-        stack.append([var, value, mark, cursor])
+        stack.append([var, value, len(trail), cursor])
         nodes += 1
-        trail.append((var, True, hi[var]))
-        hi[var] = value
-        conflict = propagate(occurs[var])
-        if not conflict:
+        move(var, True, value)
+        if not propagate():
             cursor = first_unfixed(var)
             if cursor == n:
                 return finish(nodes)
@@ -322,15 +341,14 @@ def solve(model: IlpModel) -> SolveResult:
             if not stack:
                 return SolveResult(False, None, nodes)
             var, value, mark, at = stack[-1]
-            undo(mark)
+            propagator.undo(mark)
             if value < hi[var]:
                 stack[-1][1] = value + 1
                 nodes += 1
-                trail.append((var, False, lo[var]))
-                trail.append((var, True, hi[var]))
-                lo[var] = value + 1
-                hi[var] = value + 1
-                if not propagate(occurs[var]):
+                move(var, False, value + 1)
+                if hi[var] > value + 1:
+                    move(var, True, value + 1)
+                if not propagate():
                     cursor = first_unfixed(at)
                     if cursor == n:
                         return finish(nodes)

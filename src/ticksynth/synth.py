@@ -95,6 +95,8 @@ def synthesize(request: SynthesisRequest) -> SynthesisResult:
     total_nodes = 0
     variables = constraints = 0
     for horizon in range(request.horizon_min, request.horizon_max + 1):
+        # Free the previous horizon's model before building a larger one.
+        enc = result = None
         enc = build_encoding(graph, request.formula, horizon, request.mode)
         result = solve(enc.model)
         total_nodes += result.nodes

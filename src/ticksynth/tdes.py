@@ -462,6 +462,12 @@ def replay_events(system: UntimedDes, events: Iterable[str]) -> Fragment:
 
 # --- JSON interchange -------------------------------------------------------
 
+def _names(value: object, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise SystemFormatError(f"{what} must be a list of names")
+    return value
+
+
 def system_from_json(data: object) -> UntimedDes:
     """Build an untimed system from its JSON document form.
 
@@ -474,15 +480,21 @@ def system_from_json(data: object) -> UntimedDes:
         if key not in data:
             raise SystemFormatError(f"system document lacks {key!r}")
 
-    states = data["states"]
-    if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
-        raise SystemFormatError("'states' must be a list of names")
+    states = _names(data["states"], "'states'")
+    if not isinstance(data["initial"], str):
+        raise SystemFormatError("'initial' must be a state name")
+    atoms = _names(data.get("atoms", []), "'atoms'")
+    for key in ("events", "transitions"):
+        if not isinstance(data[key], list):
+            raise SystemFormatError(f"{key!r} must be a list")
 
     events: dict[str, EventTiming] = {}
     for pos, entry in enumerate(data["events"]):
         if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
             raise SystemFormatError(f"events[{pos}] needs 'name' and 'kind'")
         name = entry["name"]
+        if not isinstance(name, str):
+            raise SystemFormatError(f"events[{pos}]: 'name' must be a string")
         kind = entry["kind"]
         if name in events:
             raise SystemFormatError(f"events[{pos}]: duplicate event {name!r}")
@@ -510,6 +522,10 @@ def system_from_json(data: object) -> UntimedDes:
             raise SystemFormatError(
                 f"transitions[{pos}] needs 'from', 'event' and 'to'"
             )
+        if not all(isinstance(entry[k], str) for k in ("from", "event", "to")):
+            raise SystemFormatError(
+                f"transitions[{pos}]: 'from', 'event' and 'to' must be names"
+            )
         key = (entry["from"], entry["event"])
         if key in transitions and transitions[key] != entry["to"]:
             raise SystemFormatError(
@@ -521,14 +537,16 @@ def system_from_json(data: object) -> UntimedDes:
     labels = data.get("labels", {})
     if not isinstance(labels, dict):
         raise SystemFormatError("'labels' must map states to atom lists")
-    labeling = {s: frozenset(aps) for s, aps in labels.items()}
+    labeling = {
+        s: frozenset(_names(aps, f"labels[{s!r}]")) for s, aps in labels.items()
+    }
 
     return UntimedDes(
         states=frozenset(states),
         events=frozenset(events),
         transitions=transitions,
         initial=data["initial"],
-        atoms=frozenset(data.get("atoms", [])),
+        atoms=frozenset(atoms),
         labeling=labeling,
         timing=events,
     )

@@ -10,6 +10,7 @@ run with nothing but counting and the direct evaluator.
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import product
 
 import numpy as np
@@ -253,6 +254,54 @@ def random_model(rng: random.Random, n_vars: int) -> IlpModel:
     return model
 
 
+def reference_propagate(
+    model: IlpModel,
+) -> tuple[list[int], list[int]] | None:
+    """Bounds propagation to fixpoint by full recomputation.
+
+    Rows are rebuilt from the public constraint list.  Every popped row's
+    minimum activity is recomputed from scratch, and every row a moved
+    variable occurs in is requeued.  Returns the tightened box, or
+    ``None`` when some row's minimum activity exceeds its right-hand side.
+    """
+    rows = []
+    for constraint in model.constraints:
+        merged: dict[int, int] = {}
+        for coef, var in constraint.terms:
+            merged[var] = merged.get(var, 0) + coef
+        terms = [(coef, var) for var, coef in merged.items() if coef]
+        if constraint.comparator in ("<=", "="):
+            rows.append((terms, constraint.rhs))
+        if constraint.comparator in (">=", "="):
+            rows.append(([(-c, v) for c, v in terms], -constraint.rhs))
+    occurs: list[list[int]] = [[] for _ in range(model.num_variables)]
+    for row, (terms, _) in enumerate(rows):
+        for _, var in terms:
+            occurs[var].append(row)
+    lo, hi = list(model.lower), list(model.upper)
+    queue = deque(range(len(rows)))
+    queued = set(queue)
+    while queue:
+        row = queue.popleft()
+        queued.discard(row)
+        terms, rhs = rows[row]
+        slack = rhs - sum(c * (lo[v] if c > 0 else hi[v]) for c, v in terms)
+        if slack < 0:
+            return None
+        for coef, var in terms:
+            if coef > 0 and coef * (hi[var] - lo[var]) > slack:
+                hi[var] = lo[var] + slack // coef
+            elif coef < 0 and -coef * (hi[var] - lo[var]) > slack:
+                lo[var] = hi[var] - slack // -coef
+            else:
+                continue
+            for other in occurs[var]:
+                if other not in queued:
+                    queued.add(other)
+                    queue.append(other)
+    return lo, hi
+
+
 # --- induced valuations ------------------------------------------------------
 
 def tick_unambiguous(graph: TimedDes) -> bool:
@@ -274,8 +323,8 @@ def induced_valuation(enc: Encoding, fragment: Fragment) -> Assignment:
     """Valuation a genuine run induces on every variable of the encoding.
 
     State vectors come from the run itself, tick indicators from its
-    events, threshold indicators from real tick counts, and satisfaction
-    variables from the direct evaluator.
+    events, prefix tick counters and threshold indicators from real tick
+    counts, and satisfaction variables from the direct evaluator.
     """
     graph = enc.tdes
     system = graph.untimed
@@ -288,6 +337,7 @@ def induced_valuation(enc: Encoding, fragment: Fragment) -> Assignment:
         values[enc.w[k][path[k]]] = 1
     for k in range(1, horizon + 1):
         values[enc.ze[k]] = 1 if fragment.events[k - 1] == TICK else 0
+        values[enc.c[k]] = fragment.count(0, k)
     if enc.mode == "exact":
         lookup = {edge: t for t, edge in enumerate(enc.edges)}
         for k in range(1, horizon + 1):

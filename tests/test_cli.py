@@ -212,3 +212,43 @@ def test_byte_identical_reruns(capsys):
     run(args)
     second = capsys.readouterr().out
     assert first == second
+
+
+def _synth_on_document(tmp_path, doc):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return run(["synth", "--system", str(path), "--formula", "ap1",
+                "--hmax", "2"])
+
+
+def test_transition_source_list_exits_two(tmp_path, capsys, ring_doc):
+    doc = json.loads(json.dumps(ring_doc))
+    doc["transitions"][0]["from"] = ["p1"]
+    assert _synth_on_document(tmp_path, doc) == 2
+    assert "transitions[0]: 'from', 'event' and 'to' must be names" in (
+        capsys.readouterr().err
+    )
+
+
+def test_initial_list_exits_two(tmp_path, capsys, ring_doc):
+    assert _synth_on_document(tmp_path, {**ring_doc, "initial": ["p1"]}) == 2
+    assert "'initial' must be a state name" in capsys.readouterr().err
+
+
+def test_atoms_number_exits_two(tmp_path, capsys, ring_doc):
+    assert _synth_on_document(tmp_path, {**ring_doc, "atoms": 7}) == 2
+    assert "'atoms' must be a list of names" in capsys.readouterr().err
+
+
+def test_label_value_number_exits_two(tmp_path, capsys, ring_doc):
+    labels = {**ring_doc["labels"], "p1": 3}
+    assert _synth_on_document(tmp_path, {**ring_doc, "labels": labels}) == 2
+    assert "labels['p1'] must be a list of names" in capsys.readouterr().err
+
+
+def test_event_list_shapes_exit_two(tmp_path, capsys, ring_doc):
+    assert _synth_on_document(tmp_path, {**ring_doc, "events": 7}) == 2
+    assert "'events' must be a list" in capsys.readouterr().err
+    events = [{**ring_doc["events"][0], "name": ["move12"]}]
+    assert _synth_on_document(tmp_path, {**ring_doc, "events": events}) == 2
+    assert "events[0]: 'name' must be a string" in capsys.readouterr().err

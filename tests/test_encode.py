@@ -30,6 +30,7 @@ from helpers import (
     random_formula,
     random_fragment,
     random_system,
+    reference_propagate,
     tick_unambiguous,
 )
 from ticksynth.synth import enumerate_fragments
@@ -301,6 +302,20 @@ def test_exact_feasibility_matches_enumeration():
         assert feasible == exists
         trials += 1
     assert trials == 40
+
+
+def test_encoding_propagation_matches_reference(ring_tdes, phi_two_goals):
+    rng = random.Random(59)
+    models = [build_encoding(ring_tdes, phi_two_goals, 11, EXACT).model]
+    for _ in range(20):
+        system = random_system(rng, max_states=4)
+        graph = build_tdes(system, state_cap=3000)
+        horizon = rng.randint(1, 5)
+        phi = random_formula(rng, sorted(system.atoms), horizon)
+        for mode in (COMPACT, EXACT):
+            models.append(build_encoding(graph, phi, horizon, mode).model)
+    for model in models:
+        assert propagate_bounds(model) == reference_propagate(model)
 
 
 def test_exact_decode_produces_certified_runs():

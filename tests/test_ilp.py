@@ -13,7 +13,12 @@ from ticksynth.ilp import (
     solve,
 )
 
-from helpers import brute_force_feasible, enumerate_feasible, random_model
+from helpers import (
+    brute_force_feasible,
+    enumerate_feasible,
+    random_model,
+    reference_propagate,
+)
 
 
 def test_add_var_indices_are_dense():
@@ -159,6 +164,21 @@ def test_propagation_keeps_every_feasible_point():
         for point in points:
             for var, value in enumerate(point):
                 assert lo[var] <= value <= hi[var]
+
+
+def test_propagation_matches_full_recompute_reference():
+    rng = random.Random(4242)
+    conflicts = tightened = 0
+    for trial in range(400):
+        model = random_model(rng, rng.randint(1, 14))
+        expected = reference_propagate(model)
+        assert propagate_bounds(model) == expected, f"trial {trial}: {dump(model)}"
+        if expected is None:
+            conflicts += 1
+        elif expected != (model.lower, model.upper):
+            tightened += 1
+    # both outcomes must be exercised for the comparison to mean anything
+    assert conflicts >= 20 and tightened >= 20
 
 
 def test_verifier_reports_violations():

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from ticksynth.encode import COMPACT, EXACT
-from ticksynth.logic import Atom, Not, evaluate
+from ticksynth.encode import COMPACT, EXACT, build_encoding
+from ticksynth.logic import Atom, Not, Truth, evaluate
 from ticksynth.synth import (
     OracleBudgetError,
     SynthesisRequest,
@@ -44,6 +44,34 @@ def test_two_goal_formula_feasible_exactly_from_eleven(ring, phi_two_goals):
     )
     assert not missed.found
     assert missed.horizon is None and missed.fragment is None
+
+
+def test_exact_search_effort_is_pinned(ring, phi_two_goals, phi_avoid_until):
+    """Total nodes of the exact horizon loop on the fixture.  Model and
+    propagation changes that keep the search must keep these counts."""
+    for phi, horizon, nodes in ((phi_two_goals, 11, 87), (phi_avoid_until, 7, 6)):
+        result = synthesize(SynthesisRequest(ring, phi, 5, 15, mode=EXACT))
+        assert (result.horizon, result.statistics.nodes) == (horizon, nodes)
+
+
+def test_until_windows_leave_out_constant_left_operand(ring_tdes, phi_two_goals):
+    enc = build_encoding(ring_tdes, phi_two_goals, 11, EXACT)
+    truth_slots = [
+        slot for slot, node in enumerate(enc.table.entries)
+        if isinstance(node, Truth)
+    ]
+    assert truth_slots  # both F[1,5] goals are true-until windows
+    truth_vars = {
+        var for (slot, _), var in enc.zphi.items() if slot in truth_slots
+    }
+    windows = set(enc.zu.values())
+    window_rows = [
+        row for row in enc.model.constraints
+        if any(var in windows for _, var in row.terms)
+    ]
+    assert window_rows
+    for row in window_rows:
+        assert not truth_vars & {var for _, var in row.terms}
 
 
 def test_compact_tick_inference_blocks_two_goal_formula(ring, phi_two_goals):
