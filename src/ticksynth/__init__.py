@@ -11,7 +11,6 @@ command line.
 """
 
 from .encode import (
-    COMPACT,
     EXACT,
     DecodeError,
     Encoding,

@@ -61,9 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--hmin", type=int, default=1)
     p_synth.add_argument("--hmax", type=int, required=True)
     p_synth.add_argument(
-        "--mode", choices=list(encode.MODES), default=encode.COMPACT
-    )
-    p_synth.add_argument(
         "--format", choices=["text", "json", "dot"], default="text"
     )
     add_cap(p_synth)
@@ -101,9 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_system(p_dump)
     add_formula(p_dump)
     p_dump.add_argument("--horizon", type=int, required=True)
-    p_dump.add_argument(
-        "--mode", choices=list(encode.MODES), default=encode.COMPACT
-    )
     add_cap(p_dump)
 
     return parser
@@ -166,7 +160,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         formula=formula,
         horizon_min=args.hmin,
         horizon_max=args.hmax,
-        mode=args.mode,
         state_cap=args.state_cap,
     )
     result = synth.synthesize(request)
@@ -247,7 +240,7 @@ def _cmd_dump(args: argparse.Namespace) -> int:
     system = _load_valid_system(args.system)
     formula = _formula_from_args(args)
     graph = tdes.build_tdes(system, args.state_cap)
-    enc = encode.build_encoding(graph, formula, args.horizon, args.mode)
+    enc = encode.build_encoding(graph, formula, args.horizon)
     print(ilp.dump(enc.model), end="")
     return 0
 

@@ -2,25 +2,16 @@
 
 The timed system's run of horizon ``H`` is encoded with one-hot binary
 state vectors ``w[k]`` (k = 0..H) linked step-to-step through the graph's
-predecessor structure.  Tick occurrences are captured by binary step
-indicators ``ze[k]`` and summed by prefix tick counters ``c[k]`` (the
-integer ``ze[1] + ... + ze[k]``, with ``c[0] = 0`` left out), so the tick
-count of window k..j is the two-term expression ``c[j] - c[k]``.
-Formula satisfaction introduces one binary per (subformula, position),
-with until windows handled through big-M threshold indicators on that
-count.  An until whose left operand is ``true`` (every ``F[m,n]``) leaves
-the constant operands out of its window conjunctions.
-
-Two tick-inference modes exist:
-
-* ``compact`` derives ``ze[k]`` from whether the adjacent states *could*
-  be linked by a tick (source has an outgoing tick, target an incoming
-  one).  This is the smaller model, but on graphs where some non-tick
-  edge connects such a pair the indicator misclassifies the step, so
-  decoded runs are always re-checked semantically.
-* ``exact`` adds one binary per (step, transition) that pins down which
-  edge was taken; ``ze[k]`` then equals the sum over tick transitions and
-  is correct by construction.
+predecessor structure, plus one binary per (step, transition) selecting
+the edge taken.  The tick indicator ``ze[k]`` is the sum of the step's
+tick selectors, so it is exact by construction.  Prefix tick counters
+``c[k]`` (the integer ``ze[1] + ... + ze[k]``, with ``c[0] = 0`` left out)
+make the tick count of window k..j the two-term expression
+``c[j] - c[k]``.  Formula satisfaction introduces one binary per
+(subformula, position), with until windows handled through big-M
+threshold indicators on that count.  An until whose left operand is
+``true`` (every ``F[m,n]``) leaves the constant operands out of its window
+conjunctions.
 
 Until windows only range over positions inside the horizon: satisfaction
 is never assumed beyond the last encoded step, matching the finite-trace
@@ -50,13 +41,11 @@ from .logic import (
 )
 from .tdes import TICK, Fragment, TimedDes, fragment_errors
 
-COMPACT = "compact"
 EXACT = "exact"
-MODES = (COMPACT, EXACT)
 
 
 class DecodeError(RuntimeError):
-    """Tick-step inference was ambiguous or certification failed."""
+    """An assignment does not decode to a run that replays and certifies."""
 
 
 @dataclass(eq=False)
@@ -66,7 +55,6 @@ class Encoding:
     model: IlpModel
     tdes: TimedDes
     horizon: int
-    mode: str
     w: list[list[int]] = field(default_factory=list)
     ze: list[int | None] = field(default_factory=list)
     c: list[int | None] = field(default_factory=list)
@@ -104,7 +92,7 @@ def encode_trajectory(graph: TimedDes, horizon: int) -> Encoding:
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     model = IlpModel()
-    enc = Encoding(model=model, tdes=graph, horizon=horizon, mode=COMPACT)
+    enc = Encoding(model=model, tdes=graph, horizon=horizon)
     n = graph.n
     for k in range(horizon + 1):
         row = []
@@ -123,37 +111,14 @@ def encode_trajectory(graph: TimedDes, horizon: int) -> Encoding:
     return enc
 
 
-def encode_ticks(graph: TimedDes, horizon: int, enc: Encoding) -> None:
-    """Compact tick indicators from state-pair membership.
-
-    ``ze[k]`` is forced to 1 exactly when the step's source can emit a
-    tick and its target can absorb one; see the module note about the
-    misclassification this allows on ambiguous graphs.
-    """
-    model = enc.model
-    sources = graph.tick_sources()
-    targets = graph.tick_targets()
-    enc.ze = [None]
-    for k in range(1, horizon + 1):
-        z = model.add_var(f"ze[{k}]", 0, 1)
-        enc.ze.append(z)
-        from_terms = [(-1, enc.w[k - 1][i]) for i in range(graph.n) if sources[i]]
-        into_terms = [(-1, enc.w[k][i]) for i in range(graph.n) if targets[i]]
-        model.add([(1, z)] + from_terms, "<=", 0)
-        model.add([(1, z)] + into_terms, "<=", 0)
-        model.add([(1, z)] + from_terms + into_terms, ">=", -1)
-    encode_counters(enc)
-
-
-def encode_edges_exact(graph: TimedDes, horizon: int, enc: Encoding) -> None:
-    """Exact mode: per-step transition selectors tied to the state vectors.
+def encode_edges(graph: TimedDes, horizon: int, enc: Encoding) -> None:
+    """Per-step transition selectors tied to the state vectors.
 
     Exactly one transition fires per step; its endpoints must match the
     one-hot vectors, and ``ze[k]`` equals the sum of tick selectors at
-    step k (replacing the compact membership rows).
+    step k.
     """
     model = enc.model
-    enc.mode = EXACT
     enc.edges = sorted(
         (i, ev, j) for (i, ev), j in graph.transitions.items()
     )
@@ -188,10 +153,8 @@ def encode_edges_exact(graph: TimedDes, horizon: int, enc: Encoding) -> None:
 
 
 def encode_counters(enc: Encoding) -> None:
-    """Prefix tick counters ``c[k] = c[k-1] + ze[k]`` in ``[0, k]``.
-
-    Shared by both tick modes; ``c[1] = ze[1]``.
-    """
+    """Prefix tick counters ``c[k] = c[k-1] + ze[k]`` in ``[0, k]``;
+    ``c[1] = ze[1]``."""
     model = enc.model
     enc.c = [None]
     for k in range(1, enc.horizon + 1):
@@ -345,12 +308,10 @@ def encode_root(enc: Encoding) -> None:
     enc.model.add([(1, enc.zphi[(enc.table.root, 0)])], "=", 1)
 
 
-def variable_budget(
-    graph: TimedDes, formula: Formula, horizon: int, mode: str
-) -> int:
-    """Documented upper bound on model size: Theta(H*N) plus Theta(H^2)
-    per until node (plus the per-step edge selectors in exact mode).
-    Tick indicators ``ze[k]`` and prefix tick counters ``c[k]`` add H each.
+def variable_budget(graph: TimedDes, formula: Formula, horizon: int) -> int:
+    """Documented upper bound on model size: Theta(H*N) state vectors,
+    Theta(H*T) edge selectors and Theta(H^2) per until node.  Tick
+    indicators ``ze[k]`` and prefix tick counters ``c[k]`` add H each.
     """
     table = subformulas(formula)
     n_until = sum(1 for e in table.entries if isinstance(e, Until))
@@ -360,25 +321,18 @@ def variable_budget(
     bound += horizon  # prefix tick counters
     bound += (horizon + 1) * len(table)  # per-subformula satisfaction
     bound += n_until * 3 * windows  # thresholds + window indicators
-    if mode == EXACT:
-        bound += horizon * len(graph.transitions)
+    bound += horizon * len(graph.transitions)  # edge selectors
     return bound
 
 
-def build_encoding(
-    graph: TimedDes, formula: Formula, horizon: int, mode: str = COMPACT
-) -> Encoding:
-    """Full pipeline: trajectory, tick indicators, formula, root pin."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+def build_encoding(graph: TimedDes, formula: Formula, horizon: int) -> Encoding:
+    """Full pipeline: trajectory, edge selectors and tick indicators,
+    formula, root pin."""
     enc = encode_trajectory(graph, horizon)
-    if mode == EXACT:
-        encode_edges_exact(graph, horizon, enc)
-    else:
-        encode_ticks(graph, horizon, enc)
+    encode_edges(graph, horizon, enc)
     encode_formula(graph, formula, horizon, enc)
     encode_root(enc)
-    budget = variable_budget(graph, formula, horizon, mode)
+    budget = variable_budget(graph, formula, horizon)
     assert enc.model.num_variables <= budget, (
         enc.model.num_variables,
         budget,
@@ -389,12 +343,9 @@ def build_encoding(
 def decode(enc: Encoding, assignment: Assignment) -> Fragment:
     """Read a satisfying assignment back into a certified run.
 
-    In exact mode the chosen transitions name the events directly.  In
-    compact mode the event of a step is ``tick`` when its indicator is
-    set, otherwise the lexicographically smallest non-tick event linking
-    the adjacent states.  The decoded run must replay on the system and
-    satisfy the formula under the direct evaluator; otherwise
-    :class:`DecodeError` is raised (callers may retry in exact mode).
+    The chosen transitions name the events.  The decoded run must replay
+    on the system and satisfy the formula under the direct evaluator;
+    otherwise :class:`DecodeError` is raised.
     """
     graph = enc.tdes
     system = graph.untimed
@@ -406,33 +357,15 @@ def decode(enc: Encoding, assignment: Assignment) -> Fragment:
         path.append(chosen[0])
 
     events = []
-    if enc.mode == EXACT:
-        for k in range(1, enc.horizon + 1):
-            picked = [
-                enc.edges[t]
-                for t in range(len(enc.edges))
-                if assignment[enc.edge_vars[(k, t)]] == 1
-            ]
-            if len(picked) != 1:
-                raise DecodeError(f"step {k} does not select a unique edge")
-            events.append(picked[0][1])
-    else:
-        for k in range(1, enc.horizon + 1):
-            if assignment[enc.ze[k]] == 1:
-                events.append(TICK)
-                continue
-            source, target = path[k - 1], path[k]
-            candidates = [
-                ev
-                for ev in graph.alphabet()
-                if ev != TICK and graph.transitions.get((source, ev)) == target
-            ]
-            if not candidates:
-                raise DecodeError(
-                    f"step {k}: no non-tick event connects "
-                    f"{graph.states[source]} to {graph.states[target]}"
-                )
-            events.append(candidates[0])
+    for k in range(1, enc.horizon + 1):
+        picked = [
+            enc.edges[t]
+            for t in range(len(enc.edges))
+            if assignment[enc.edge_vars[(k, t)]] == 1
+        ]
+        if len(picked) != 1:
+            raise DecodeError(f"step {k} does not select a unique edge")
+        events.append(picked[0][1])
 
     fragment = Fragment(
         tuple(graph.states[i] for i in path), tuple(events)

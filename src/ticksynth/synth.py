@@ -1,12 +1,10 @@
 """Horizon-iterating synthesis driver and its brute-force cross-check.
 
 ``synthesize`` builds the timed system once, then walks the horizon range
-upward: encode, solve, decode, certify.  In compact mode a decode or
-certification failure triggers an exact-mode retry of the same horizon
-before the loop moves on, so a reported horizon is always backed by a
-certified run.  ``oracle_synthesize`` is the independent reference: it
-enumerates every run of each horizon in lexicographic event order and
-evaluates the formula directly.
+upward: encode, solve, decode, certify, once per horizon, so a reported
+horizon is always backed by a certified run.  ``oracle_synthesize`` is
+the independent reference: it enumerates every run of each horizon in
+lexicographic event order and evaluates the formula directly.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
-from .encode import COMPACT, EXACT, MODES, DecodeError, build_encoding, decode
+from .encode import EXACT, build_encoding, decode
 from .ilp import solve
 from .logic import Formula, evaluate
 from .tdes import (
@@ -39,7 +37,6 @@ class SynthesisRequest:
     formula: Formula
     horizon_min: int
     horizon_max: int
-    mode: str = COMPACT
     state_cap: int = DEFAULT_STATE_CAP
 
     def __post_init__(self) -> None:
@@ -48,8 +45,6 @@ class SynthesisRequest:
                 f"horizon range {self.horizon_min}..{self.horizon_max} "
                 "must satisfy 1 <= min <= max"
             )
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -86,9 +81,8 @@ def synthesize(request: SynthesisRequest) -> SynthesisResult:
     """Smallest horizon in range whose encoding admits a certified run.
 
     Horizons are tried in ascending order and each one is encoded from
-    scratch, so the reported horizon is minimal for the requested mode's
-    notion of feasibility.  Every returned fragment has been certified by
-    the direct evaluator.
+    scratch, so the reported horizon is minimal.  Every returned fragment
+    has been certified by the direct evaluator.
     """
     start = time.perf_counter()
     graph = build_tdes(request.system, request.state_cap)
@@ -97,32 +91,13 @@ def synthesize(request: SynthesisRequest) -> SynthesisResult:
     for horizon in range(request.horizon_min, request.horizon_max + 1):
         # Free the previous horizon's model before building a larger one.
         enc = result = None
-        enc = build_encoding(graph, request.formula, horizon, request.mode)
+        enc = build_encoding(graph, request.formula, horizon)
         result = solve(enc.model)
         total_nodes += result.nodes
         variables = enc.model.num_variables
         constraints = enc.model.num_constraints
-        mode_used = request.mode
-        fragment = None
         if result.feasible:
-            try:
-                fragment = decode(enc, result.assignment)
-            except DecodeError:
-                if request.mode != COMPACT:
-                    raise
-                fragment = None
-        if fragment is None and request.mode == COMPACT and result.feasible:
-            # The compact tick inference misjudged this horizon; settle it
-            # with the exact encoding before moving on.
-            enc = build_encoding(graph, request.formula, horizon, EXACT)
-            result = solve(enc.model)
-            total_nodes += result.nodes
-            variables = enc.model.num_variables
-            constraints = enc.model.num_constraints
-            mode_used = EXACT
-            if result.feasible:
-                fragment = decode(enc, result.assignment)
-        if fragment is not None:
+            fragment = decode(enc, result.assignment)
             if not _certified(request.system, fragment, request.formula):
                 raise RuntimeError("decoded run escaped certification")
             stats = SynthStats(
@@ -132,7 +107,7 @@ def synthesize(request: SynthesisRequest) -> SynthesisResult:
                 time.perf_counter() - start,
             )
             return SynthesisResult(
-                True, fragment, horizon, request.horizon_max, mode_used, stats
+                True, fragment, horizon, request.horizon_max, EXACT, stats
             )
     stats = SynthStats(
         variables, constraints, total_nodes, time.perf_counter() - start

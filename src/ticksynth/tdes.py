@@ -325,18 +325,6 @@ class TimedDes:
                 out.append((ev, j))
         return out
 
-    def tick_sources(self) -> list[bool]:
-        """Per state: does an outgoing tick transition exist."""
-        return [(i, TICK) in self.transitions for i in range(self.n)]
-
-    def tick_targets(self) -> list[bool]:
-        """Per state: does an incoming tick transition exist."""
-        out = [False] * self.n
-        for (_, ev), j in self.transitions.items():
-            if ev == TICK:
-                out[j] = True
-        return out
-
 
 def build_tdes(system: UntimedDes, state_cap: int = DEFAULT_STATE_CAP) -> TimedDes:
     """Explore the reachable timed state space breadth-first.
@@ -584,13 +572,22 @@ def fragment_from_json(data: object, system: UntimedDes) -> Fragment:
             f"{len(raw_events)} events"
         )
 
+    for pos, ev in enumerate(raw_events):
+        if not isinstance(ev, str):
+            raise FragmentError(f"events[{pos}] must be an event name")
+
     activities = []
     timer_maps: list[dict[str, int] | None] = []
     for pos, entry in enumerate(raw_states):
         if not isinstance(entry, dict) or "activity" not in entry:
             raise FragmentError(f"states[{pos}] needs 'activity'")
+        if not isinstance(entry["activity"], str):
+            raise FragmentError(f"states[{pos}]: 'activity' must be a string")
+        timers = entry.get("timers")
+        if timers is not None and not isinstance(timers, dict):
+            raise FragmentError(f"states[{pos}]: 'timers' must be an object")
         activities.append(entry["activity"])
-        timer_maps.append(entry.get("timers"))
+        timer_maps.append(timers)
 
     replay = replay_events(system, raw_events)
     order = system.event_order()

@@ -304,27 +304,13 @@ def reference_propagate(
 
 # --- induced valuations ------------------------------------------------------
 
-def tick_unambiguous(graph: TimedDes) -> bool:
-    """No non-tick edge joins a tick-capable source to a tick-fed target.
-
-    On such graphs the compact tick indicators coincide with actual tick
-    steps, so induced valuations of genuine runs satisfy the compact
-    model.
-    """
-    sources = graph.tick_sources()
-    targets = graph.tick_targets()
-    return not any(
-        ev != TICK and sources[i] and targets[j]
-        for (i, ev), j in graph.transitions.items()
-    )
-
-
 def induced_valuation(enc: Encoding, fragment: Fragment) -> Assignment:
     """Valuation a genuine run induces on every variable of the encoding.
 
-    State vectors come from the run itself, tick indicators from its
-    events, prefix tick counters and threshold indicators from real tick
-    counts, and satisfaction variables from the direct evaluator.
+    State vectors and edge selectors come from the run itself, tick
+    indicators from its events, prefix tick counters and threshold
+    indicators from real tick counts, and satisfaction variables from the
+    direct evaluator.
     """
     graph = enc.tdes
     system = graph.untimed
@@ -338,11 +324,10 @@ def induced_valuation(enc: Encoding, fragment: Fragment) -> Assignment:
     for k in range(1, horizon + 1):
         values[enc.ze[k]] = 1 if fragment.events[k - 1] == TICK else 0
         values[enc.c[k]] = fragment.count(0, k)
-    if enc.mode == "exact":
-        lookup = {edge: t for t, edge in enumerate(enc.edges)}
-        for k in range(1, horizon + 1):
-            edge = (path[k - 1], fragment.events[k - 1], path[k])
-            values[enc.edge_vars[(k, lookup[edge])]] = 1
+    lookup = {edge: t for t, edge in enumerate(enc.edges)}
+    for k in range(1, horizon + 1):
+        edge = (path[k - 1], fragment.events[k - 1], path[k])
+        values[enc.edge_vars[(k, lookup[edge])]] = 1
 
     table = enc.table
     sat = {}

@@ -15,11 +15,10 @@ import time
 import pytest
 
 from ticksynth.encode import (
-    EXACT,
     add_counter_threshold,
     build_encoding,
+    encode_edges,
     encode_formula,
-    encode_ticks,
     encode_trajectory,
 )
 from ticksynth.ilp import Assignment, IlpModel, check_assignment, solve
@@ -41,7 +40,6 @@ from helpers import (
     random_fragment,
     random_model,
     random_system,
-    tick_unambiguous,
     worked_example_fragment,
 )
 
@@ -63,7 +61,7 @@ def test_criterion_1_worked_semantics_example():
 def test_criterion_2_two_goal_reproduction(ring, phi_two_goals):
     start = time.perf_counter()
     result = synthesize(
-        SynthesisRequest(ring, phi_two_goals, 5, 15, mode=EXACT)
+        SynthesisRequest(ring, phi_two_goals, 5, 15)
     )
     elapsed = time.perf_counter() - start
     assert result.found
@@ -85,7 +83,7 @@ def test_criterion_2_two_goal_reproduction(ring, phi_two_goals):
 )
 def test_criterion_3_avoid_until_reproduction(ring, phi_avoid_until):
     result = synthesize(
-        SynthesisRequest(ring, phi_avoid_until, 5, 15, mode=EXACT)
+        SynthesisRequest(ring, phi_avoid_until, 5, 15)
     )
     assert result.found
     assert evaluate(
@@ -102,7 +100,7 @@ def test_criterion_3_avoid_until_reproduction(ring, phi_avoid_until):
 
 def test_criterion_3_true_minimal_horizon(ring, phi_avoid_until):
     solved = synthesize(
-        SynthesisRequest(ring, phi_avoid_until, 5, 15, mode=EXACT)
+        SynthesisRequest(ring, phi_avoid_until, 5, 15)
     )
     reference = oracle_synthesize(
         SynthesisRequest(ring, phi_avoid_until, 5, 15)
@@ -198,7 +196,7 @@ def test_criterion_6_encoder_oracle_equivalence():
         if branching**horizon > 100_000:
             continue
         phi = random_formula(rng, sorted(system.atoms), horizon)
-        enc = build_encoding(graph, phi, horizon, EXACT)
+        enc = build_encoding(graph, phi, horizon)
         feasible = solve(enc.model).feasible
         exists = any(
             evaluate(frag, phi, 0, system.labeling, system.atoms)
@@ -221,11 +219,6 @@ def test_criterion_7_replay_completeness():
             graph = build_tdes(system, state_cap=3000)
         except StateCapError:
             continue
-        if not tick_unambiguous(graph):
-            # The membership-based tick rows are only faithful when no
-            # non-tick edge joins a tick-capable pair; ambiguous graphs
-            # are covered by a dedicated counterexample test.
-            continue
         for _ in range(5):
             horizon = rng.randint(1, 5)
             frag = random_fragment(rng, graph, horizon)
@@ -233,7 +226,7 @@ def test_criterion_7_replay_completeness():
                 continue
             phi = random_formula(rng, sorted(system.atoms), horizon)
             enc = encode_trajectory(graph, horizon)
-            encode_ticks(graph, horizon, enc)
+            encode_edges(graph, horizon, enc)
             encode_formula(graph, phi, horizon, enc)
             valuation = induced_valuation(enc, frag)
             violations = check_assignment(enc.model, valuation)

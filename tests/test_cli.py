@@ -51,7 +51,7 @@ def test_synth_text_output(capsys):
 def test_synth_exact_mode_two_goals(capsys):
     code = run([
         "synth", "--system", RING, "--formula", TWO_GOALS,
-        "--hmin", "11", "--hmax", "11", "--mode", "exact", "--format", "json",
+        "--hmin", "5", "--hmax", "15", "--format", "json",
     ])
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and out["horizon"] == 11
@@ -252,3 +252,37 @@ def test_event_list_shapes_exit_two(tmp_path, capsys, ring_doc):
     events = [{**ring_doc["events"][0], "name": ["move12"]}]
     assert _synth_on_document(tmp_path, {**ring_doc, "events": events}) == 2
     assert "events[0]: 'name' must be a string" in capsys.readouterr().err
+
+
+def _check_on_fragment(tmp_path, doc):
+    path = tmp_path / "fragment.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return run(["check", "--system", RING, "--fragment", str(path),
+                "--formula", "ap1"])
+
+
+def _route_a_doc():
+    with open(ROUTE_A, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def test_fragment_event_shapes_exit_two(tmp_path, capsys):
+    for bad in (["tick"], {"a": 1}):
+        doc = _route_a_doc()
+        doc["events"][0] = bad
+        assert _check_on_fragment(tmp_path, doc) == 2
+        assert "events[0] must be an event name" in capsys.readouterr().err
+
+
+def test_fragment_activity_list_exits_two(tmp_path, capsys):
+    doc = _route_a_doc()
+    doc["states"][0]["activity"] = ["p1"]
+    assert _check_on_fragment(tmp_path, doc) == 2
+    assert "states[0]: 'activity' must be a string" in capsys.readouterr().err
+
+
+def test_fragment_timers_number_exits_two(tmp_path, capsys):
+    doc = _route_a_doc()
+    doc["states"][0]["timers"] = 7
+    assert _check_on_fragment(tmp_path, doc) == 2
+    assert "states[0]: 'timers' must be an object" in capsys.readouterr().err

@@ -3,14 +3,12 @@ import random
 import pytest
 
 from ticksynth.encode import (
-    COMPACT,
-    EXACT,
     DecodeError,
     add_counter_threshold,
     build_encoding,
     decode,
+    encode_edges,
     encode_formula,
-    encode_ticks,
     encode_trajectory,
     variable_budget,
 )
@@ -31,7 +29,6 @@ from helpers import (
     random_fragment,
     random_system,
     reference_propagate,
-    tick_unambiguous,
 )
 from ticksynth.synth import enumerate_fragments
 from ticksynth.logic import evaluate
@@ -108,7 +105,7 @@ def test_dead_end_state_makes_longer_horizons_infeasible():
 def test_tick_only_pair_forces_indicator_up():
     graph = build_tdes(pulse_system())
     enc = encode_trajectory(graph, 1)
-    encode_ticks(graph, 1, enc)
+    encode_edges(graph, 1, enc)
     box = propagate_bounds(enc.model)
     lo, hi = box
     # the only step from s0 goes to s1 via tick
@@ -118,7 +115,7 @@ def test_tick_only_pair_forces_indicator_up():
 def test_tickless_target_forces_indicator_down():
     graph = build_tdes(pulse_system())
     enc = encode_trajectory(graph, 2)
-    encode_ticks(graph, 2, enc)
+    encode_edges(graph, 2, enc)
     # pin the second step back to s0: only the event edge fits
     enc.model.add([(1, enc.w[2][0])], "=", 1)
     box = propagate_bounds(enc.model)
@@ -171,7 +168,7 @@ def test_threshold_pair_for_empty_window():
 def test_window_bound_above_horizon_is_handled():
     # upper bound far beyond the horizon: thresholds must not go infeasible
     graph = build_tdes(pulse_system())
-    enc = build_encoding(graph, parse("F[0,99] lit"), 2, EXACT)
+    enc = build_encoding(graph, parse("F[0,99] lit"), 2)
     assert solve(enc.model).feasible
 
 
@@ -180,7 +177,7 @@ def test_window_bound_above_horizon_is_handled():
 def test_atom_row_pinned_by_initial_state(ring_tdes):
     for name, expected in (("ap1", 1), ("ap2", 0)):
         enc = encode_trajectory(ring_tdes, 1)
-        encode_ticks(ring_tdes, 1, enc)
+        encode_edges(ring_tdes, 1, enc)
         encode_formula(ring_tdes, Atom(name), 1, enc)
         box = propagate_bounds(enc.model)
         lo, hi = box
@@ -190,14 +187,14 @@ def test_atom_row_pinned_by_initial_state(ring_tdes):
 
 def test_negation_rows_complement():
     graph = build_tdes(pulse_system())
-    enc = build_encoding(graph, Not(Atom("lit")), 1, EXACT)
+    enc = build_encoding(graph, Not(Atom("lit")), 1)
     result = solve(enc.model)
     assert not result.feasible  # every state is lit
 
 
 def test_unknown_atom_rejected(ring_tdes):
     enc = encode_trajectory(ring_tdes, 1)
-    encode_ticks(ring_tdes, 1, enc)
+    encode_edges(ring_tdes, 1, enc)
     with pytest.raises(UnknownAtomError):
         encode_formula(ring_tdes, Atom("nope"), 1, enc)
 
@@ -214,30 +211,20 @@ def test_root_pin_and_registry_names(ring_tdes):
 
 
 def test_variable_budget_holds(ring_tdes, phi_two_goals):
-    for mode in (COMPACT, EXACT):
-        enc = build_encoding(ring_tdes, phi_two_goals, 6, mode)
-        assert enc.model.num_variables <= variable_budget(
-            ring_tdes, phi_two_goals, 6, mode
-        )
+    enc = build_encoding(ring_tdes, phi_two_goals, 6)
+    assert enc.model.num_variables <= variable_budget(
+        ring_tdes, phi_two_goals, 6
+    )
 
 
 # --- replay completeness --------------------------------------------------------------
 
-def _unambiguous_pool(seed, count):
-    rng = random.Random(seed)
-    pool = []
-    while len(pool) < count:
-        system = random_system(rng, max_states=4)
-        graph = build_tdes(system, state_cap=3000)
-        if tick_unambiguous(graph):
-            pool.append((system, graph))
-    return pool
-
-
-def test_induced_valuations_satisfy_compact_model():
+def test_induced_valuations_satisfy_exact_model():
     rng = random.Random(13)
     checked = 0
-    for system, graph in _unambiguous_pool(13, 12):
+    for _ in range(12):
+        system = random_system(rng, max_states=4)
+        graph = build_tdes(system, state_cap=3000)
         atoms = sorted(system.atoms)
         for _ in range(4):
             horizon = rng.randint(1, 4)
@@ -248,7 +235,7 @@ def test_induced_valuations_satisfy_compact_model():
             # no root pin: the valuation of an arbitrary run must satisfy
             # the structural rows whether or not the formula holds
             enc = encode_trajectory(graph, horizon)
-            encode_ticks(graph, horizon, enc)
+            encode_edges(graph, horizon, enc)
             encode_formula(graph, phi, horizon, enc)
             valuation = induced_valuation(enc, frag)
             assert check_assignment(enc.model, valuation) == []
@@ -263,28 +250,6 @@ def test_induced_valuations_satisfy_compact_model():
     assert checked >= 30
 
 
-def test_ambiguous_pair_breaks_compact_tick_rows(ring, ring_tdes, route_a, phi_two_goals):
-    """The route that satisfies the two-goal formula violates the compact
-    tick rows: every arrival in a labeled location is also tick-fed, so
-    the membership indicators overcount (8 forced ticks against 5 real).
-    """
-    assert not tick_unambiguous(ring_tdes)
-    enc = build_encoding(ring_tdes, phi_two_goals, route_a.horizon, COMPACT)
-    valuation = induced_valuation(enc, route_a)
-    assert check_assignment(enc.model, valuation) != []
-
-    sources = ring_tdes.tick_sources()
-    targets = ring_tdes.tick_targets()
-    path = [ring_tdes.index[s] for s in route_a.states]
-    forced = sum(
-        1
-        for k in range(1, route_a.horizon + 1)
-        if sources[path[k - 1]] and targets[path[k]]
-    )
-    assert route_a.count(0, route_a.horizon) == 5
-    assert forced == 8
-
-
 def test_exact_feasibility_matches_enumeration():
     rng = random.Random(37)
     trials = 0
@@ -293,7 +258,7 @@ def test_exact_feasibility_matches_enumeration():
         graph = build_tdes(system, state_cap=3000)
         horizon = rng.randint(1, 4)
         phi = random_formula(rng, sorted(system.atoms), horizon)
-        enc = build_encoding(graph, phi, horizon, EXACT)
+        enc = build_encoding(graph, phi, horizon)
         feasible = solve(enc.model).feasible
         exists = any(
             evaluate(frag, phi, 0, system.labeling, system.atoms)
@@ -306,14 +271,13 @@ def test_exact_feasibility_matches_enumeration():
 
 def test_encoding_propagation_matches_reference(ring_tdes, phi_two_goals):
     rng = random.Random(59)
-    models = [build_encoding(ring_tdes, phi_two_goals, 11, EXACT).model]
+    models = [build_encoding(ring_tdes, phi_two_goals, 11).model]
     for _ in range(20):
         system = random_system(rng, max_states=4)
         graph = build_tdes(system, state_cap=3000)
         horizon = rng.randint(1, 5)
         phi = random_formula(rng, sorted(system.atoms), horizon)
-        for mode in (COMPACT, EXACT):
-            models.append(build_encoding(graph, phi, horizon, mode).model)
+        models.append(build_encoding(graph, phi, horizon).model)
     for model in models:
         assert propagate_bounds(model) == reference_propagate(model)
 
@@ -326,7 +290,7 @@ def test_exact_decode_produces_certified_runs():
         graph = build_tdes(system, state_cap=3000)
         horizon = rng.randint(1, 4)
         phi = random_formula(rng, sorted(system.atoms), horizon)
-        enc = build_encoding(graph, phi, horizon, EXACT)
+        enc = build_encoding(graph, phi, horizon)
         result = solve(enc.model)
         if not result.feasible:
             continue
@@ -336,7 +300,7 @@ def test_exact_decode_produces_certified_runs():
 
 
 def test_decode_rejects_corrupted_assignment(ring_tdes, phi_avoid_until):
-    enc = build_encoding(ring_tdes, phi_avoid_until, 7, EXACT)
+    enc = build_encoding(ring_tdes, phi_avoid_until, 7)
     result = solve(enc.model)
     assert result.feasible
     values = list(result.assignment.values)
@@ -348,7 +312,7 @@ def test_decode_rejects_corrupted_assignment(ring_tdes, phi_avoid_until):
 
 def test_decode_simple_tick_step():
     graph = build_tdes(pulse_system())
-    enc = build_encoding(graph, TRUE, 1, COMPACT)
+    enc = build_encoding(graph, TRUE, 1)
     result = solve(enc.model)
     frag = decode(enc, result.assignment)
     assert frag.events == (TICK,)

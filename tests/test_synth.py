@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ticksynth.encode import COMPACT, EXACT, build_encoding
+from ticksynth.encode import EXACT, build_encoding
 from ticksynth.logic import Atom, Not, Truth, evaluate
 from ticksynth.synth import (
     OracleBudgetError,
@@ -17,15 +17,12 @@ from helpers import random_formula, random_system
 
 
 def test_avoid_until_minimal_horizon_every_mode(ring, phi_avoid_until):
-    for mode in (EXACT, COMPACT):
-        result = synthesize(
-            SynthesisRequest(ring, phi_avoid_until, 5, 15, mode=mode)
-        )
+    request = SynthesisRequest(ring, phi_avoid_until, 5, 15)
+    for search, mode in ((synthesize, EXACT), (oracle_synthesize, "oracle")):
+        result = search(request)
         assert result.found
         assert result.horizon == 7
-        # the membership-based tick inference cannot certify its own run
-        # on this graph, so even compact requests settle through exact
-        assert result.mode_used == EXACT
+        assert result.mode_used == mode
         assert evaluate(
             result.fragment, phi_avoid_until, 0, ring.labeling, ring.atoms
         )
@@ -33,14 +30,14 @@ def test_avoid_until_minimal_horizon_every_mode(ring, phi_avoid_until):
 
 def test_two_goal_formula_feasible_exactly_from_eleven(ring, phi_two_goals):
     found = synthesize(
-        SynthesisRequest(ring, phi_two_goals, 11, 11, mode=EXACT)
+        SynthesisRequest(ring, phi_two_goals, 11, 11)
     )
     assert found.found and found.horizon == 11
     assert evaluate(
         found.fragment, phi_two_goals, 0, ring.labeling, ring.atoms
     )
     missed = synthesize(
-        SynthesisRequest(ring, phi_two_goals, 10, 10, mode=EXACT)
+        SynthesisRequest(ring, phi_two_goals, 10, 10)
     )
     assert not missed.found
     assert missed.horizon is None and missed.fragment is None
@@ -50,12 +47,12 @@ def test_exact_search_effort_is_pinned(ring, phi_two_goals, phi_avoid_until):
     """Total nodes of the exact horizon loop on the fixture.  Model and
     propagation changes that keep the search must keep these counts."""
     for phi, horizon, nodes in ((phi_two_goals, 11, 87), (phi_avoid_until, 7, 6)):
-        result = synthesize(SynthesisRequest(ring, phi, 5, 15, mode=EXACT))
+        result = synthesize(SynthesisRequest(ring, phi, 5, 15))
         assert (result.horizon, result.statistics.nodes) == (horizon, nodes)
 
 
 def test_until_windows_leave_out_constant_left_operand(ring_tdes, phi_two_goals):
-    enc = build_encoding(ring_tdes, phi_two_goals, 11, EXACT)
+    enc = build_encoding(ring_tdes, phi_two_goals, 11)
     truth_slots = [
         slot for slot, node in enumerate(enc.table.entries)
         if isinstance(node, Truth)
@@ -74,17 +71,6 @@ def test_until_windows_leave_out_constant_left_operand(ring_tdes, phi_two_goals)
         assert not truth_vars & {var for _, var in row.terms}
 
 
-def test_compact_tick_inference_blocks_two_goal_formula(ring, phi_two_goals):
-    """On this graph every arrival in a labeled location counts as a
-    forced tick under the membership rows, pushing the second goal past
-    its window at every horizon; the compact model is infeasible even
-    where certified runs exist.  Documented gap of the compact mode."""
-    result = synthesize(
-        SynthesisRequest(ring, phi_two_goals, 10, 12, mode=COMPACT)
-    )
-    assert not result.found
-
-
 def test_atom_goal_found_at_horizon_one(ring):
     result = synthesize(SynthesisRequest(ring, Atom("ap1"), 1, 1))
     assert result.found and result.horizon == 1
@@ -101,13 +87,11 @@ def test_request_validation(ring, phi_two_goals):
         SynthesisRequest(ring, phi_two_goals, 0, 3)
     with pytest.raises(ValueError):
         SynthesisRequest(ring, phi_two_goals, 4, 3)
-    with pytest.raises(ValueError):
-        SynthesisRequest(ring, phi_two_goals, 1, 3, mode="loose")
 
 
 def test_stats_are_populated(ring, phi_avoid_until):
     result = synthesize(
-        SynthesisRequest(ring, phi_avoid_until, 7, 7, mode=EXACT)
+        SynthesisRequest(ring, phi_avoid_until, 7, 7)
     )
     stats = result.statistics
     assert stats.variables > 0 and stats.constraints > 0
@@ -174,7 +158,7 @@ def test_exact_synthesis_agrees_with_oracle():
         if max_branch**horizon > 200_000:
             continue
         phi = random_formula(rng, sorted(system.atoms), horizon)
-        request = SynthesisRequest(system, phi, horizon, horizon, mode=EXACT)
+        request = SynthesisRequest(system, phi, horizon, horizon)
         solved = synthesize(request)
         reference = oracle_synthesize(request)
         assert solved.found == reference.found
