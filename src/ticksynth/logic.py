@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Collection, Mapping
+from typing import Callable, Collection, Mapping
 
 from .tdes import Fragment
 
@@ -94,6 +94,12 @@ class Until(Formula):
 
 TRUE = Truth()
 
+MAX_DEPTH = 100
+"""Deepest formula ``parse`` accepts, both as nesting in the text
+(parentheses, prefix operators, right-nested ``U`` and ``->``) and as
+depth of the parsed tree.  Parsing, hashing and evaluation all recurse
+over the tree, so deeper input would exhaust the interpreter's stack."""
+
 _RESERVED = {"U", "F", "G", "X", "true", "false"}
 
 _TOKEN = re.compile(
@@ -128,6 +134,35 @@ class _Parser:
     def __init__(self, text: str) -> None:
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
+        self.depths: dict[int, int] = {}
+
+    def too_deep(self) -> FormulaSyntaxError:
+        return FormulaSyntaxError(
+            f"formula nests deeper than {MAX_DEPTH} levels", self.peek()[2]
+        )
+
+    def nested(self, rule: Callable[[], Formula]) -> Formula:
+        """Apply a recursive grammar rule one nesting level deeper."""
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise self.too_deep()
+        node = rule()
+        self.nesting -= 1
+        return node
+
+    def node(self, kind: type, *fields: object) -> Formula:
+        """Build a tree node, tracking its depth by object identity (every
+        node built here stays referenced by the tree, so ids stay unique)."""
+        depth = 1 + max(
+            (self.depths.get(id(f), 0) for f in fields if isinstance(f, Formula)),
+            default=0,
+        )
+        if depth > MAX_DEPTH:
+            raise self.too_deep()
+        built = kind(*fields)
+        self.depths[id(built)] = depth
+        return built
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -156,28 +191,34 @@ class _Parser:
         while self.peek()[1] == "<->":
             self.take()
             other = self.implication()
-            node = And(Or(Not(node), other), Or(Not(other), node))
+            node = self.node(
+                And,
+                self.node(Or, self.node(Not, node), other),
+                self.node(Or, self.node(Not, other), node),
+            )
         return node
 
     def implication(self) -> Formula:
         node = self.disjunction()
         if self.peek()[1] == "->":
             self.take()
-            return Or(Not(node), self.implication())
+            return self.node(
+                Or, self.node(Not, node), self.nested(self.implication)
+            )
         return node
 
     def disjunction(self) -> Formula:
         node = self.conjunction()
         while self.peek()[1] == "|":
             self.take()
-            node = Or(node, self.conjunction())
+            node = self.node(Or, node, self.conjunction())
         return node
 
     def conjunction(self) -> Formula:
         node = self.until()
         while self.peek()[1] == "&":
             self.take()
-            node = And(node, self.until())
+            node = self.node(And, node, self.until())
         return node
 
     def until(self) -> Formula:
@@ -185,22 +226,25 @@ class _Parser:
         if self.peek()[1] == "U":
             self.take()
             low, high = self.interval()
-            return Until(node, self.until(), low, high)
+            return self.node(Until, node, self.nested(self.until), low, high)
         return node
 
     def unary(self) -> Formula:
         kind, text, at = self.peek()
         if text == "!":
             self.take()
-            return Not(self.unary())
+            return self.node(Not, self.nested(self.unary))
         if text == "F":
             self.take()
             low, high = self.interval()
-            return Until(TRUE, self.unary(), low, high)
+            return self.node(Until, TRUE, self.nested(self.unary), low, high)
         if text == "G":
             self.take()
             low, high = self.interval()
-            return Not(Until(TRUE, Not(self.unary()), low, high))
+            operand = self.node(Not, self.nested(self.unary))
+            return self.node(
+                Not, self.node(Until, TRUE, operand, low, high)
+            )
         if text == "X":
             raise FormulaSyntaxError("the next operator is not supported", at)
         return self.primary()
@@ -208,14 +252,14 @@ class _Parser:
     def primary(self) -> Formula:
         kind, text, at = self.take()
         if text == "(":
-            node = self.equivalence()
+            node = self.nested(self.equivalence)
             self.expect(")", "')'")
             return node
         if kind == "ident":
             if text == "true":
                 return TRUE
             if text == "false":
-                return Not(TRUE)
+                return self.node(Not, TRUE)
             if text in _RESERVED:
                 raise FormulaSyntaxError(
                     f"{text!r} is an operator and needs an operand", at
@@ -245,7 +289,11 @@ class _Parser:
 
 
 def parse(text: str) -> Formula:
-    """Parse concrete formula syntax into the core node kinds."""
+    """Parse concrete formula syntax into the core node kinds.
+
+    Text or trees nesting deeper than :data:`MAX_DEPTH` are rejected with
+    :class:`FormulaSyntaxError`.
+    """
     return _Parser(text).parse()
 
 

@@ -17,9 +17,8 @@ import pytest
 from ticksynth.encode import (
     add_counter_threshold,
     build_encoding,
-    encode_edges,
     encode_formula,
-    encode_trajectory,
+    encode_run,
 )
 from ticksynth.ilp import Assignment, IlpModel, check_assignment, solve
 from ticksynth.logic import evaluate, parse
@@ -225,9 +224,8 @@ def test_criterion_7_replay_completeness():
             if frag is None:
                 continue
             phi = random_formula(rng, sorted(system.atoms), horizon)
-            enc = encode_trajectory(graph, horizon)
-            encode_edges(graph, horizon, enc)
-            encode_formula(graph, phi, horizon, enc)
+            enc = encode_run(graph, horizon)
+            encode_formula(enc, phi)
             valuation = induced_valuation(enc, frag)
             violations = check_assignment(enc.model, valuation)
             assert violations == [], violations

@@ -1,6 +1,7 @@
 import json
 
 from ticksynth.cli import run
+from ticksynth.logic import MAX_DEPTH
 from ticksynth.tdes import fixture_path
 
 RING = str(fixture_path("ring4.json"))
@@ -195,6 +196,43 @@ def test_input_errors_exit_two(tmp_path, capsys):
     # usage errors from argparse are also mapped
     assert run(["synth", "--system", RING]) == 2
     assert run([]) == 2
+
+
+def _synth_and_check(formula, capsys):
+    codes = (
+        run(["synth", "--system", RING, "--formula", formula, "--hmax", "2"]),
+        run(["check", "--system", RING, "--fragment", ROUTE_A,
+             "--formula", formula]),
+    )
+    return codes, capsys.readouterr().err
+
+
+def test_nested_parentheses_exit_two(capsys):
+    codes, err = _synth_and_check("(" * 300 + "ap1" + ")" * 300, capsys)
+    assert codes == (2, 2)
+    assert err.count("nests deeper than") == 2
+
+
+def test_repeated_negation_exits_two(capsys):
+    codes, err = _synth_and_check("!" * 1000 + "ap1", capsys)
+    assert codes == (2, 2)
+    assert err.count("nests deeper than") == 2
+
+
+def test_long_conjunction_chain_exits_two(capsys):
+    codes, err = _synth_and_check(" & ".join(["ap1"] * 2000), capsys)
+    assert codes == (2, 2)
+    assert err.count("nests deeper than") == 2
+
+
+def test_formulas_at_depth_limit_run(capsys):
+    for formula in (
+        "(" * MAX_DEPTH + "ap1" + ")" * MAX_DEPTH,
+        "!" * MAX_DEPTH + "ap1",
+        " & ".join(["ap1"] * (MAX_DEPTH + 1)),
+    ):
+        codes, err = _synth_and_check(formula, capsys)
+        assert codes == (0, 0), err
 
 
 def test_state_cap_flag(capsys):

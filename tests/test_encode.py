@@ -7,9 +7,8 @@ from ticksynth.encode import (
     add_counter_threshold,
     build_encoding,
     decode,
-    encode_edges,
     encode_formula,
-    encode_trajectory,
+    encode_run,
     variable_budget,
 )
 from ticksynth.ilp import Assignment, IlpModel, check_assignment, dump, propagate_bounds, solve
@@ -56,14 +55,17 @@ def pulse_system():
 
 def test_trajectory_sizes_on_ring(ring_tdes):
     horizon = 11
-    enc = encode_trajectory(ring_tdes, horizon)
-    assert ring_tdes.n == 28
-    assert enc.model.num_variables == (horizon + 1) * 28
-    assert enc.model.num_constraints == horizon * 28 + (horizon + 1)
+    enc = encode_run(ring_tdes, horizon)
+    n, t = ring_tdes.n, len(ring_tdes.transitions)
+    assert (n, t) == (28, 44)
+    # state vectors, then per step: selectors, tick indicator, counter
+    assert enc.model.num_variables == (horizon + 1) * n + horizon * (t + 2)
+    # one-hot rows, then per step: outgoing, incoming, tick and counter rows
+    assert enc.model.num_constraints == (horizon + 1) + horizon * (2 * n + 2)
 
 
 def test_trajectory_pins_initial_state(ring_tdes):
-    enc = encode_trajectory(ring_tdes, 2)
+    enc = encode_run(ring_tdes, 2)
     start = enc.w[0][ring_tdes.initial_index]
     assert enc.model.lower[start] == enc.model.upper[start] == 1
 
@@ -74,7 +76,7 @@ def test_single_state_tick_loop_forces_every_step():
         atoms=set(), labeling={}, timing={},
     )
     graph = build_tdes(system)
-    enc = encode_trajectory(graph, 3)
+    enc = encode_run(graph, 3)
     box = propagate_bounds(enc.model)
     assert box is not None
     lo, hi = box
@@ -94,9 +96,9 @@ def test_dead_end_state_makes_longer_horizons_infeasible():
             key: j for key, j in graph.transitions.items() if key[0] != 1
         },
     )
-    enc = encode_trajectory(pruned, 2)
+    enc = encode_run(pruned, 2)
     assert not solve(enc.model).feasible
-    enc1 = encode_trajectory(pruned, 1)
+    enc1 = encode_run(pruned, 1)
     assert solve(enc1.model).feasible
 
 
@@ -104,8 +106,7 @@ def test_dead_end_state_makes_longer_horizons_infeasible():
 
 def test_tick_only_pair_forces_indicator_up():
     graph = build_tdes(pulse_system())
-    enc = encode_trajectory(graph, 1)
-    encode_edges(graph, 1, enc)
+    enc = encode_run(graph, 1)
     box = propagate_bounds(enc.model)
     lo, hi = box
     # the only step from s0 goes to s1 via tick
@@ -114,8 +115,7 @@ def test_tick_only_pair_forces_indicator_up():
 
 def test_tickless_target_forces_indicator_down():
     graph = build_tdes(pulse_system())
-    enc = encode_trajectory(graph, 2)
-    encode_edges(graph, 2, enc)
+    enc = encode_run(graph, 2)
     # pin the second step back to s0: only the event edge fits
     enc.model.add([(1, enc.w[2][0])], "=", 1)
     box = propagate_bounds(enc.model)
@@ -176,9 +176,8 @@ def test_window_bound_above_horizon_is_handled():
 
 def test_atom_row_pinned_by_initial_state(ring_tdes):
     for name, expected in (("ap1", 1), ("ap2", 0)):
-        enc = encode_trajectory(ring_tdes, 1)
-        encode_edges(ring_tdes, 1, enc)
-        encode_formula(ring_tdes, Atom(name), 1, enc)
+        enc = encode_run(ring_tdes, 1)
+        encode_formula(enc, Atom(name))
         box = propagate_bounds(enc.model)
         lo, hi = box
         slot = enc.table.root
@@ -193,10 +192,9 @@ def test_negation_rows_complement():
 
 
 def test_unknown_atom_rejected(ring_tdes):
-    enc = encode_trajectory(ring_tdes, 1)
-    encode_edges(ring_tdes, 1, enc)
+    enc = encode_run(ring_tdes, 1)
     with pytest.raises(UnknownAtomError):
-        encode_formula(ring_tdes, Atom("nope"), 1, enc)
+        encode_formula(enc, Atom("nope"))
 
 
 def test_root_pin_and_registry_names(ring_tdes):
@@ -234,9 +232,8 @@ def test_induced_valuations_satisfy_exact_model():
             phi = random_formula(rng, atoms, horizon)
             # no root pin: the valuation of an arbitrary run must satisfy
             # the structural rows whether or not the formula holds
-            enc = encode_trajectory(graph, horizon)
-            encode_edges(graph, horizon, enc)
-            encode_formula(graph, phi, horizon, enc)
+            enc = encode_run(graph, horizon)
+            encode_formula(enc, phi)
             valuation = induced_valuation(enc, frag)
             assert check_assignment(enc.model, valuation) == []
             for (slot, k), var in enc.zphi.items():
@@ -248,6 +245,35 @@ def test_induced_valuations_satisfy_exact_model():
                 )
             checked += 1
     assert checked >= 30
+
+
+def test_run_encoding_points_are_exactly_the_runs():
+    # Enumerate the integer points of the bare run model by re-solving
+    # with a nogood row over each found run's selectors: the decoded runs
+    # must be the enumerated runs, each exactly once.
+    rng = random.Random(71)
+    runs = 0
+    for _ in range(40):
+        graph = build_tdes(random_system(rng, max_states=5), state_cap=3000)
+        horizon = rng.randint(1, 4)
+        expected = list(enumerate_fragments(graph, horizon))
+        enc = encode_run(graph, horizon)
+        found = []
+        while True:
+            result = solve(enc.model)
+            if not result.feasible:
+                break
+            found.append(decode(enc, result.assignment))
+            chosen = [
+                var for var in enc.edge_vars.values()
+                if result.assignment[var] == 1
+            ]
+            assert len(chosen) == horizon
+            enc.model.add([(1, var) for var in chosen], "<=", horizon - 1)
+        assert len(found) == len(set(found))
+        assert set(found) == set(expected)
+        runs += len(found)
+    assert runs == 631
 
 
 def test_exact_feasibility_matches_enumeration():

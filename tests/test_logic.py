@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ticksynth.logic import (
+    MAX_DEPTH,
     TRUE,
     And,
     Atom,
+    Formula,
     FormulaSyntaxError,
     Not,
     Or,
@@ -91,6 +93,59 @@ def test_parse_error_positions():
         parse("a @ b")
     with pytest.raises(FormulaSyntaxError):
         parse("F a")
+
+
+# Texts nesting n levels deep, in the text or in the parsed tree.
+DEEP_SHAPES = (
+    lambda n: "(" * n + "a" + ")" * n,
+    lambda n: "!" * n + "a",
+    lambda n: " & ".join(["a"] * (n + 1)),
+    lambda n: "a | " * n + "a",
+    lambda n: "a U[0,2] " * n + "a",
+    lambda n: "F[1,2] " * n + "a",
+)
+
+
+def test_parse_depth_limit():
+    for shape in DEEP_SHAPES:
+        assert isinstance(parse(shape(MAX_DEPTH)), Formula)
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse(shape(MAX_DEPTH + 1))
+        assert "nests deeper than" in str(err.value)
+    # tree depth: each G adds three levels, each <-> three, each -> one
+    parse("G[0,1] " * (MAX_DEPTH // 3) + "a")
+    with pytest.raises(FormulaSyntaxError):
+        parse("G[0,1] " * (MAX_DEPTH // 3 + 1) + "a")
+    with pytest.raises(FormulaSyntaxError):
+        parse("a <-> " * (MAX_DEPTH // 3 + 1) + "a")
+    with pytest.raises(FormulaSyntaxError):
+        parse("a -> " * MAX_DEPTH + "a")
+
+
+def formula_text():
+    deep = st.builds(
+        lambda shape, n: shape(n),
+        st.sampled_from(
+            DEEP_SHAPES + (lambda n: "(" * n + "a", lambda n: "!(" * n + "a")
+        ),
+        st.integers(0, 3 * MAX_DEPTH),
+    )
+    return st.one_of(
+        st.text(alphabet="ab ()!&|-<>UFGX[],0129", max_size=40),
+        st.text(max_size=20),
+        deep,
+        st.tuples(deep, st.text(alphabet="a)!&", max_size=3)).map("".join),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(formula_text())
+def test_parse_returns_formula_or_syntax_error(text):
+    try:
+        node = parse(text)
+    except FormulaSyntaxError:
+        return
+    assert isinstance(node, Formula)
 
 
 def test_until_constructor_rejects_bad_bounds():
