@@ -11,7 +11,6 @@ command line.
 """
 
 from .encode import (
-    EXACT,
     DecodeError,
     Encoding,
     build_encoding,
@@ -56,7 +55,6 @@ from .tdes import (
     PROSPECTIVE,
     REMOTE,
     TICK,
-    Diagnostic,
     EventTiming,
     Fragment,
     FragmentError,
@@ -82,7 +80,6 @@ from .tdes import (
     system_from_json,
     tdes_to_dot,
     untimed_to_dot,
-    validate,
 )
 
 __version__ = "0.1.0"

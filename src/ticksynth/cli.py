@@ -110,22 +110,11 @@ def _formula_from_args(args: argparse.Namespace) -> Formula:
         return parse(handle.read().strip())
 
 
-def _load_valid_system(path: str) -> tdes.UntimedDes:
-    system = tdes.load_system(path)
-    problems = [d for d in tdes.validate(system) if d.severity == "error"]
-    if problems:
-        raise tdes.InvalidSystemError(
-            f"{path}: " + "; ".join(d.message for d in problems)
-        )
-    return system
-
-
 def _result_payload(result: synth.SynthesisResult) -> dict:
     payload: dict = {
         "found": result.found,
         "horizon": result.horizon,
         "horizon_max": result.horizon_max,
-        "mode_used": result.mode_used,
         "stats": {
             "variables": result.statistics.variables,
             "constraints": result.statistics.constraints,
@@ -141,7 +130,6 @@ def _print_result_text(result: synth.SynthesisResult) -> None:
     print(f"found: {'yes' if result.found else 'no'}")
     if result.found:
         print(f"horizon: {result.horizon}")
-        print(f"mode: {result.mode_used}")
         print("events: " + " ".join(result.fragment.events))
         print("trajectory: " + " ".join(result.fragment.activities()))
     else:
@@ -153,7 +141,7 @@ def _print_result_text(result: synth.SynthesisResult) -> None:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    system = _load_valid_system(args.system)
+    system = tdes.load_system(args.system)
     formula = _formula_from_args(args)
     request = synth.SynthesisRequest(
         system=system,
@@ -174,7 +162,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    system = _load_valid_system(args.system)
+    system = tdes.load_system(args.system)
     formula = _formula_from_args(args)
     fragment = tdes.load_fragment(args.fragment, system)
     holds = evaluate(fragment, formula, 0, system.labeling, system.atoms)
@@ -192,7 +180,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    system = _load_valid_system(args.system)
+    system = tdes.load_system(args.system)
     if args.untimed_dot:
         print(tdes.untimed_to_dot(system), end="")
         return 0
@@ -219,7 +207,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    system = _load_valid_system(args.system)
+    system = tdes.load_system(args.system)
     formula = _formula_from_args(args)
     request = synth.SynthesisRequest(
         system=system,
@@ -237,7 +225,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump(args: argparse.Namespace) -> int:
-    system = _load_valid_system(args.system)
+    system = tdes.load_system(args.system)
     formula = _formula_from_args(args)
     graph = tdes.build_tdes(system, args.state_cap)
     enc = encode.build_encoding(graph, formula, args.horizon)

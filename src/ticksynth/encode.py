@@ -41,8 +41,6 @@ from .logic import (
 )
 from .tdes import TICK, Fragment, TimedDes, fragment_errors
 
-EXACT = "exact"
-
 
 class DecodeError(RuntimeError):
     """An assignment does not decode to a run that replays and certifies."""
@@ -65,13 +63,6 @@ class Encoding:
     zu: dict[tuple[int, int, int], int] = field(default_factory=dict)
     edges: list[tuple[int, str, int]] = field(default_factory=list)
     edge_vars: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def counter_terms(self, k: int, j: int) -> tuple[list[int], list[int]]:
-        """Added and subtracted counters of window k..j's tick count,
-        ``c[j] - c[k]``; ``c[0] = 0`` and empty windows have no terms."""
-        if j == k:
-            return [], []
-        return [self.c[j]], [self.c[k]] if k else []
 
 
 def encode_run(graph: TimedDes, horizon: int) -> Encoding:
@@ -140,7 +131,7 @@ def encode_run(graph: TimedDes, horizon: int) -> Encoding:
 
 def add_counter_threshold(
     model: IlpModel,
-    counter_terms: Sequence[int],
+    plus: Sequence[int],
     lower: int,
     upper: int,
     big_m: int,
@@ -150,7 +141,7 @@ def add_counter_threshold(
 ) -> tuple[int, int]:
     """Indicator pair for ``lower <= counter`` and ``counter <= upper``.
 
-    ``counter`` is the sum of ``counter_terms`` minus the sum of ``minus``:
+    ``counter`` is the sum of ``plus`` minus the sum of ``minus``:
     a sum of tick binaries, or a prefix-counter difference ``c[j] - c[k]``.
     With ``big_m > upper`` and ``big_m >= counter_max + 1``, where the
     counter takes values in ``0..counter_max`` on every feasible point,
@@ -159,7 +150,7 @@ def add_counter_threshold(
     """
     z_at_least = model.add_var(f"cge{tag}", 0, 1)
     z_at_most = model.add_var(f"cle{tag}", 0, 1)
-    unit = [(1, v) for v in counter_terms] + [(-1, v) for v in minus]
+    unit = [(1, v) for v in plus] + [(-1, v) for v in minus]
     model.add(unit + [(-big_m, z_at_least)], "<=", lower - 1)
     model.add(unit + [(-big_m, z_at_least)], ">=", lower - big_m)
     model.add(unit + [(big_m, z_at_most)], ">=", upper + 1)
@@ -243,15 +234,16 @@ def encode_formula(enc: Encoding, formula: Formula) -> None:
             for k in range(horizon + 1):
                 steps = []
                 for j in range(k, horizon + 1):
-                    plus, minus = enc.counter_terms(k, j)
+                    # Window k..j counts c[j] - c[k] ticks; c[0] = 0 and an
+                    # empty window have no terms.
                     z_ge, z_le = add_counter_threshold(
                         model,
-                        plus,
+                        [enc.c[j]] if j > k else [],
                         node.lower,
                         node.upper,
                         big_m,
                         tag=f"{slot}[{k},{j}]",
-                        minus=minus,
+                        minus=[enc.c[k]] if 0 < k < j else [],
                     )
                     enc.zc[(slot, k, j)] = (z_ge, z_le)
                     operands = [z_ge, z_le, enc.zphi[(kids[1], j)]]

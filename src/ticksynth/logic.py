@@ -301,7 +301,6 @@ _PREC_OR = 1
 _PREC_AND = 2
 _PREC_UNTIL = 3
 _PREC_NOT = 4
-_PREC_LEAF = 5
 
 
 def _fmt(node: Formula, need: int) -> str:
@@ -345,7 +344,6 @@ class SubformulaTable:
     entries: tuple[Formula, ...]
     children: tuple[tuple[int, ...], ...]
     root: int
-    index: Mapping[Formula, int]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -359,25 +357,43 @@ def _child_nodes(node: Formula) -> tuple[Formula, ...]:
     return ()
 
 
+def _scalars(node: Formula) -> tuple:
+    if isinstance(node, Atom):
+        return (node.name,)
+    if isinstance(node, Until):
+        return (node.lower, node.upper)
+    return ()
+
+
 def subformulas(root: Formula) -> SubformulaTable:
-    """Enumerate distinct subformulas, children before parents."""
+    """Enumerate distinct subformulas, children before parents.
+
+    Nodes are matched by identity first and then by kind, scalar fields
+    and child slots, never by hashing a subtree: ``parse`` shares the
+    operands of ``<->``, so a chain of equivalences is a DAG whose
+    expanded tree is exponentially large.
+    """
     entries: list[Formula] = []
     children: list[tuple[int, ...]] = []
-    index: dict[Formula, int] = {}
+    by_id: dict[int, int] = {}  # the tree keeps every node, so ids stay unique
+    by_shape: dict[tuple, int] = {}
 
     def visit(node: Formula) -> int:
-        found = index.get(node)
+        found = by_id.get(id(node))
         if found is not None:
             return found
         kids = tuple(visit(child) for child in _child_nodes(node))
-        slot = len(entries)
-        index[node] = slot
-        entries.append(node)
-        children.append(kids)
+        shape = (type(node), _scalars(node), kids)
+        slot = by_shape.get(shape)
+        if slot is None:
+            slot = by_shape[shape] = len(entries)
+            entries.append(node)
+            children.append(kids)
+        by_id[id(node)] = slot
         return slot
 
     top = visit(root)
-    return SubformulaTable(tuple(entries), tuple(children), top, index)
+    return SubformulaTable(tuple(entries), tuple(children), top)
 
 
 def evaluate(

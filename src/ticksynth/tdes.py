@@ -66,8 +66,8 @@ class EventTiming:
 
     ``upper`` must be ``None`` for remote events (no upper bound) and an
     integer for prospective ones.  Value-level invariants (nonnegative
-    bounds, lower <= upper) are reported by :func:`validate` rather than
-    enforced here, so malformed descriptions can be loaded and diagnosed.
+    bounds, lower <= upper) are checked by :class:`UntimedDes`, which
+    reports every problem of a system at once.
     """
 
     kind: str
@@ -88,12 +88,6 @@ class EventTiming:
         return self.upper if self.kind == PROSPECTIVE else self.lower
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str  # "error" | "warning"
-    message: str
-
-
 @dataclass(frozen=True, eq=False)
 class UntimedDes:
     """Untimed activity automaton with per-event timing bounds.
@@ -101,6 +95,8 @@ class UntimedDes:
     ``transitions`` is a partial function from (state, event) pairs to
     successor states.  ``labeling`` maps states to the atomic propositions
     that hold there; unlisted states carry the empty label set.
+    Construction checks every structural invariant and raises
+    :class:`InvalidSystemError` listing each violation.
     """
 
     states: frozenset[str]
@@ -122,6 +118,40 @@ class UntimedDes:
             {s: frozenset(aps) for s, aps in dict(self.labeling).items()},
         )
         object.__setattr__(self, "timing", dict(self.timing))
+        problems: list[str] = []
+        error = problems.append
+        if TICK in self.events:
+            error(f"event name {TICK!r} is reserved for the clock")
+        if self.initial not in self.states:
+            error(f"initial state {self.initial!r} is not a declared state")
+        for (src, ev), dst in sorted(self.transitions.items()):
+            where = f"transition ({src!r}, {ev!r})"
+            if src not in self.states:
+                error(f"{where}: source is not a declared state")
+            if dst not in self.states:
+                error(f"{where} -> {dst!r}: target is not a declared state")
+            if ev not in self.events:
+                error(f"{where}: event is not declared")
+        for state, aps in sorted(self.labeling.items()):
+            if state not in self.states:
+                error(f"labeling entry for undeclared state {state!r}")
+            for ap in sorted(aps - self.atoms):
+                error(f"label {ap!r} on state {state!r} is not a declared atom")
+        for ev in sorted(self.events - self.timing.keys()):
+            error(f"event {ev!r} has no timing entry")
+        for ev, tim in sorted(self.timing.items()):
+            if ev not in self.events:
+                error(f"timing entry for undeclared event {ev!r}")
+                continue
+            if tim.lower < 0:
+                error(f"event {ev!r} has a negative lower bound")
+            if tim.kind == PROSPECTIVE and tim.upper < tim.lower:
+                error(
+                    f"prospective event {ev!r} has lower bound {tim.lower} "
+                    f"above upper bound {tim.upper}"
+                )
+        if problems:
+            raise InvalidSystemError("invalid system: " + "; ".join(problems))
 
     def label(self, state: str) -> frozenset[str]:
         return self.labeling.get(state, frozenset())
@@ -134,65 +164,6 @@ class UntimedDes:
 
     def event_order(self) -> tuple[str, ...]:
         return tuple(sorted(self.events))
-
-
-def validate(system: UntimedDes) -> list[Diagnostic]:
-    """Check every structural invariant; return one diagnostic per violation.
-
-    Errors make the system unusable for construction; warnings flag
-    suspicious but workable descriptions (currently: timing entries for
-    events no transition ever uses).
-    """
-    out: list[Diagnostic] = []
-
-    def error(msg: str) -> None:
-        out.append(Diagnostic("error", msg))
-
-    if TICK in system.events:
-        error(f"event name {TICK!r} is reserved for the clock")
-    if system.initial not in system.states:
-        error(f"initial state {system.initial!r} is not a declared state")
-
-    for (src, ev), dst in sorted(system.transitions.items()):
-        if src not in system.states:
-            error(f"transition ({src!r}, {ev!r}): source is not a declared state")
-        if dst not in system.states:
-            error(f"transition ({src!r}, {ev!r}) -> {dst!r}: target is not a declared state")
-        if ev not in system.events:
-            error(f"transition ({src!r}, {ev!r}): event is not declared")
-
-    for state, aps in sorted(system.labeling.items()):
-        if state not in system.states:
-            error(f"labeling entry for undeclared state {state!r}")
-        for ap in sorted(aps):
-            if ap not in system.atoms:
-                error(f"label {ap!r} on state {state!r} is not a declared atom")
-
-    for ev in sorted(system.events):
-        if ev not in system.timing:
-            error(f"event {ev!r} has no timing entry")
-    used = {ev for (_, ev) in system.transitions}
-    for ev in sorted(system.timing):
-        if ev not in system.events:
-            error(f"timing entry for undeclared event {ev!r}")
-            continue
-        tim = system.timing[ev]
-        if tim.lower < 0:
-            error(f"event {ev!r} has a negative lower bound")
-        if tim.kind == PROSPECTIVE and tim.upper < tim.lower:
-            error(
-                f"prospective event {ev!r} has lower bound {tim.lower} "
-                f"above upper bound {tim.upper}"
-            )
-        if ev not in used:
-            out.append(
-                Diagnostic("warning", f"event {ev!r} never appears in any transition")
-            )
-    return out
-
-
-def has_errors(diagnostics: Iterable[Diagnostic]) -> bool:
-    return any(d.severity == "error" for d in diagnostics)
 
 
 @dataclass(frozen=True)
@@ -334,10 +305,6 @@ def build_tdes(system: UntimedDes, state_cap: int = DEFAULT_STATE_CAP) -> TimedD
     (declared events plus ``tick``).  Raises :class:`StateCapError` once
     more than ``state_cap`` states are discovered.
     """
-    problems = [d.message for d in validate(system) if d.severity == "error"]
-    if problems:
-        raise InvalidSystemError("invalid system: " + "; ".join(problems))
-
     alphabet = sorted(system.events | {TICK})
     start = initial_state(system)
     states = [start]
@@ -411,41 +378,29 @@ class Fragment:
 
 
 def fragment_errors(system: UntimedDes, fragment: Fragment) -> list[str]:
-    """Replay the fragment from the initial state; report every mismatch."""
-    out = []
-    expected = initial_state(system)
-    if fragment.states[0] != expected:
-        out.append(f"state 0 is {fragment.states[0]}, initial state is {expected}")
-        return out
-    current = expected
-    for k, ev in enumerate(fragment.events, start=1):
-        try:
-            if not enabled(system, current, ev):
-                out.append(f"event {ev!r} at step {k} is not enabled")
-                return out
-            current = step(system, current, ev)
-        except UnknownEventError as exc:
-            out.append(f"step {k}: {exc}")
-            return out
-        if fragment.states[k] != current:
-            out.append(
-                f"state {k} is {fragment.states[k]}, replay yields {current}"
-            )
-            return out
-    return out
+    """Compare the fragment with the replay of its events from the initial
+    state; report the first mismatch, naming its step."""
+    try:
+        replay = replay_events(system, fragment.events)
+    except FragmentError as exc:
+        return [str(exc)]
+    for k, (given, replayed) in enumerate(zip(fragment.states, replay.states)):
+        if given != replayed:
+            return [f"state {k} is {given}, replay yields {replayed}"]
+    return []
 
 
 def replay_events(system: UntimedDes, events: Iterable[str]) -> Fragment:
     """Build the unique fragment that performs ``events`` from the start."""
+    events = tuple(events)
     states = [initial_state(system)]
-    applied = []
-    for k, ev in enumerate(list(events), start=1):
-        current = states[-1]
-        if not enabled(system, current, ev):
+    for k, ev in enumerate(events, start=1):
+        if ev != TICK and ev not in system.events:
+            raise FragmentError(f"event {ev!r} at step {k} is not declared")
+        if not enabled(system, states[-1], ev):
             raise FragmentError(f"event {ev!r} at step {k} is not enabled")
-        states.append(step(system, current, ev))
-        applied.append(ev)
-    return Fragment(tuple(states), tuple(applied))
+        states.append(step(system, states[-1], ev))
+    return Fragment(tuple(states), events)
 
 
 # --- JSON interchange -------------------------------------------------------
@@ -460,7 +415,8 @@ def system_from_json(data: object) -> UntimedDes:
     """Build an untimed system from its JSON document form.
 
     Shape problems raise :class:`SystemFormatError` with the offending
-    element; semantic invariants are left to :func:`validate`.
+    element; :class:`UntimedDes` raises :class:`InvalidSystemError` for
+    the structural invariants.
     """
     if not isinstance(data, dict):
         raise SystemFormatError("system document must be a JSON object")
@@ -548,8 +504,8 @@ def load_system(path: str | Path) -> UntimedDes:
         raise SystemFormatError(f"{path}: {exc}") from exc
     try:
         return system_from_json(data)
-    except SystemFormatError as exc:
-        raise SystemFormatError(f"{path}: {exc}") from exc
+    except (SystemFormatError, InvalidSystemError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def fragment_from_json(data: object, system: UntimedDes) -> Fragment:

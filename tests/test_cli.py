@@ -1,4 +1,5 @@
 import json
+import time
 
 from ticksynth.cli import run
 from ticksynth.logic import MAX_DEPTH
@@ -21,7 +22,6 @@ def test_synth_finds_avoid_until_run(capsys):
     assert code == 0
     assert out["found"] is True
     assert out["horizon"] == 7
-    assert out["mode_used"] == "exact"
     assert len(out["fragment"]["events"]) == 7
     assert out["stats"]["variables"] > 0
     assert "wall" not in json.dumps(out)  # output carries no timings
@@ -143,7 +143,7 @@ def test_oracle_subcommand(capsys):
     ])
     out = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert out["horizon"] == 7 and out["mode_used"] == "oracle"
+    assert out["horizon"] == 7
 
 
 def test_oracle_budget_error(capsys):
@@ -233,6 +233,35 @@ def test_formulas_at_depth_limit_run(capsys):
     ):
         codes, err = _synth_and_check(formula, capsys)
         assert codes == (0, 0), err
+
+
+def test_equivalence_chain_runs_in_linear_time(capsys):
+    # parse shares both operands of each <->, so the expanded tree of this
+    # 33-link chain (depth 99) has about 2^33 nodes; it holds at position 0.
+    formula = " <-> ".join(["ap1"] * 34)
+    for args in (
+        ["synth", "--system", RING, "--formula", formula, "--hmax", "3"],
+        ["check", "--system", RING, "--fragment", ROUTE_A, "--formula", formula],
+    ):
+        start = time.perf_counter()
+        assert run(args) == 0, capsys.readouterr().err
+        assert time.perf_counter() - start < 1.0
+
+
+def test_invalid_system_exits_two(tmp_path, capsys, ring_doc):
+    doc = json.loads(json.dumps(ring_doc))
+    doc["transitions"][0]["to"] = "nowhere"
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command, *rest in (
+        ["synth", "--formula", "ap1", "--hmax", "2"],
+        ["check", "--fragment", ROUTE_A, "--formula", "ap1"],
+        ["build"],
+    ):
+        assert run([command, "--system", str(path), *rest]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: invalid system: " in err
+        assert "-> 'nowhere': target is not a declared state" in err
 
 
 def test_state_cap_flag(capsys):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ticksynth.encode import EXACT, build_encoding
+from ticksynth.encode import build_encoding
 from ticksynth.logic import Atom, Not, Truth, evaluate
 from ticksynth.synth import (
     OracleBudgetError,
@@ -18,11 +18,10 @@ from helpers import random_formula, random_system
 
 def test_avoid_until_minimal_horizon_every_mode(ring, phi_avoid_until):
     request = SynthesisRequest(ring, phi_avoid_until, 5, 15)
-    for search, mode in ((synthesize, EXACT), (oracle_synthesize, "oracle")):
+    for search in (synthesize, oracle_synthesize):
         result = search(request)
         assert result.found
         assert result.horizon == 7
-        assert result.mode_used == mode
         assert evaluate(
             result.fragment, phi_avoid_until, 0, ring.labeling, ring.atoms
         )
@@ -112,7 +111,6 @@ def test_oracle_finds_avoid_until_at_seven(ring, phi_avoid_until):
         SynthesisRequest(ring, phi_avoid_until, 5, 8)
     )
     assert result.found and result.horizon == 7
-    assert result.mode_used == "oracle"
     assert evaluate(
         result.fragment, phi_avoid_until, 0, ring.labeling, ring.atoms
     )

@@ -31,7 +31,6 @@ from ticksynth.tdes import (
     system_from_json,
     tdes_to_dot,
     untimed_to_dot,
-    validate,
 )
 
 from helpers import abstract_fragment, random_system
@@ -54,40 +53,91 @@ def tiny_system(**overrides):
 
 # --- validation ---------------------------------------------------------------
 
-def test_ring_system_validates_clean(ring):
-    assert validate(ring) == []
+def invalid_system_problems(**overrides) -> list[str]:
+    """The problems ``UntimedDes`` lists for ``tiny_system(**overrides)``."""
+    with pytest.raises(InvalidSystemError) as err:
+        tiny_system(**overrides)
+    message = str(err.value)
+    assert message.startswith("invalid system: ")
+    return message.removeprefix("invalid system: ").split("; ")
+
+
+def test_ring_system_validates_clean(ring_doc):
+    system = system_from_json(ring_doc)
+    assert system.initial == "p1" and len(system.states) == 12
 
 
 def test_validate_flags_undeclared_transition_target():
-    system = tiny_system(transitions={("A", "go"): "C"})
-    messages = [d.message for d in validate(system) if d.severity == "error"]
+    messages = invalid_system_problems(transitions={("A", "go"): "C"})
     assert len(messages) == 1
     assert "target" in messages[0] and "'C'" in messages[0]
 
 
 def test_validate_flags_inverted_prospective_bounds():
-    system = tiny_system(timing={"go": EventTiming(PROSPECTIVE, 3, 2)})
-    errors = [d for d in validate(system) if d.severity == "error"]
+    errors = invalid_system_problems(timing={"go": EventTiming(PROSPECTIVE, 3, 2)})
     assert len(errors) == 1
-    assert "lower bound 3" in errors[0].message
+    assert "lower bound 3" in errors[0]
 
 
-def test_validate_warns_on_unused_event():
+def test_unused_event_is_accepted():
     system = tiny_system(
         events={"go", "idle"},
         timing={"go": EventTiming(REMOTE, 1), "idle": EventTiming(REMOTE, 0)},
     )
-    diags = validate(system)
-    assert [d.severity for d in diags] == ["warning"]
-    assert "'idle'" in diags[0].message
+    assert system.event_order() == ("go", "idle")
+    assert build_tdes(system).n > 0
 
 
 def test_validate_rejects_reserved_tick_name():
-    system = tiny_system(
+    messages = invalid_system_problems(
         events={"go", TICK},
         timing={"go": EventTiming(REMOTE, 1), TICK: EventTiming(REMOTE, 0)},
     )
-    assert any("reserved" in d.message for d in validate(system))
+    assert any("reserved" in m for m in messages)
+
+
+@pytest.mark.parametrize(
+    "overrides, named",
+    [
+        pytest.param({"initial": "Z"}, "initial state 'Z'", id="initial-state"),
+        pytest.param(
+            {"transitions": {("Z", "go"): "B"}}, "('Z', 'go'): source",
+            id="transition-source",
+        ),
+        pytest.param(
+            {"transitions": {("A", "stop"): "B"}}, "('A', 'stop'): event",
+            id="transition-event",
+        ),
+        pytest.param(
+            {"labeling": {"Z": {"x"}}}, "undeclared state 'Z'", id="label-state"
+        ),
+        pytest.param(
+            {"labeling": {"A": {"y"}}}, "label 'y' on state 'A'", id="label-atom"
+        ),
+        pytest.param({"timing": {}}, "event 'go' has no timing", id="untimed-event"),
+        pytest.param(
+            {"timing": {"go": EventTiming(REMOTE, 1), "stop": EventTiming(REMOTE, 0)}},
+            "undeclared event 'stop'",
+            id="timing-event",
+        ),
+        pytest.param(
+            {"timing": {"go": EventTiming(REMOTE, -1)}},
+            "event 'go' has a negative lower bound",
+            id="negative-lower",
+        ),
+    ],
+)
+def test_construction_rejects_each_invariant(overrides, named):
+    messages = invalid_system_problems(**overrides)
+    assert len(messages) == 1
+    assert named in messages[0]
+
+
+def test_construction_lists_every_problem():
+    messages = invalid_system_problems(
+        initial="Z", timing={"go": EventTiming(REMOTE, -1)}
+    )
+    assert len(messages) == 2
 
 
 def test_event_timing_constructor_shape_checks():
@@ -251,9 +301,9 @@ def test_state_cap_aborts_construction(ring):
 
 
 def test_build_refuses_invalid_system():
-    system = tiny_system(transitions={("A", "go"): "C"})
+    # An invalid system cannot be constructed, so it never reaches build.
     with pytest.raises(InvalidSystemError):
-        build_tdes(system)
+        build_tdes(tiny_system(transitions={("A", "go"): "C"}))
 
 
 def test_random_walks_respect_timer_intervals():
@@ -335,6 +385,28 @@ def test_fragment_replay_detects_bad_state(ring, route_a):
     )
     problems = fragment_errors(ring, broken)
     assert problems and "replay yields" in problems[0]
+
+
+def test_fragment_replay_detects_wrong_initial_state(ring, route_a):
+    start = TimedState("p3", route_a.states[0].timers)
+    broken = Fragment((start,) + route_a.states[1:], route_a.events)
+    assert fragment_errors(ring, broken) == [
+        f"state 0 is {start}, replay yields {route_a.states[0]}"
+    ]
+
+
+def test_fragment_replay_detects_disabled_event(ring, route_a):
+    broken = Fragment(route_a.states[:2], ("reach14",))
+    assert fragment_errors(ring, broken) == [
+        "event 'reach14' at step 1 is not enabled"
+    ]
+
+
+def test_fragment_replay_detects_unknown_event(ring, route_a):
+    broken = Fragment(route_a.states[:3], (route_a.events[0], "teleport"))
+    assert fragment_errors(ring, broken) == [
+        "event 'teleport' at step 2 is not declared"
+    ]
 
 
 def test_fragment_alternation_checked():
