@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import encode, ilp, synth, tdes
-from .logic import Formula, evaluate, format_formula, parse
+from .logic import evaluate, parse
 
 # ValueError covers the format, validation, and parse error families;
 # internal invariant violations (RuntimeError at large) traceback loudly.
@@ -103,11 +103,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _formula_from_args(args: argparse.Namespace) -> Formula:
+def _formula_text(args: argparse.Namespace) -> str:
     if args.formula is not None:
-        return parse(args.formula)
+        return args.formula
     with open(args.formula_file, encoding="utf-8") as handle:
-        return parse(handle.read().strip())
+        return handle.read().strip()
+
 
 
 def _result_payload(result: synth.SynthesisResult) -> dict:
@@ -142,7 +143,7 @@ def _print_result_text(result: synth.SynthesisResult) -> None:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     system = tdes.load_system(args.system)
-    formula = _formula_from_args(args)
+    formula = parse(_formula_text(args))
     request = synth.SynthesisRequest(
         system=system,
         formula=formula,
@@ -163,14 +164,17 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     system = tdes.load_system(args.system)
-    formula = _formula_from_args(args)
+    text = _formula_text(args)
+    formula = parse(text)
     fragment = tdes.load_fragment(args.fragment, system)
     holds = evaluate(fragment, formula, 0, system.labeling, system.atoms)
     if args.format == "json":
         payload = {
             "holds": holds,
             "horizon": fragment.horizon,
-            "formula": format_formula(formula),
+            # The text as given: printing the parsed tree would expand
+            # the subtrees that ``<->`` shares.
+            "formula": text,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -208,7 +212,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     system = tdes.load_system(args.system)
-    formula = _formula_from_args(args)
+    formula = parse(_formula_text(args))
     request = synth.SynthesisRequest(
         system=system,
         formula=formula,
@@ -226,7 +230,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_dump(args: argparse.Namespace) -> int:
     system = tdes.load_system(args.system)
-    formula = _formula_from_args(args)
+    formula = parse(_formula_text(args))
     graph = tdes.build_tdes(system, args.state_cap)
     enc = encode.build_encoding(graph, formula, args.horizon)
     print(ilp.dump(enc.model), end="")

@@ -13,6 +13,15 @@ threshold indicators on that count.  An until whose left operand is
 ``true`` (every ``F[m,n]``) leaves the constant operands out of its window
 conjunctions.
 
+One model serves a whole horizon range: :func:`grow` extends an encoding
+in place by one step at a time.  Every row belongs to one step except the
+closing rows ``z[k] <= sum_j u[k,j]`` of each until, whose window list
+ends at the horizon; they are added last and replaced on every growth.
+Variables are created step by step, so the model carries the branching
+order of the block layout (all state vectors, the steps' selectors and
+tick indicators, the counters, then each subformula's satisfaction and
+window variables) separately from the variable indices.
+
 Until windows only range over positions inside the horizon: satisfaction
 is never assumed beyond the last encoded step, matching the finite-trace
 semantics of the evaluator.  Decoding reads a satisfying assignment back
@@ -48,21 +57,47 @@ class DecodeError(RuntimeError):
 
 @dataclass(eq=False)
 class Encoding:
-    """Model plus the registry mapping variables back to run structure."""
+    """Model plus the registry mapping variables back to run structure.
+
+    ``closing`` is the number of constraints before the closing rows.
+    """
 
     model: IlpModel
     tdes: TimedDes
     horizon: int
     w: list[list[int]] = field(default_factory=list)
-    ze: list[int | None] = field(default_factory=list)
-    c: list[int | None] = field(default_factory=list)
+    ze: list[int | None] = field(default_factory=lambda: [None])
+    c: list[int | None] = field(default_factory=lambda: [None])
     formula: Formula | None = None
     table: SubformulaTable | None = None
     zphi: dict[tuple[int, int], int] = field(default_factory=dict)
     zc: dict[tuple[int, int, int], tuple[int, int]] = field(default_factory=dict)
     zu: dict[tuple[int, int, int], int] = field(default_factory=dict)
     edges: list[tuple[int, str, int]] = field(default_factory=list)
-    edge_vars: dict[tuple[int, int], int] = field(default_factory=dict)
+    x: list[list[int]] = field(default_factory=lambda: [[]])
+    closing: int = 0
+
+
+def _start(graph: TimedDes, formula: Formula | None = None) -> Encoding:
+    """The horizon-0 model: the initial state vector, pinned by its
+    bounds, and with a formula its position-0 binaries, the root pinned
+    true."""
+    model = IlpModel()
+    enc = Encoding(model=model, tdes=graph, horizon=0)
+    enc.w.append([
+        model.add_var(f"w[0][{i}]", 1 if i == graph.initial_index else 0, 1)
+        for i in range(graph.n)
+    ])
+    model.add([(1, v) for v in enc.w[0]], "=", 1)
+    enc.edges = sorted(
+        (i, ev, j) for (i, ev), j in graph.transitions.items()
+    )
+    if formula is not None:
+        _attach_formula(enc, formula)
+        _encode_position(enc, 0)
+        model.add([(1, enc.zphi[(enc.table.root, 0)])], "=", 1)
+    enc.closing = model.num_constraints
+    return enc
 
 
 def encode_run(graph: TimedDes, horizon: int) -> Encoding:
@@ -77,56 +112,38 @@ def encode_run(graph: TimedDes, horizon: int) -> Encoding:
     c[k-1] + ze[k]`` in ``[0, k]``.  The initial state is pinned through
     its variable bounds.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    model = IlpModel()
-    enc = Encoding(model=model, tdes=graph, horizon=horizon)
-    n = graph.n
-    for k in range(horizon + 1):
-        row = []
-        for i in range(n):
-            pinned = k == 0 and i == graph.initial_index
-            row.append(model.add_var(f"w[{k}][{i}]", 1 if pinned else 0, 1))
-        enc.w.append(row)
-    # Implied for k >= 1 by the selector rows, but propagation needs them:
-    # without them the two-goal search takes 89 nodes instead of 87.
-    for k in range(horizon + 1):
-        model.add([(1, v) for v in enc.w[k]], "=", 1)
-    enc.edges = sorted(
-        (i, ev, j) for (i, ev), j in graph.transitions.items()
-    )
-    outgoing: list[list[int]] = [[] for _ in range(n)]
-    incoming: list[list[int]] = [[] for _ in range(n)]
-    ticks: list[int] = []
-    for t, (i, ev, j) in enumerate(enc.edges):
-        outgoing[i].append(t)
-        incoming[j].append(t)
-        if ev == TICK:
-            ticks.append(t)
-    enc.ze = [None]
-    for k in range(1, horizon + 1):
-        step_vars = []
-        for t in range(len(enc.edges)):
-            x = model.add_var(f"x[{k}][{t}]", 0, 1)
-            enc.edge_vars[(k, t)] = x
-            step_vars.append(x)
-        for state, ends in ((enc.w[k - 1], outgoing), (enc.w[k], incoming)):
-            for i in range(n):
-                terms = [(1, state[i])]
-                terms += [(-1, step_vars[t]) for t in ends[i]]
-                model.add(terms, "=", 0)
-        z = model.add_var(f"ze[{k}]", 0, 1)
-        enc.ze.append(z)
-        model.add([(1, z)] + [(-1, step_vars[t]) for t in ticks], "=", 0)
-    enc.c = [None]
-    for k in range(1, horizon + 1):
-        counter = model.add_var(f"c[{k}]", 0, k)
-        terms = [(1, counter), (-1, enc.ze[k])]
-        if k > 1:
-            terms.append((-1, enc.c[k - 1]))
-        model.add(terms, "=", 0)
-        enc.c.append(counter)
+    enc = _start(graph)
+    grow(enc, horizon)
     return enc
+
+
+def _encode_step(enc: Encoding, k: int) -> None:
+    """State vector, edge selectors, tick indicator and counter of step k."""
+    model, n = enc.model, enc.tdes.n
+    enc.w.append([model.add_var(f"w[{k}][{i}]", 0, 1) for i in range(n)])
+    # Implied by the selector rows, but propagation needs it: without the
+    # one-hot rows the two-goal search takes 89 nodes instead of 87.
+    model.add([(1, v) for v in enc.w[k]], "=", 1)
+    step_vars = [
+        model.add_var(f"x[{k}][{t}]", 0, 1) for t in range(len(enc.edges))
+    ]
+    enc.x.append(step_vars)
+    for state, end in ((enc.w[k - 1], 0), (enc.w[k], 2)):
+        terms: list[list[tuple[int, int]]] = [[(1, v)] for v in state]
+        for edge, x in zip(enc.edges, step_vars):
+            terms[edge[end]].append((-1, x))
+        for row in terms:
+            model.add(row, "=", 0)
+    z = model.add_var(f"ze[{k}]", 0, 1)
+    enc.ze.append(z)
+    ticks = [(-1, x) for edge, x in zip(enc.edges, step_vars) if edge[1] == TICK]
+    model.add([(1, z)] + ticks, "=", 0)
+    counter = model.add_var(f"c[{k}]", 0, k)
+    terms = [(1, counter), (-1, z)]
+    if k > 1:
+        terms.append((-1, enc.c[k - 1]))
+    model.add(terms, "=", 0)
+    enc.c.append(counter)
 
 
 def add_counter_threshold(
@@ -164,100 +181,131 @@ def _and_rows(model: IlpModel, z: int, operands: Sequence[int]) -> None:
     model.add([(1, z)] + [(-1, op) for op in operands], ">=", 1 - len(operands))
 
 
-def _or_rows(model: IlpModel, z: int, operands: Sequence[int]) -> None:
-    for op in operands:
-        model.add([(1, z), (-1, op)], ">=", 0)
-    model.add([(1, z)] + [(-1, op) for op in operands], "<=", 0)
+def _attach_formula(enc: Encoding, formula: Formula) -> None:
+    table = subformulas(formula)
+    for node in table.entries:
+        if isinstance(node, Atom) and node.name not in enc.tdes.untimed.atoms:
+            raise UnknownAtomError(f"atom {node.name!r} is not declared")
+    enc.formula = formula
+    enc.table = table
+
+
+def _encode_position(enc: Encoding, k: int) -> None:
+    """Satisfaction binaries of every subformula at position k, and every
+    until window that ends there.
+
+    Walks the subformula table bottom-up so shared subtrees are encoded
+    once and every operand exists before its rows.
+    """
+    graph, model, table, zphi = enc.tdes, enc.model, enc.table, enc.zphi
+    for slot, node in enumerate(table.entries):
+        kids = table.children[slot]
+        z = zphi[(slot, k)] = model.add_var(f"z{slot}[{k}]", 0, 1)
+        if isinstance(node, Truth):
+            model.add([(1, z)], "=", 1)
+        elif isinstance(node, Atom):
+            # Both sides are 0/1 under the one-hot rows, so the paired
+            # threshold inequalities collapse to an equality.
+            terms = [(1, z)]
+            terms += [
+                (-1, enc.w[k][i])
+                for i in range(graph.n)
+                if node.name in graph.label(i)
+            ]
+            model.add(terms, "=", 0)
+        elif isinstance(node, Not):
+            model.add([(1, z), (1, zphi[(kids[0], k)])], "=", 1)
+        elif isinstance(node, And):
+            _and_rows(model, z, [zphi[(kids[0], k)], zphi[(kids[1], k)]])
+        elif isinstance(node, Or):
+            operands = [zphi[(kids[0], k)], zphi[(kids[1], k)]]
+            for op in operands:
+                model.add([(1, z), (-1, op)], ">=", 0)
+            model.add([(1, z)] + [(-1, op) for op in operands], "<=", 0)
+        elif isinstance(node, Until):
+            # An always-true left operand adds nothing to a window's
+            # conjunction, so its satisfaction binaries are left out.
+            constant_left = isinstance(table.entries[kids[0]], Truth)
+            for a in range(k + 1):
+                # Window a..k counts c[k] - c[a] ticks, at most k - a;
+                # c[0] = 0 and an empty window have no terms.  This big-M
+                # holds for every horizon that contains the window.
+                z_ge, z_le = add_counter_threshold(
+                    model,
+                    [enc.c[k]] if k > a else [],
+                    node.lower,
+                    node.upper,
+                    max(k - a, node.upper) + 1,
+                    tag=f"{slot}[{a},{k}]",
+                    minus=[enc.c[a]] if 0 < a < k else [],
+                )
+                enc.zc[(slot, a, k)] = (z_ge, z_le)
+                operands = [z_ge, z_le, zphi[(kids[1], k)]]
+                if not constant_left:
+                    operands += [zphi[(kids[0], pos)] for pos in range(a, k)]
+                z_step = model.add_var(f"u{slot}[{a},{k}]", 0, 1)
+                enc.zu[(slot, a, k)] = z_step
+                _and_rows(model, z_step, operands)
+                model.add([(1, zphi[(slot, a)]), (-1, z_step)], ">=", 0)
+        else:
+            raise TypeError(f"not a formula node: {node!r}")
+
+
+def _close(enc: Encoding) -> None:
+    """Add the closing rows at the current horizon and set the branching
+    order."""
+    model, horizon = enc.model, enc.horizon
+    enc.closing = model.num_constraints
+    order = [v for state in enc.w for v in state]
+    for k in range(1, horizon + 1):
+        order += enc.x[k]
+        order.append(enc.ze[k])
+    order += enc.c[1:]
+    entries = enc.table.entries if enc.table is not None else ()
+    for slot, node in enumerate(entries):
+        order += [enc.zphi[(slot, k)] for k in range(horizon + 1)]
+        if not isinstance(node, Until):
+            continue
+        for a in range(horizon + 1):
+            windows = [enc.zu[(slot, a, j)] for j in range(a, horizon + 1)]
+            model.add(
+                [(1, enc.zphi[(slot, a)])] + [(-1, u) for u in windows], "<=", 0
+            )
+            for j, u in enumerate(windows, start=a):
+                order += [*enc.zc[(slot, a, j)], u]
+    model.order = order
+
+
+def grow(enc: Encoding, horizon: int) -> None:
+    """Extend ``enc`` in place to ``horizon`` steps.
+
+    The closing rows, and any row added to the model after them, are
+    dropped; the new steps (and positions, when a formula is attached)
+    are appended, then the closing rows at the new horizon.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    if horizon < enc.horizon:
+        raise ValueError(
+            f"cannot shrink a horizon-{enc.horizon} encoding to {horizon}"
+        )
+    enc.model.truncate(enc.closing)
+    for k in range(enc.horizon + 1, horizon + 1):
+        _encode_step(enc, k)
+        if enc.table is not None:
+            _encode_position(enc, k)
+    enc.horizon = horizon
+    _close(enc)
 
 
 def encode_formula(enc: Encoding, formula: Formula) -> None:
     """Satisfaction binaries for every (subformula, position) pair of the
-    run ``enc``.
-
-    Walks the subformula table bottom-up so shared subtrees are encoded
-    once.
-    """
-    graph, horizon, model = enc.tdes, enc.horizon, enc.model
-    table = subformulas(formula)
-    enc.formula = formula
-    enc.table = table
-    atoms = graph.untimed.atoms
-
-    for slot, node in enumerate(table.entries):
-        kids = table.children[slot]
-        for k in range(horizon + 1):
-            enc.zphi[(slot, k)] = model.add_var(f"z{slot}[{k}]", 0, 1)
-        if isinstance(node, Truth):
-            for k in range(horizon + 1):
-                model.add([(1, enc.zphi[(slot, k)])], "=", 1)
-        elif isinstance(node, Atom):
-            if node.name not in atoms:
-                raise UnknownAtomError(f"atom {node.name!r} is not declared")
-            holders = [
-                i for i in range(graph.n) if node.name in graph.label(i)
-            ]
-            # Both sides are 0/1 under the one-hot rows, so the paired
-            # threshold inequalities collapse to an equality.
-            for k in range(horizon + 1):
-                terms = [(1, enc.zphi[(slot, k)])]
-                terms += [(-1, enc.w[k][i]) for i in holders]
-                model.add(terms, "=", 0)
-        elif isinstance(node, Not):
-            for k in range(horizon + 1):
-                model.add(
-                    [(1, enc.zphi[(slot, k)]), (1, enc.zphi[(kids[0], k)])],
-                    "=",
-                    1,
-                )
-        elif isinstance(node, And):
-            for k in range(horizon + 1):
-                _and_rows(
-                    model,
-                    enc.zphi[(slot, k)],
-                    [enc.zphi[(kids[0], k)], enc.zphi[(kids[1], k)]],
-                )
-        elif isinstance(node, Or):
-            for k in range(horizon + 1):
-                _or_rows(
-                    model,
-                    enc.zphi[(slot, k)],
-                    [enc.zphi[(kids[0], k)], enc.zphi[(kids[1], k)]],
-                )
-        elif isinstance(node, Until):
-            # The counter expression is bounded by the horizon, so H+1 is
-            # a valid big-M whenever the window's upper bound fits below
-            # the horizon; larger bounds need M > upper.
-            big_m = horizon + 1 if node.upper <= horizon else node.upper + 1
-            # An always-true left operand adds nothing to a window's
-            # conjunction, so its satisfaction binaries are left out.
-            constant_left = isinstance(table.entries[kids[0]], Truth)
-            for k in range(horizon + 1):
-                steps = []
-                for j in range(k, horizon + 1):
-                    # Window k..j counts c[j] - c[k] ticks; c[0] = 0 and an
-                    # empty window have no terms.
-                    z_ge, z_le = add_counter_threshold(
-                        model,
-                        [enc.c[j]] if j > k else [],
-                        node.lower,
-                        node.upper,
-                        big_m,
-                        tag=f"{slot}[{k},{j}]",
-                        minus=[enc.c[k]] if 0 < k < j else [],
-                    )
-                    enc.zc[(slot, k, j)] = (z_ge, z_le)
-                    operands = [z_ge, z_le, enc.zphi[(kids[1], j)]]
-                    if not constant_left:
-                        operands += [
-                            enc.zphi[(kids[0], pos)] for pos in range(k, j)
-                        ]
-                    z_step = model.add_var(f"u{slot}[{k},{j}]", 0, 1)
-                    enc.zu[(slot, k, j)] = z_step
-                    _and_rows(model, z_step, operands)
-                    steps.append(z_step)
-                _or_rows(model, enc.zphi[(slot, k)], steps)
-        else:
-            raise TypeError(f"not a formula node: {node!r}")
+    bare run ``enc``."""
+    _attach_formula(enc, formula)
+    enc.model.truncate(enc.closing)
+    for k in range(enc.horizon + 1):
+        _encode_position(enc, k)
+    _close(enc)
 
 
 def variable_budget(graph: TimedDes, formula: Formula, horizon: int) -> int:
@@ -277,12 +325,25 @@ def variable_budget(graph: TimedDes, formula: Formula, horizon: int) -> int:
     return bound
 
 
-def build_encoding(graph: TimedDes, formula: Formula, horizon: int) -> Encoding:
+def build_encoding(
+    graph: TimedDes,
+    formula: Formula,
+    horizon: int,
+    previous: Encoding | None = None,
+) -> Encoding:
     """Full pipeline: the run, the formula, and the root pinned true at
-    position 0."""
-    enc = encode_run(graph, horizon)
-    encode_formula(enc, formula)
-    enc.model.add([(1, enc.zphi[(enc.table.root, 0)])], "=", 1)
+    position 0.
+
+    ``previous``, an encoding of the same graph and formula at a smaller
+    horizon, is grown in place and returned; without it the model is
+    grown from position 0.
+    """
+    enc = previous
+    if enc is None:
+        enc = _start(graph, formula)
+    elif enc.tdes is not graph or enc.formula is not formula:
+        raise ValueError("the previous encoding has another graph or formula")
+    grow(enc, horizon)
     budget = variable_budget(graph, formula, horizon)
     assert enc.model.num_variables <= budget, (
         enc.model.num_variables,
@@ -310,9 +371,9 @@ def decode(enc: Encoding, assignment: Assignment) -> Fragment:
     events = []
     for k in range(1, enc.horizon + 1):
         picked = [
-            enc.edges[t]
-            for t in range(len(enc.edges))
-            if assignment[enc.edge_vars[(k, t)]] == 1
+            edge
+            for edge, var in zip(enc.edges, enc.x[k])
+            if assignment[var] == 1
         ]
         if len(picked) != 1:
             raise DecodeError(f"step {k} does not select a unique edge")

@@ -4,7 +4,8 @@ Models hold integer variables with finite bounds and linear constraints
 with integer coefficients; everything stays in exact integer arithmetic,
 so there is no floating point anywhere in the solver.  Solving is
 depth-first branch and bound: integer bounds propagation runs to a
-fixpoint after every decision, the lowest-index unfixed variable is
+fixpoint after every decision, the first unfixed variable of the
+model's branching order (index order unless the builder set one) is
 branched next, and candidate values are tried in ascending order (0
 before 1 for binaries).  The search is completely deterministic.
 
@@ -84,6 +85,9 @@ class IlpModel:
     user-level constraint list keeps the original form for dumps and for
     the verifier.  A finished model is never mutated by :func:`solve`, so
     independent solves of the same model may run concurrently.
+
+    ``order`` is the branching order: every variable index once, or
+    ``None`` for index order.
     """
 
     def __init__(self) -> None:
@@ -98,6 +102,7 @@ class IlpModel:
         # (coef < 0) enters
         self._watch_lo: list[list[int]] = []
         self._watch_hi: list[list[int]] = []
+        self.order: list[int] | None = None
 
     @property
     def num_variables(self) -> int:
@@ -139,6 +144,20 @@ class IlpModel:
         self, terms: Iterable[tuple[int, int]], comparator: str, rhs: int
     ) -> None:
         self.add_constraint(LinearConstraint(tuple(terms), comparator, rhs))
+
+    def truncate(self, count: int) -> None:
+        """Drop every constraint after the first ``count``.
+
+        Rows are removed newest first, so each one's watch entries are the
+        tails of its variables' watch lists.
+        """
+        while len(self.constraints) > count:
+            removed = self.constraints.pop()
+            for _ in range(2 if removed.comparator == "=" else 1):
+                variables, coefs, _ = self._rows.pop()
+                for var, coef in zip(variables, coefs):
+                    watch = self._watch_lo if coef > 0 else self._watch_hi
+                    del watch[var][-2:]
 
     def _push_row(
         self, variables: tuple[int, ...], coefs: tuple[int, ...], rhs: int
@@ -293,20 +312,26 @@ def check_assignment(model: IlpModel, assignment: Assignment) -> list[str]:
 def solve(model: IlpModel) -> SolveResult:
     """Depth-first search with bounds propagation at every node.
 
-    Branching always picks the lowest-index unfixed variable and tries
-    values in ascending order, so identical models yield identical
-    assignments.  ``nodes`` counts value decisions.
+    Branching always picks the first unfixed variable of the model's
+    branching order and tries values in ascending order, so identical
+    models yield identical assignments.  ``nodes`` counts value decisions.
     """
     propagator = _Propagator(model)
     lo, hi, trail = propagator.lo, propagator.hi, propagator.trail
     move, propagate = propagator.move, propagator.propagate
     n = len(lo)
+    order = range(n) if model.order is None else model.order
+    if len(order) != n:
+        raise ModelError(
+            f"branching order lists {len(order)} of {n} variables"
+        )
 
+    # Cursors are positions in ``order``.
     def first_unfixed(start: int) -> int:
-        var = start
-        while var < n and lo[var] == hi[var]:
-            var += 1
-        return var
+        pos = start
+        while pos < n and lo[order[pos]] == hi[order[pos]]:
+            pos += 1
+        return pos
 
     def finish(nodes: int) -> SolveResult:
         assignment = Assignment(tuple(lo))
@@ -327,13 +352,13 @@ def solve(model: IlpModel) -> SolveResult:
     # frames: [variable, value tried, trail mark, cursor before the decision]
     stack: list[list[int]] = []
     while True:
-        var = cursor
+        var = order[cursor]
         value = lo[var]
         stack.append([var, value, len(trail), cursor])
         nodes += 1
         move(var, True, value)
         if not propagate():
-            cursor = first_unfixed(var)
+            cursor = first_unfixed(cursor)
             if cursor == n:
                 return finish(nodes)
             continue

@@ -1,8 +1,9 @@
 """Horizon-iterating synthesis driver and its brute-force cross-check.
 
 ``synthesize`` builds the timed system once, then walks the horizon range
-upward: encode, solve, decode, certify, once per horizon, so a reported
-horizon is always backed by a certified run.  ``oracle_synthesize`` is
+upward with one model that grows a step per horizon: extend, solve,
+decode, certify, so a reported horizon is always backed by a certified
+run and no horizon is encoded twice.  ``oracle_synthesize`` is
 the independent reference: it enumerates every run of each horizon in
 lexicographic event order and evaluates the formula directly.
 """
@@ -51,8 +52,11 @@ class SynthesisRequest:
 class SynthStats:
     """Size of the decisive model plus total search effort.
 
-    ``nodes`` accumulates over every solve of the horizon loop (or every
-    enumerated run, for the oracle); ``wall_time`` covers the whole call.
+    ``variables`` and ``constraints`` are the size of the grown model at
+    the last horizon tried, which equals that of a model built at that
+    horizon alone.  ``nodes`` accumulates over every solve of the horizon
+    loop (or every enumerated run, for the oracle); ``wall_time`` covers
+    the whole call.
     """
 
     variables: int
@@ -73,19 +77,19 @@ class SynthesisResult:
 def synthesize(request: SynthesisRequest) -> SynthesisResult:
     """Smallest horizon in range whose encoding admits a certified run.
 
-    Horizons are tried in ascending order and each one is encoded from
-    scratch, so the reported horizon is minimal.  Every returned fragment
-    has been certified by :func:`~ticksynth.encode.decode`, which raises
+    Horizons are tried in ascending order, the encoding of the previous
+    horizon grown in place by one step, so the reported horizon is
+    minimal.  Every returned fragment has been certified by
+    :func:`~ticksynth.encode.decode`, which raises
     :class:`~ticksynth.encode.DecodeError` for a run that fails.
     """
     start = time.perf_counter()
     graph = build_tdes(request.system, request.state_cap)
     total_nodes = 0
     variables = constraints = 0
+    enc = None
     for horizon in range(request.horizon_min, request.horizon_max + 1):
-        # Free the previous horizon's model before building a larger one.
-        enc = result = None
-        enc = build_encoding(graph, request.formula, horizon)
+        enc = build_encoding(graph, request.formula, horizon, enc)
         result = solve(enc.model)
         total_nodes += result.nodes
         variables = enc.model.num_variables

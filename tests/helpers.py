@@ -327,7 +327,7 @@ def induced_valuation(enc: Encoding, fragment: Fragment) -> Assignment:
     lookup = {edge: t for t, edge in enumerate(enc.edges)}
     for k in range(1, horizon + 1):
         edge = (path[k - 1], fragment.events[k - 1], path[k])
-        values[enc.edge_vars[(k, lookup[edge])]] = 1
+        values[enc.x[k][lookup[edge]]] = 1
 
     table = enc.table
     sat = {}

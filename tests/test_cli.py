@@ -248,6 +248,23 @@ def test_equivalence_chain_runs_in_linear_time(capsys):
         assert time.perf_counter() - start < 1.0
 
 
+def test_check_json_echoes_equivalence_chain_text(capsys):
+    # The parsed tree of this 20-link chain expands to about 2^20 nodes;
+    # the JSON result echoes the text instead of printing that tree.
+    formula = " <-> ".join(["ap1"] * 21)
+    start = time.perf_counter()
+    code = run([
+        "check", "--system", RING, "--fragment", ROUTE_A,
+        "--formula", formula, "--format", "json",
+    ])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code in (0, 1)
+    assert len(out.encode()) < 4096
+    assert elapsed < 1.0
+    assert json.loads(out)["formula"] == formula
+
+
 def test_invalid_system_exits_two(tmp_path, capsys, ring_doc):
     doc = json.loads(json.dumps(ring_doc))
     doc["transitions"][0]["to"] = "nowhere"

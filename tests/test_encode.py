@@ -9,10 +9,11 @@ from ticksynth.encode import (
     decode,
     encode_formula,
     encode_run,
+    grow,
     variable_budget,
 )
 from ticksynth.ilp import Assignment, IlpModel, check_assignment, dump, propagate_bounds, solve
-from ticksynth.logic import TRUE, Atom, Not, UnknownAtomError, parse
+from ticksynth.logic import TRUE, Atom, Not, UnknownAtomError, Until, parse
 from ticksynth.tdes import (
     REMOTE,
     TICK,
@@ -215,6 +216,37 @@ def test_variable_budget_holds(ring_tdes, phi_two_goals):
     )
 
 
+def test_grown_encoding_branches_in_block_order(ring_tdes, phi_two_goals):
+    enc = build_encoding(ring_tdes, phi_two_goals, 1)
+    assert build_encoding(ring_tdes, phi_two_goals, 2, enc) is enc
+    n, t = ring_tdes.n, len(ring_tdes.transitions)
+    expected = [f"w[{k}][{i}]" for k in range(3) for i in range(n)]
+    for k in (1, 2):
+        expected += [f"x[{k}][{e}]" for e in range(t)] + [f"ze[{k}]"]
+    expected += ["c[1]", "c[2]"]
+    for slot, node in enumerate(enc.table.entries):
+        expected += [f"z{slot}[{k}]" for k in range(3)]
+        if isinstance(node, Until):
+            for a in range(3):
+                for j in range(a, 3):
+                    expected += [
+                        f"cge{slot}[{a},{j}]",
+                        f"cle{slot}[{a},{j}]",
+                        f"u{slot}[{a},{j}]",
+                    ]
+    assert [enc.model.names[var] for var in enc.model.order] == expected
+    # growing a step equals building at that horizon
+    assert dump(enc.model) == dump(build_encoding(ring_tdes, phi_two_goals, 2).model)
+
+
+def test_encoding_grows_only_forward(ring_tdes, phi_two_goals):
+    enc = build_encoding(ring_tdes, phi_two_goals, 3)
+    with pytest.raises(ValueError):
+        build_encoding(ring_tdes, phi_two_goals, 2, enc)
+    with pytest.raises(ValueError):
+        build_encoding(ring_tdes, parse("F[1,5] ap2"), 4, enc)
+
+
 # --- replay completeness --------------------------------------------------------------
 
 def test_induced_valuations_satisfy_exact_model():
@@ -248,32 +280,38 @@ def test_induced_valuations_satisfy_exact_model():
 
 
 def test_run_encoding_points_are_exactly_the_runs():
-    # Enumerate the integer points of the bare run model by re-solving
-    # with a nogood row over each found run's selectors: the decoded runs
-    # must be the enumerated runs, each exactly once.
+    # One bare run model grown over h = 1..H.  At every h, enumerate its
+    # integer points by re-solving with a nogood row over each found run's
+    # selectors, then drop the nogoods before the next step: the decoded
+    # runs must be the enumerated runs, each exactly once.
     rng = random.Random(71)
-    runs = 0
+    runs = final = 0
     for _ in range(40):
         graph = build_tdes(random_system(rng, max_states=5), state_cap=3000)
         horizon = rng.randint(1, 4)
-        expected = list(enumerate_fragments(graph, horizon))
-        enc = encode_run(graph, horizon)
-        found = []
-        while True:
-            result = solve(enc.model)
-            if not result.feasible:
-                break
-            found.append(decode(enc, result.assignment))
-            chosen = [
-                var for var in enc.edge_vars.values()
-                if result.assignment[var] == 1
-            ]
-            assert len(chosen) == horizon
-            enc.model.add([(1, var) for var in chosen], "<=", horizon - 1)
-        assert len(found) == len(set(found))
-        assert set(found) == set(expected)
-        runs += len(found)
-    assert runs == 631
+        enc = encode_run(graph, 1)
+        for h in range(1, horizon + 1):
+            grow(enc, h)
+            mark = enc.model.num_constraints
+            found = []
+            while True:
+                result = solve(enc.model)
+                if not result.feasible:
+                    break
+                found.append(decode(enc, result.assignment))
+                chosen = [
+                    var for step in enc.x for var in step
+                    if result.assignment[var] == 1
+                ]
+                assert len(chosen) == h
+                enc.model.add([(1, var) for var in chosen], "<=", h - 1)
+            enc.model.truncate(mark)
+            assert len(found) == len(set(found))
+            assert set(found) == set(enumerate_fragments(graph, h))
+            runs += len(found)
+        final += len(found)
+    assert final == 631
+    assert runs == 900
 
 
 def test_exact_feasibility_matches_enumeration():

@@ -57,6 +57,36 @@ def test_equality_stored_as_inequality_pair():
     assert len(model._rows) == 2
 
 
+def test_truncate_restores_rows_and_watch_lists():
+    rng = random.Random(5)
+    for _ in range(30):
+        model = random_model(rng, rng.randint(1, 8))
+        kept = rng.randint(0, model.num_constraints)
+        fresh = IlpModel()
+        for var in range(model.num_variables):
+            fresh.add_var(model.names[var], model.lower[var], model.upper[var])
+        for constraint in model.constraints[:kept]:
+            fresh.add_constraint(constraint)
+        model.truncate(kept)
+        assert model.constraints == fresh.constraints
+        assert model._rows == fresh._rows
+        assert model._watch_lo == fresh._watch_lo
+        assert model._watch_hi == fresh._watch_hi
+
+
+def test_branching_follows_the_model_order():
+    model = IlpModel()
+    x = model.add_var("x", 0, 1)
+    y = model.add_var("y", 0, 1)
+    model.add([(1, x), (1, y)], "=", 1)
+    assert solve(model).assignment.values == (0, 1)  # index order: x first
+    model.order = [y, x]
+    assert solve(model).assignment.values == (1, 0)
+    model.order = [y]
+    with pytest.raises(ModelError):
+        solve(model)
+
+
 def test_propagation_forces_tight_sum():
     model = IlpModel()
     x = model.add_var("x", 0, 1)

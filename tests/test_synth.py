@@ -50,6 +50,15 @@ def test_exact_search_effort_is_pinned(ring, phi_two_goals, phi_avoid_until):
         assert (result.horizon, result.statistics.nodes) == (horizon, nodes)
 
 
+def test_decisive_model_size_is_pinned(ring, phi_two_goals, phi_avoid_until):
+    """Variables and constraints of the model that decided the search.
+    Growing the model a step per horizon must leave them as a fresh
+    build at the decisive horizon has them."""
+    for phi, size in ((phi_two_goals, (1382, 2151)), (phi_avoid_until, (686, 855))):
+        stats = synthesize(SynthesisRequest(ring, phi, 5, 15)).statistics
+        assert (stats.variables, stats.constraints) == size
+
+
 def test_until_windows_leave_out_constant_left_operand(ring_tdes, phi_two_goals):
     enc = build_encoding(ring_tdes, phi_two_goals, 11)
     truth_slots = [

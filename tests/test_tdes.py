@@ -21,6 +21,7 @@ from ticksynth.tdes import (
     UntimedDes,
     build_tdes,
     enabled,
+    fixture_path,
     fragment_errors,
     fragment_from_json,
     fragment_to_json,
@@ -486,3 +487,110 @@ def test_dot_exports(ring, ring_tdes, route_a):
     overlay = tdes_to_dot(ring_tdes, highlight=route_a)
     assert "color=red" in overlay
     assert overlay != plain
+
+
+# --- JSON fuzzing -------------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+STATE_NAMES = st.sampled_from(["p1", "p2", "p3"])
+EVENT_NAMES = st.sampled_from(["go", "stop", TICK])
+EVENT_DOCS = st.one_of(
+    st.fixed_dictionaries(
+        {"name": EVENT_NAMES, "kind": st.just(REMOTE)},
+        optional={"lower": st.integers(0, 2)},
+    ),
+    st.fixed_dictionaries({
+        "name": EVENT_NAMES,
+        "kind": st.just(PROSPECTIVE),
+        "lower": st.integers(0, 2),
+        "upper": st.integers(0, 3),
+    }),
+)
+SYSTEM_DOCS = st.fixed_dictionaries(
+    {
+        "states": st.lists(STATE_NAMES, min_size=1, unique=True),
+        "events": st.lists(EVENT_DOCS, max_size=3, unique_by=lambda e: e["name"]),
+        "transitions": st.lists(
+            st.fixed_dictionaries(
+                {"from": STATE_NAMES, "event": EVENT_NAMES, "to": STATE_NAMES}
+            ),
+            max_size=4,
+        ),
+        "initial": STATE_NAMES,
+    },
+    optional={
+        "atoms": st.lists(st.sampled_from(["a", "b"]), unique=True),
+        "labels": st.dictionaries(STATE_NAMES, st.lists(st.sampled_from(["a", "b"]))),
+    },
+)
+
+
+@st.composite
+def _route_prefixes(draw):
+    """A prefix of the ring's route A, some states without their timers."""
+    ring = load_system(fixture_path("ring4.json"))
+    events = json.loads(fixture_path("ring4_route_a.json").read_text())["events"]
+    steps = draw(st.integers(0, len(events)))
+    route = fragment_to_json(replay_events(ring, events[:steps]))
+    states = route["states"]
+    for state in states:
+        if "timers" in state and draw(st.booleans()):
+            del state["timers"]
+    return route
+
+
+def _paths(value, path=()):
+    yield path
+    if isinstance(value, dict):
+        for key, inner in value.items():
+            yield from _paths(inner, path + (key,))
+    elif isinstance(value, list):
+        for pos, inner in enumerate(value):
+            yield from _paths(inner, path + (pos,))
+
+
+@st.composite
+def _mutated(draw, plausible):
+    """A plausible document with up to two of its values replaced by any
+    JSON value, or their keys deleted."""
+    doc = draw(plausible)
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(JSON_VALUES)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated(SYSTEM_DOCS))
+def test_any_json_loads_as_system_or_raises_documented_error(doc):
+    try:
+        system_from_json(doc)
+    except (SystemFormatError, InvalidSystemError):
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated(_route_prefixes()))
+def test_any_json_loads_as_fragment_or_raises_documented_error(ring, doc):
+    try:
+        fragment_from_json(doc, ring)
+    except FragmentError:
+        pass
