@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 from . import encode, ilp, synth, tdes
 from .logic import evaluate, parse
@@ -110,7 +111,6 @@ def _formula_text(args: argparse.Namespace) -> str:
         return handle.read().strip()
 
 
-
 def _result_payload(result: synth.SynthesisResult) -> dict:
     payload: dict = {
         "found": result.found,
@@ -127,39 +127,43 @@ def _result_payload(result: synth.SynthesisResult) -> dict:
     return payload
 
 
-def _print_result_text(result: synth.SynthesisResult) -> None:
-    print(f"found: {'yes' if result.found else 'no'}")
-    if result.found:
-        print(f"horizon: {result.horizon}")
-        print("events: " + " ".join(result.fragment.events))
-        print("trajectory: " + " ".join(result.fragment.activities()))
-    else:
-        print(f"horizon-max: {result.horizon_max}")
-    stats = result.statistics
-    print(f"variables: {stats.variables}")
-    print(f"constraints: {stats.constraints}")
-    print(f"nodes: {stats.nodes}")
-
-
-def _cmd_synth(args: argparse.Namespace) -> int:
+def _run_request(
+    args: argparse.Namespace,
+    search: Callable[[synth.SynthesisRequest], synth.SynthesisResult],
+) -> int:
+    """Run ``search`` on the request the arguments describe and print the
+    result; ``dot`` (``synth`` only) overlays the run on the timed graph."""
     system = tdes.load_system(args.system)
-    formula = parse(_formula_text(args))
     request = synth.SynthesisRequest(
         system=system,
-        formula=formula,
+        formula=parse(_formula_text(args)),
         horizon_min=args.hmin,
         horizon_max=args.hmax,
         state_cap=args.state_cap,
     )
-    result = synth.synthesize(request)
+    result = search(request)
     if args.format == "json":
         print(json.dumps(_result_payload(result), indent=2, sort_keys=True))
     elif args.format == "dot":
         graph = tdes.build_tdes(system, args.state_cap)
         print(tdes.tdes_to_dot(graph, highlight=result.fragment), end="")
     else:
-        _print_result_text(result)
+        print(f"found: {'yes' if result.found else 'no'}")
+        if result.found:
+            print(f"horizon: {result.horizon}")
+            print("events: " + " ".join(result.fragment.events))
+            print("trajectory: " + " ".join(result.fragment.activities()))
+        else:
+            print(f"horizon-max: {result.horizon_max}")
+        stats = result.statistics
+        print(f"variables: {stats.variables}")
+        print(f"constraints: {stats.constraints}")
+        print(f"nodes: {stats.nodes}")
     return 0 if result.found else 1
+
+
+def _cmd_synth(args: argparse.Namespace) -> int:
+    return _run_request(args, synth.synthesize)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -211,21 +215,10 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    system = tdes.load_system(args.system)
-    formula = parse(_formula_text(args))
-    request = synth.SynthesisRequest(
-        system=system,
-        formula=formula,
-        horizon_min=args.hmin,
-        horizon_max=args.hmax,
-        state_cap=args.state_cap,
+    return _run_request(
+        args,
+        lambda request: synth.oracle_synthesize(request, budget=args.budget),
     )
-    result = synth.oracle_synthesize(request, budget=args.budget)
-    if args.format == "json":
-        print(json.dumps(_result_payload(result), indent=2, sort_keys=True))
-    else:
-        _print_result_text(result)
-    return 0 if result.found else 1
 
 
 def _cmd_dump(args: argparse.Namespace) -> int:

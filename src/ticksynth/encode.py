@@ -13,10 +13,11 @@ threshold indicators on that count.  An until whose left operand is
 ``true`` (every ``F[m,n]``) leaves the constant operands out of its window
 conjunctions.
 
-One model serves a whole horizon range: :func:`grow` extends an encoding
-in place by one step at a time.  Every row belongs to one step except the
-closing rows ``z[k] <= sum_j u[k,j]`` of each until, whose window list
-ends at the horizon; they are added last and replaced on every growth.
+One model serves a whole horizon range: :func:`build_encoding`, the only
+way to create or extend a model, grows an encoding in place by one step
+at a time.  Every row belongs to one step except the closing rows
+``z[k] <= sum_j u[k,j]`` of each until, whose window list ends at the
+horizon; they are added last and replaced on every growth.
 Variables are created step by step, so the model carries the branching
 order of the block layout (all state vectors, the steps' selectors and
 tick indicators, the counters, then each subformula's satisfaction and
@@ -64,12 +65,12 @@ class Encoding:
 
     model: IlpModel
     tdes: TimedDes
+    formula: Formula
+    table: SubformulaTable
     horizon: int
     w: list[list[int]] = field(default_factory=list)
     ze: list[int | None] = field(default_factory=lambda: [None])
     c: list[int | None] = field(default_factory=lambda: [None])
-    formula: Formula | None = None
-    table: SubformulaTable | None = None
     zphi: dict[tuple[int, int], int] = field(default_factory=dict)
     zc: dict[tuple[int, int, int], tuple[int, int]] = field(default_factory=dict)
     zu: dict[tuple[int, int, int], int] = field(default_factory=dict)
@@ -78,12 +79,15 @@ class Encoding:
     closing: int = 0
 
 
-def _start(graph: TimedDes, formula: Formula | None = None) -> Encoding:
+def _start(graph: TimedDes, formula: Formula) -> Encoding:
     """The horizon-0 model: the initial state vector, pinned by its
-    bounds, and with a formula its position-0 binaries, the root pinned
-    true."""
+    bounds, and the formula's position-0 binaries, the root pinned true."""
+    table = subformulas(formula)
+    for node in table.entries:
+        if isinstance(node, Atom) and node.name not in graph.untimed.atoms:
+            raise UnknownAtomError(f"atom {node.name!r} is not declared")
     model = IlpModel()
-    enc = Encoding(model=model, tdes=graph, horizon=0)
+    enc = Encoding(model, graph, formula, table, horizon=0)
     enc.w.append([
         model.add_var(f"w[0][{i}]", 1 if i == graph.initial_index else 0, 1)
         for i in range(graph.n)
@@ -92,33 +96,23 @@ def _start(graph: TimedDes, formula: Formula | None = None) -> Encoding:
     enc.edges = sorted(
         (i, ev, j) for (i, ev), j in graph.transitions.items()
     )
-    if formula is not None:
-        _attach_formula(enc, formula)
-        _encode_position(enc, 0)
-        model.add([(1, enc.zphi[(enc.table.root, 0)])], "=", 1)
+    _encode_position(enc, 0)
+    model.add([(1, enc.zphi[(table.root, 0)])], "=", 1)
     enc.closing = model.num_constraints
     return enc
 
 
-def encode_run(graph: TimedDes, horizon: int) -> Encoding:
-    """Every run of ``horizon`` steps from the initial state.
+def _encode_step(enc: Encoding, k: int) -> None:
+    """State vector, edge selectors, tick indicator and counter of step k.
 
-    One-hot state vectors ``w[k]`` are tied step to step by the
+    The one-hot state vector ``w[k]`` is tied to ``w[k-1]`` by the
     transition selectors ``x[k][t]``: the selectors leaving state i sum to
     ``w[k-1][i]`` and those entering state j sum to ``w[k][j]``.  With the
     one-hot rows these imply that exactly one edge fires per step and
     that every state taken has a predecessor, so neither has rows of its
     own.  ``ze[k]`` is the sum of step k's tick selectors and ``c[k] =
-    c[k-1] + ze[k]`` in ``[0, k]``.  The initial state is pinned through
-    its variable bounds.
+    c[k-1] + ze[k]`` in ``[0, k]``.
     """
-    enc = _start(graph)
-    grow(enc, horizon)
-    return enc
-
-
-def _encode_step(enc: Encoding, k: int) -> None:
-    """State vector, edge selectors, tick indicator and counter of step k."""
     model, n = enc.model, enc.tdes.n
     enc.w.append([model.add_var(f"w[{k}][{i}]", 0, 1) for i in range(n)])
     # Implied by the selector rows, but propagation needs it: without the
@@ -179,15 +173,6 @@ def _and_rows(model: IlpModel, z: int, operands: Sequence[int]) -> None:
     for op in operands:
         model.add([(1, z), (-1, op)], "<=", 0)
     model.add([(1, z)] + [(-1, op) for op in operands], ">=", 1 - len(operands))
-
-
-def _attach_formula(enc: Encoding, formula: Formula) -> None:
-    table = subformulas(formula)
-    for node in table.entries:
-        if isinstance(node, Atom) and node.name not in enc.tdes.untimed.atoms:
-            raise UnknownAtomError(f"atom {node.name!r} is not declared")
-    enc.formula = formula
-    enc.table = table
 
 
 def _encode_position(enc: Encoding, k: int) -> None:
@@ -261,8 +246,7 @@ def _close(enc: Encoding) -> None:
         order += enc.x[k]
         order.append(enc.ze[k])
     order += enc.c[1:]
-    entries = enc.table.entries if enc.table is not None else ()
-    for slot, node in enumerate(entries):
+    for slot, node in enumerate(enc.table.entries):
         order += [enc.zphi[(slot, k)] for k in range(horizon + 1)]
         if not isinstance(node, Until):
             continue
@@ -274,38 +258,6 @@ def _close(enc: Encoding) -> None:
             for j, u in enumerate(windows, start=a):
                 order += [*enc.zc[(slot, a, j)], u]
     model.order = order
-
-
-def grow(enc: Encoding, horizon: int) -> None:
-    """Extend ``enc`` in place to ``horizon`` steps.
-
-    The closing rows, and any row added to the model after them, are
-    dropped; the new steps (and positions, when a formula is attached)
-    are appended, then the closing rows at the new horizon.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if horizon < enc.horizon:
-        raise ValueError(
-            f"cannot shrink a horizon-{enc.horizon} encoding to {horizon}"
-        )
-    enc.model.truncate(enc.closing)
-    for k in range(enc.horizon + 1, horizon + 1):
-        _encode_step(enc, k)
-        if enc.table is not None:
-            _encode_position(enc, k)
-    enc.horizon = horizon
-    _close(enc)
-
-
-def encode_formula(enc: Encoding, formula: Formula) -> None:
-    """Satisfaction binaries for every (subformula, position) pair of the
-    bare run ``enc``."""
-    _attach_formula(enc, formula)
-    enc.model.truncate(enc.closing)
-    for k in range(enc.horizon + 1):
-        _encode_position(enc, k)
-    _close(enc)
 
 
 def variable_budget(graph: TimedDes, formula: Formula, horizon: int) -> int:
@@ -331,19 +283,31 @@ def build_encoding(
     horizon: int,
     previous: Encoding | None = None,
 ) -> Encoding:
-    """Full pipeline: the run, the formula, and the root pinned true at
-    position 0.
+    """Every run of ``horizon`` steps from the initial state, the
+    formula's satisfaction binaries at each position, and the root pinned
+    true at position 0.
 
-    ``previous``, an encoding of the same graph and formula at a smaller
-    horizon, is grown in place and returned; without it the model is
-    grown from position 0.
+    ``previous``, an encoding of the same graph and formula at a horizon
+    no larger, is grown in place and returned; without it the model is
+    grown from position 0.  Growing drops the closing rows, and any row
+    added to the model after them, appends the new steps and positions,
+    then adds the closing rows at the new horizon.
     """
-    enc = previous
-    if enc is None:
-        enc = _start(graph, formula)
-    elif enc.tdes is not graph or enc.formula is not formula:
+    enc = _start(graph, formula) if previous is None else previous
+    if enc.tdes is not graph or enc.formula is not formula:
         raise ValueError("the previous encoding has another graph or formula")
-    grow(enc, horizon)
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    if horizon < enc.horizon:
+        raise ValueError(
+            f"cannot shrink a horizon-{enc.horizon} encoding to {horizon}"
+        )
+    enc.model.truncate(enc.closing)
+    for k in range(enc.horizon + 1, horizon + 1):
+        _encode_step(enc, k)
+        _encode_position(enc, k)
+    enc.horizon = horizon
+    _close(enc)
     budget = variable_budget(graph, formula, horizon)
     assert enc.model.num_variables <= budget, (
         enc.model.num_variables,
@@ -385,8 +349,6 @@ def decode(enc: Encoding, assignment: Assignment) -> Fragment:
     problems = fragment_errors(system, fragment)
     if problems:
         raise DecodeError("decoded run does not replay: " + problems[0])
-    if enc.formula is not None and not evaluate(
-        fragment, enc.formula, 0, system.labeling, system.atoms
-    ):
+    if not evaluate(fragment, enc.formula, 0, system.labeling, system.atoms):
         raise DecodeError("decoded run fails certification against the formula")
     return fragment

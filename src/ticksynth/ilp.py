@@ -321,9 +321,9 @@ def solve(model: IlpModel) -> SolveResult:
     move, propagate = propagator.move, propagator.propagate
     n = len(lo)
     order = range(n) if model.order is None else model.order
-    if len(order) != n:
+    if sorted(order) != list(range(n)):
         raise ModelError(
-            f"branching order lists {len(order)} of {n} variables"
+            f"branching order is not a permutation of the {n} variable indices"
         )
 
     # Cursors are positions in ``order``.

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,13 +8,10 @@ from ticksynth.encode import (
     add_counter_threshold,
     build_encoding,
     decode,
-    encode_formula,
-    encode_run,
-    grow,
     variable_budget,
 )
 from ticksynth.ilp import Assignment, IlpModel, check_assignment, dump, propagate_bounds, solve
-from ticksynth.logic import TRUE, Atom, Not, UnknownAtomError, Until, parse
+from ticksynth.logic import TRUE, Atom, Not, Or, UnknownAtomError, Until, parse
 from ticksynth.tdes import (
     REMOTE,
     TICK,
@@ -56,17 +54,23 @@ def pulse_system():
 
 def test_trajectory_sizes_on_ring(ring_tdes):
     horizon = 11
-    enc = encode_run(ring_tdes, horizon)
+    enc = build_encoding(ring_tdes, TRUE, horizon)
     n, t = ring_tdes.n, len(ring_tdes.transitions)
     assert (n, t) == (28, 44)
-    # state vectors, then per step: selectors, tick indicator, counter
-    assert enc.model.num_variables == (horizon + 1) * n + horizon * (t + 2)
-    # one-hot rows, then per step: outgoing, incoming, tick and counter rows
-    assert enc.model.num_constraints == (horizon + 1) + horizon * (2 * n + 2)
+    # state vectors, then per step: selectors, tick indicator, counter;
+    # `true` adds one satisfaction binary per position
+    assert enc.model.num_variables == (horizon + 1) * (n + 1) + horizon * (t + 2)
+    assert enc.model.num_variables == 854
+    # one-hot rows, then per step: outgoing, incoming, tick and counter
+    # rows; `true` adds one row per position and the root pin
+    assert enc.model.num_constraints == (
+        (horizon + 1) + horizon * (2 * n + 2) + (horizon + 2)
+    )
+    assert enc.model.num_constraints == 663
 
 
 def test_trajectory_pins_initial_state(ring_tdes):
-    enc = encode_run(ring_tdes, 2)
+    enc = build_encoding(ring_tdes, TRUE, 2)
     start = enc.w[0][ring_tdes.initial_index]
     assert enc.model.lower[start] == enc.model.upper[start] == 1
 
@@ -77,7 +81,7 @@ def test_single_state_tick_loop_forces_every_step():
         atoms=set(), labeling={}, timing={},
     )
     graph = build_tdes(system)
-    enc = encode_run(graph, 3)
+    enc = build_encoding(graph, TRUE, 3)
     box = propagate_bounds(enc.model)
     assert box is not None
     lo, hi = box
@@ -97,9 +101,9 @@ def test_dead_end_state_makes_longer_horizons_infeasible():
             key: j for key, j in graph.transitions.items() if key[0] != 1
         },
     )
-    enc = encode_run(pruned, 2)
+    enc = build_encoding(pruned, TRUE, 2)
     assert not solve(enc.model).feasible
-    enc1 = encode_run(pruned, 1)
+    enc1 = build_encoding(pruned, TRUE, 1)
     assert solve(enc1.model).feasible
 
 
@@ -107,7 +111,7 @@ def test_dead_end_state_makes_longer_horizons_infeasible():
 
 def test_tick_only_pair_forces_indicator_up():
     graph = build_tdes(pulse_system())
-    enc = encode_run(graph, 1)
+    enc = build_encoding(graph, TRUE, 1)
     box = propagate_bounds(enc.model)
     lo, hi = box
     # the only step from s0 goes to s1 via tick
@@ -116,7 +120,7 @@ def test_tick_only_pair_forces_indicator_up():
 
 def test_tickless_target_forces_indicator_down():
     graph = build_tdes(pulse_system())
-    enc = encode_run(graph, 2)
+    enc = build_encoding(graph, TRUE, 2)
     # pin the second step back to s0: only the event edge fits
     enc.model.add([(1, enc.w[2][0])], "=", 1)
     box = propagate_bounds(enc.model)
@@ -176,12 +180,13 @@ def test_window_bound_above_horizon_is_handled():
 # --- formula rows -------------------------------------------------------------------
 
 def test_atom_row_pinned_by_initial_state(ring_tdes):
+    # `a | !a` holds on every run, so its root pin leaves the atom free
+    # of everything but the initial state
     for name, expected in (("ap1", 1), ("ap2", 0)):
-        enc = encode_run(ring_tdes, 1)
-        encode_formula(enc, Atom(name))
+        enc = build_encoding(ring_tdes, Or(Atom(name), Not(Atom(name))), 1)
         box = propagate_bounds(enc.model)
         lo, hi = box
-        slot = enc.table.root
+        slot = enc.table.children[enc.table.root][0]
         assert lo[enc.zphi[(slot, 0)]] == hi[enc.zphi[(slot, 0)]] == expected
 
 
@@ -193,9 +198,8 @@ def test_negation_rows_complement():
 
 
 def test_unknown_atom_rejected(ring_tdes):
-    enc = encode_run(ring_tdes, 1)
     with pytest.raises(UnknownAtomError):
-        encode_formula(enc, Atom("nope"))
+        build_encoding(ring_tdes, Atom("nope"), 1)
 
 
 def test_root_pin_and_registry_names(ring_tdes):
@@ -247,6 +251,32 @@ def test_encoding_grows_only_forward(ring_tdes, phi_two_goals):
         build_encoding(ring_tdes, parse("F[1,5] ap2"), 4, enc)
 
 
+# sha256 of ``dump(model)`` followed by the branching order's variable
+# names, one per line.  Any change to a variable, a row, a big-M or the
+# branching order changes the digest.
+GOLDEN_MODELS = {
+    ("F[1,5] ap2 & F[1,5] ap4", 11):
+        "703e93acb414d5fe05b5bcc51799331f936421754bc45afda494e5895519c0e1",
+    ("!ap2 U[3,5] ap3", 7):
+        "4a6d9d06a134a396b41c8f180561e5b6464564690c36e39b6804677b5c17f187",
+}
+
+
+def model_digest(model):
+    text = dump(model) + "".join(model.names[var] + "\n" for var in model.order)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(("text", "horizon"), list(GOLDEN_MODELS))
+def test_model_text_and_branching_order_are_pinned(ring_tdes, text, horizon):
+    phi = parse(text)
+    fresh = build_encoding(ring_tdes, phi, horizon)
+    assert model_digest(fresh.model) == GOLDEN_MODELS[(text, horizon)]
+    grown = build_encoding(ring_tdes, phi, 5)
+    build_encoding(ring_tdes, phi, horizon, grown)
+    assert model_digest(grown.model) == GOLDEN_MODELS[(text, horizon)]
+
+
 # --- replay completeness --------------------------------------------------------------
 
 def test_induced_valuations_satisfy_exact_model():
@@ -262,10 +292,10 @@ def test_induced_valuations_satisfy_exact_model():
             if frag is None:
                 continue
             phi = random_formula(rng, atoms, horizon)
-            # no root pin: the valuation of an arbitrary run must satisfy
-            # the structural rows whether or not the formula holds
-            enc = encode_run(graph, horizon)
-            encode_formula(enc, phi)
+            # the root `phi | !phi` holds on every run, so the valuation of
+            # an arbitrary run must satisfy every row of phi whether or not
+            # phi holds
+            enc = build_encoding(graph, Or(phi, Not(phi)), horizon)
             valuation = induced_valuation(enc, frag)
             assert check_assignment(enc.model, valuation) == []
             for (slot, k), var in enc.zphi.items():
@@ -280,18 +310,18 @@ def test_induced_valuations_satisfy_exact_model():
 
 
 def test_run_encoding_points_are_exactly_the_runs():
-    # One bare run model grown over h = 1..H.  At every h, enumerate its
-    # integer points by re-solving with a nogood row over each found run's
-    # selectors, then drop the nogoods before the next step: the decoded
-    # runs must be the enumerated runs, each exactly once.
+    # One run model (formula `true`) grown over h = 1..H.  At every h,
+    # enumerate its integer points by re-solving with a nogood row over
+    # each found run's selectors, then drop the nogoods before the next
+    # step: the decoded runs must be the enumerated runs, each exactly once.
     rng = random.Random(71)
     runs = final = 0
     for _ in range(40):
         graph = build_tdes(random_system(rng, max_states=5), state_cap=3000)
         horizon = rng.randint(1, 4)
-        enc = encode_run(graph, 1)
+        enc = None
         for h in range(1, horizon + 1):
-            grow(enc, h)
+            enc = build_encoding(graph, TRUE, h, enc)
             mark = enc.model.num_constraints
             found = []
             while True:
