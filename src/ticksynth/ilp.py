@@ -10,11 +10,14 @@ branched next, and candidate values are tried in ascending order (0
 before 1 for binaries).  The search is completely deterministic.
 
 Propagation is incremental and activity based, and ``solve`` and
-``propagate_bounds`` share it.  Each row's slack (right-hand side minus
-minimum activity) is updated on every bound move and restored on
-backtracking.  A variable's watch lists name the rows whose minimum
-activity its lower bound (positive coefficient) or its upper bound
-(negative coefficient) enters; a move touches only the matching list.
+``propagate_bounds`` share it.  Declared bounds are fixed at ``add_var``,
+so each row's declared slack (right-hand side minus minimum activity at
+the declared bounds) and cap are computed once, when the row is added; a
+solve starts from a copy of them.  The slack is updated on every bound
+move and restored on backtracking.  A variable's watch lists name the
+rows whose minimum activity its lower bound (positive coefficient) or its
+upper bound (negative coefficient) enters; a move touches only the
+matching list.
 
 There is no objective function: the engine answers feasibility only, and
 every returned assignment is re-checked by an independent verifier pass
@@ -88,6 +91,10 @@ class IlpModel:
 
     ``order`` is the branching order: every variable index once, or
     ``None`` for index order.
+
+    Declared bounds are fixed at :meth:`add_var`.  Each row's declared
+    slack and cap are computed once, when the row is added, and every
+    solve starts from a copy of them instead of a pass over the terms.
     """
 
     def __init__(self) -> None:
@@ -102,6 +109,11 @@ class IlpModel:
         # (coef < 0) enters
         self._watch_lo: list[list[int]] = []
         self._watch_hi: list[list[int]] = []
+        # per row: slack and cap at the declared bounds; ascending rows
+        # whose slack is below their cap (the rows a solve queues first)
+        self._slack: list[int] = []
+        self._cap: list[int] = []
+        self._tight: list[int] = []
         self.order: list[int] | None = None
 
     @property
@@ -149,8 +161,11 @@ class IlpModel:
         """Drop every constraint after the first ``count``.
 
         Rows are removed newest first, so each one's watch entries are the
-        tails of its variables' watch lists.
+        tails of its variables' watch lists, and its slack, cap and tight
+        entry are the tails of theirs.
         """
+        if count < 0:
+            raise ModelError(f"cannot keep {count} constraints")
         while len(self.constraints) > count:
             removed = self.constraints.pop()
             for _ in range(2 if removed.comparator == "=" else 1):
@@ -158,17 +173,30 @@ class IlpModel:
                 for var, coef in zip(variables, coefs):
                     watch = self._watch_lo if coef > 0 else self._watch_hi
                     del watch[var][-2:]
+                self._slack.pop()
+                self._cap.pop()
+                if self._tight and self._tight[-1] == len(self._rows):
+                    self._tight.pop()
 
     def _push_row(
         self, variables: tuple[int, ...], coefs: tuple[int, ...], rhs: int
     ) -> None:
         row = len(self._rows)
         self._rows.append((variables, coefs, rhs))
+        lower, upper = self.lower, self.upper
+        activity = cap = 0
         for var, coef in zip(variables, coefs):
             if coef > 0:
+                activity += coef * lower[var]
                 self._watch_lo[var] += (row, coef)
             else:
+                activity += coef * upper[var]
                 self._watch_hi[var] += (row, -coef)
+            cap = max(cap, abs(coef) * (upper[var] - lower[var]))
+        self._slack.append(rhs - activity)
+        self._cap.append(cap)
+        if rhs - activity < cap:
+            self._tight.append(row)
 
 
 class _Propagator:
@@ -183,25 +211,16 @@ class _Propagator:
         self.rows = model._rows
         self.watch_lo = model._watch_lo
         self.watch_hi = model._watch_hi
-        lower, upper = model.lower, model.upper
-        self.lo = list(lower)
-        self.hi = list(upper)
-        self.slack: list[int] = []
-        self.cap: list[int] = []
-        self.queue: deque[int] = deque()
+        self.lo = list(model.lower)
+        self.hi = list(model.upper)
+        self.slack = list(model._slack)
+        self.cap = model._cap  # read-only
+        self.queue = deque(model._tight)
         self.queued = bytearray(len(self.rows))
+        for row in model._tight:
+            self.queued[row] = 1
         # (variable, is-upper, previous value) per bound move
         self.trail: list[tuple[int, bool, int]] = []
-        for row, (variables, coefs, rhs) in enumerate(self.rows):
-            activity = cap = 0
-            for var, coef in zip(variables, coefs):
-                activity += coef * (lower[var] if coef > 0 else upper[var])
-                cap = max(cap, abs(coef) * (upper[var] - lower[var]))
-            self.slack.append(rhs - activity)
-            self.cap.append(cap)
-            if rhs - activity < cap:
-                self.queued[row] = 1
-                self.queue.append(row)
 
     def move(self, var: int, is_upper: bool, value: int) -> None:
         """Tighten one bound of ``var`` and queue the rows it may affect."""

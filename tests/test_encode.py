@@ -376,6 +376,57 @@ def test_encoding_propagation_matches_reference(ring_tdes, phi_two_goals):
         assert propagate_bounds(model) == reference_propagate(model)
 
 
+def test_grown_models_propagate_like_fresh_ones(ring_tdes):
+    # Grow each model over h = 1..H, dropping the closing rows at every
+    # step and, after each feasible solve, a blocking row over the run's
+    # selectors.  The propagator starts from the slack, cap and tight rows
+    # cached when each row was added, so at every h it must agree with a
+    # full recompute from the declared bounds and with a fresh build.
+    rng = random.Random(83)
+    cases = [
+        (ring_tdes, parse(text), 8)
+        for text in (
+            "F[1,5] ap2 & F[1,5] ap4",
+            "!ap2 U[3,5] ap3",
+            "(ap1 U[0,4] ap3) | G[2,6] !ap4",
+        )
+    ]
+    for _ in range(12):
+        system = random_system(rng, max_states=4)
+        atoms = sorted(system.atoms)
+        horizon = rng.randint(2, 5)
+        low = rng.randint(0, horizon)
+        phi = Until(
+            random_formula(rng, atoms, horizon, depth=2),
+            random_formula(rng, atoms, horizon, depth=2),
+            low,
+            rng.randint(low, horizon),
+        )
+        cases.append((build_tdes(system, state_cap=3000), phi, horizon))
+    conflicts = blocked = 0
+    for graph, phi, horizon in cases:
+        enc = None
+        for h in range(1, horizon + 1):
+            enc = build_encoding(graph, phi, h, enc)
+            fresh = build_encoding(graph, phi, h).model
+            box = propagate_bounds(enc.model)
+            assert box == reference_propagate(enc.model)
+            assert box == propagate_bounds(fresh)
+            conflicts += box is None
+            mark = enc.model.num_constraints
+            result = solve(enc.model)
+            if result.feasible:
+                chosen = [
+                    var for step in enc.x for var in step
+                    if result.assignment[var] == 1
+                ]
+                enc.model.add([(1, var) for var in chosen], "<=", h - 1)
+                assert propagate_bounds(enc.model) == reference_propagate(enc.model)
+                blocked += 1
+            enc.model.truncate(mark)
+    assert conflicts >= 20 and blocked >= 15, (conflicts, blocked)
+
+
 def test_exact_decode_produces_certified_runs():
     rng = random.Random(41)
     done = 0

@@ -72,6 +72,24 @@ def test_truncate_restores_rows_and_watch_lists():
         assert model._rows == fresh._rows
         assert model._watch_lo == fresh._watch_lo
         assert model._watch_hi == fresh._watch_hi
+        assert model._slack == fresh._slack
+        assert model._cap == fresh._cap
+        assert model._tight == fresh._tight
+
+
+def test_truncate_rejects_a_negative_count():
+    model = IlpModel()
+    x = model.add_var("x", 0, 1)
+    y = model.add_var("y", 0, 1)
+    model.add([(1, x), (1, y)], "=", 1)
+    model.add([(1, x)], ">=", 1)
+    rows = list(model._rows)
+    with pytest.raises(ModelError):
+        model.truncate(-1)
+    assert model.num_constraints == 2
+    assert model._rows == rows
+    assert (model._slack, model._cap, model._tight) == ([1, 1, 0], [1, 1, 1], [2])
+    assert solve(model).assignment.values == (1, 0)
 
 
 def test_branching_follows_the_model_order():
