@@ -17,7 +17,6 @@ from .encode import (
     decode,
 )
 from .ilp import (
-    Assignment,
     IlpModel,
     LinearConstraint,
     ModelError,
@@ -59,7 +58,6 @@ from .tdes import (
     Fragment,
     FragmentError,
     InvalidSystemError,
-    NotEnabledError,
     StateCapError,
     SystemFormatError,
     TimedDes,
@@ -67,7 +65,6 @@ from .tdes import (
     UnknownEventError,
     UntimedDes,
     build_tdes,
-    enabled,
     fixture_path,
     fragment_errors,
     fragment_from_json,

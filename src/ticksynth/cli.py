@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: ``synth`` (find a certified run), ``check`` (evaluate a
-stored run against a formula), ``build`` (timed-system statistics and
-DOT), ``oracle`` (exhaustive reference synthesis), and ``dump-ilp``
-(annotated model text).  Exit codes: 0 when a run was found or the check
-holds, 1 for a negative answer, 2 for usage or input errors.
+stored run against a formula), ``build`` (timed-system statistics, DOT
+of the timed system or of the untimed automaton), ``oracle`` (exhaustive
+reference synthesis), and ``dump-ilp`` (annotated model text).  Exit
+codes: 0 when a run was found or the check holds, 1 for a negative
+answer, 2 for usage or input errors.
 
 Rendered output never includes timing measurements, so repeated runs on
 identical inputs are byte-identical.
@@ -75,12 +76,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build = sub.add_parser("build", help="construct the timed system")
     add_system(p_build)
     p_build.add_argument(
-        "--format", choices=["text", "json", "dot"], default="text"
-    )
-    p_build.add_argument(
-        "--untimed-dot",
-        action="store_true",
-        help="emit DOT of the untimed activity automaton instead",
+        "--format",
+        choices=["text", "json", "dot", "untimed-dot"],
+        default="text",
+        help="untimed-dot: DOT of the untimed activity automaton",
     )
     add_cap(p_build)
 
@@ -189,7 +188,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     system = tdes.load_system(args.system)
-    if args.untimed_dot:
+    if args.format == "untimed-dot":
         print(tdes.untimed_to_dot(system), end="")
         return 0
     graph = tdes.build_tdes(system, args.state_cap)

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .ilp import Assignment, IlpModel
+from .ilp import IlpModel
 from .logic import (
     And,
     Atom,
@@ -81,7 +81,8 @@ class Encoding:
 
 def _start(graph: TimedDes, formula: Formula) -> Encoding:
     """The horizon-0 model: the initial state vector, pinned by its
-    bounds, and the formula's position-0 binaries, the root pinned true."""
+    bounds to state 0 (the initial state), and the formula's position-0
+    binaries, the root pinned true."""
     table = subformulas(formula)
     for node in table.entries:
         if isinstance(node, Atom) and node.name not in graph.untimed.atoms:
@@ -89,7 +90,7 @@ def _start(graph: TimedDes, formula: Formula) -> Encoding:
     model = IlpModel()
     enc = Encoding(model, graph, formula, table, horizon=0)
     enc.w.append([
-        model.add_var(f"w[0][{i}]", 1 if i == graph.initial_index else 0, 1)
+        model.add_var(f"w[0][{i}]", int(i == 0), 1)
         for i in range(graph.n)
     ])
     model.add([(1, v) for v in enc.w[0]], "=", 1)
@@ -316,7 +317,7 @@ def build_encoding(
     return enc
 
 
-def decode(enc: Encoding, assignment: Assignment) -> Fragment:
+def decode(enc: Encoding, assignment: tuple[int, ...]) -> Fragment:
     """Read a satisfying assignment back into a certified run.
 
     The chosen transitions name the events.  The decoded run must replay

@@ -27,6 +27,7 @@ before being handed back.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -59,17 +60,17 @@ class LinearConstraint:
             raise ModelError(f"right-hand side {self.rhs!r} is not an integer")
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """One integer value per variable, indexed positionally."""
+class _ReadOnly(Sequence):
+    """Read-only view of a list that its owner keeps growing."""
 
-    values: tuple[int, ...]
+    def __init__(self, items: list[int]) -> None:
+        self._items = items
 
-    def __getitem__(self, var: int) -> int:
-        return self.values[var]
+    def __getitem__(self, pos: int) -> int:
+        return self._items[pos]
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self._items)
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ class SolveResult:
     """Outcome of a solve: infeasibility is a value, not an error."""
 
     feasible: bool
-    assignment: Assignment | None
+    assignment: tuple[int, ...] | None
     nodes: int
 
 
@@ -92,15 +93,18 @@ class IlpModel:
     ``order`` is the branching order: every variable index once, or
     ``None`` for index order.
 
-    Declared bounds are fixed at :meth:`add_var`.  Each row's declared
-    slack and cap are computed once, when the row is added, and every
-    solve starts from a copy of them instead of a pass over the terms.
+    Declared bounds are fixed at :meth:`add_var`, and ``lower`` and
+    ``upper`` are read-only views of them.  Each row's declared slack and
+    cap are computed once, when the row is added, and every solve starts
+    from a copy of them instead of a pass over the terms.
     """
 
     def __init__(self) -> None:
         self.names: list[str] = []
-        self.lower: list[int] = []
-        self.upper: list[int] = []
+        self._lower: list[int] = []
+        self._upper: list[int] = []
+        self.lower: Sequence[int] = _ReadOnly(self._lower)
+        self.upper: Sequence[int] = _ReadOnly(self._upper)
         self.constraints: list[LinearConstraint] = []
         # normalized rows: (vars, coefs, rhs) meaning sum(coef*var) <= rhs
         self._rows: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
@@ -128,8 +132,8 @@ class IlpModel:
         if lo > hi:
             raise ModelError(f"variable {name!r}: bounds [{lo}, {hi}] are empty")
         self.names.append(name)
-        self.lower.append(lo)
-        self.upper.append(hi)
+        self._lower.append(lo)
+        self._upper.append(hi)
         self._watch_lo.append([])
         self._watch_hi.append([])
         return len(self.names) - 1
@@ -183,7 +187,7 @@ class IlpModel:
     ) -> None:
         row = len(self._rows)
         self._rows.append((variables, coefs, rhs))
-        lower, upper = self.lower, self.upper
+        lower, upper = self._lower, self._upper
         activity = cap = 0
         for var, coef in zip(variables, coefs):
             if coef > 0:
@@ -211,8 +215,8 @@ class _Propagator:
         self.rows = model._rows
         self.watch_lo = model._watch_lo
         self.watch_hi = model._watch_hi
-        self.lo = list(model.lower)
-        self.hi = list(model.upper)
+        self.lo = list(model._lower)
+        self.hi = list(model._upper)
         self.slack = list(model._slack)
         self.cap = model._cap  # read-only
         self.queue = deque(model._tight)
@@ -296,7 +300,9 @@ def propagate_bounds(
     return propagator.lo, propagator.hi
 
 
-def check_assignment(model: IlpModel, assignment: Assignment) -> list[str]:
+def check_assignment(
+    model: IlpModel, assignment: tuple[int, ...]
+) -> list[str]:
     """Independent verifier: report every violated bound or constraint."""
     problems = []
     if len(assignment) != model.num_variables:
@@ -304,12 +310,13 @@ def check_assignment(model: IlpModel, assignment: Assignment) -> list[str]:
             f"assignment has {len(assignment)} values for "
             f"{model.num_variables} variables"
         ]
+    lower, upper = model._lower, model._upper
     for var in range(model.num_variables):
         value = assignment[var]
-        if not model.lower[var] <= value <= model.upper[var]:
+        if not lower[var] <= value <= upper[var]:
             problems.append(
                 f"{model.names[var]} = {value} outside "
-                f"[{model.lower[var]}, {model.upper[var]}]"
+                f"[{lower[var]}, {upper[var]}]"
             )
     for pos, constraint in enumerate(model.constraints):
         total = sum(coef * assignment[var] for coef, var in constraint.terms)
@@ -353,7 +360,7 @@ def solve(model: IlpModel) -> SolveResult:
         return pos
 
     def finish(nodes: int) -> SolveResult:
-        assignment = Assignment(tuple(lo))
+        assignment = tuple(lo)
         problems = check_assignment(model, assignment)
         if problems:
             raise RuntimeError(
@@ -407,11 +414,10 @@ def dump(model: IlpModel) -> str:
         f"integer feasibility model: {model.num_variables} variables, "
         f"{model.num_constraints} constraints"
     ]
-    for var in range(model.num_variables):
-        lines.append(
-            f"var {var}: {model.names[var]} in "
-            f"[{model.lower[var]}, {model.upper[var]}]"
-        )
+    for var, (name, lo, hi) in enumerate(
+        zip(model.names, model._lower, model._upper)
+    ):
+        lines.append(f"var {var}: {name} in [{lo}, {hi}]")
     for pos, constraint in enumerate(model.constraints):
         parts = []
         for coef, var in constraint.terms:

@@ -119,7 +119,7 @@ def enumerate_fragments(graph: TimedDes, horizon: int) -> Iterator[Fragment]:
     for adjacency in outgoing:
         adjacency.sort()
 
-    path = [graph.initial_index]
+    path = [0]
     events: list[str] = []
 
     def walk(depth: int) -> Iterator[Fragment]:
@@ -150,13 +150,10 @@ def oracle_synthesize(
     start = time.perf_counter()
     graph = build_tdes(request.system, request.state_cap)
     system = request.system
-    branching = max(
-        (
-            sum(1 for (i2, _) in graph.transitions if i2 == i)
-            for i in range(graph.n)
-        ),
-        default=0,
-    )
+    degree = [0] * graph.n
+    for i, _ in graph.transitions:
+        degree[i] += 1
+    branching = max(degree)
     examined = 0
     for horizon in range(request.horizon_min, request.horizon_max + 1):
         if branching > 1 and branching**horizon > budget:

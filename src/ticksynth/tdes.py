@@ -13,8 +13,10 @@ a defined prospective event sits at zero).  A *remote* event has no upper
 bound; its timer counts down the minimum delay and then saturates at zero,
 after which the event may occur at any time.
 
-This module holds the untimed/timed system types, the enabling and
-stepping rules, breadth-first construction of the reachable timed system,
+As in Brandin and Wonham's timed DES, the rules form one partial
+transition function, :func:`step`: an event is enabled exactly where its
+successor is defined.  This module holds the untimed/timed system types,
+that function, breadth-first construction of the reachable timed system,
 execution fragments with tick-counting and suffix views, JSON ingestion,
 and DOT export.
 """
@@ -38,10 +40,6 @@ DEFAULT_STATE_CAP = 1_000_000
 
 class UnknownEventError(ValueError):
     """An event identifier is not part of the system's alphabet."""
-
-
-class NotEnabledError(ValueError):
-    """A step was requested for an event that is not enabled."""
 
 
 class InvalidSystemError(ValueError):
@@ -159,9 +157,6 @@ class UntimedDes:
     def defined(self, state: str, event: str) -> bool:
         return (state, event) in self.transitions
 
-    def successor(self, state: str, event: str) -> str:
-        return self.transitions[(state, event)]
-
     def event_order(self) -> tuple[str, ...]:
         return tuple(sorted(self.events))
 
@@ -199,39 +194,21 @@ def initial_state(system: UntimedDes) -> TimedState:
     return TimedState(system.initial, timers)
 
 
-def enabled(system: UntimedDes, state: TimedState, event: str) -> bool:
-    """Decide whether ``event`` may occur at ``state``.
+def step(
+    system: UntimedDes, state: TimedState, event: str
+) -> TimedState | None:
+    """The timed transition function: the successor of ``state`` under
+    ``event``, or ``None`` when ``event`` is not enabled there.
 
-    ``tick`` is enabled unless some defined prospective event has run its
-    timer down to zero.  A prospective event needs its timer inside the
-    window left after the minimum delay; a remote event needs its timer
-    at zero.
+    ``tick`` is blocked by a defined prospective event whose timer is at
+    zero; otherwise it counts every defined timer down (a remote one
+    saturates at zero) and resets the undefined ones.  A declared event
+    must be defined at the activity, and its timer must sit inside the
+    window left after the minimum delay (prospective) or at zero
+    (remote).  It resets its own timer, keeps the timers of events
+    defined at the target and resets the rest.  Raises
+    :class:`UnknownEventError` for an undeclared event.
     """
-    if event == TICK:
-        for name, value in state.timers:
-            if (
-                value == 0
-                and system.timing[name].kind == PROSPECTIVE
-                and system.defined(state.activity, name)
-            ):
-                return False
-        return True
-    if event not in system.events:
-        raise UnknownEventError(f"unknown event {event!r}")
-    if not system.defined(state.activity, event):
-        return False
-    tim = system.timing[event]
-    value = state.timer(event)
-    if tim.kind == PROSPECTIVE:
-        return 0 <= value <= tim.upper - tim.lower
-    return value == 0
-
-
-def step(system: UntimedDes, state: TimedState, event: str) -> TimedState:
-    """Apply one enabled event and return the successor timed state."""
-    if not enabled(system, state, event):
-        raise NotEnabledError(f"event {event!r} is not enabled at {state}")
-
     if event == TICK:
         items = []
         for name, value in state.timers:
@@ -240,26 +217,27 @@ def step(system: UntimedDes, state: TimedState, event: str) -> TimedState:
                 items.append((name, tim.timer_limit))
             elif value > 0:
                 items.append((name, value - 1))
-            elif tim.kind == REMOTE:
-                items.append((name, 0))
+            elif tim.kind == PROSPECTIVE:
+                return None
             else:
-                # A defined prospective event at zero disables tick, so
-                # this branch is unreachable through enabled().
-                raise AssertionError(
-                    f"tick taken with expired prospective event {name!r}"
-                )
+                items.append((name, 0))
         return TimedState(state.activity, tuple(items))
 
-    target = system.successor(state.activity, event)
+    if event not in system.events:
+        raise UnknownEventError(f"unknown event {event!r}")
+    target = system.transitions.get((state.activity, event))
+    if target is None:
+        return None
+    tim = system.timing[event]
+    window = tim.upper - tim.lower if tim.kind == PROSPECTIVE else 0
+    if not 0 <= state.timer(event) <= window:
+        return None
     items = []
     for name, value in state.timers:
-        tim = system.timing[name]
-        if name == event:
-            items.append((name, tim.timer_limit))
-        elif system.defined(target, name):
+        if name != event and system.defined(target, name):
             items.append((name, value))
         else:
-            items.append((name, tim.timer_limit))
+            items.append((name, system.timing[name].timer_limit))
     return TimedState(target, tuple(items))
 
 
@@ -267,34 +245,22 @@ def step(system: UntimedDes, state: TimedState, event: str) -> TimedState:
 class TimedDes:
     """Reachable timed system as an explicit graph.
 
-    States are numbered in breadth-first discovery order; the initial
-    state has index ``initial_index`` (0 for built systems).  Transitions
-    map (state index, event) to successor index.
+    States are numbered in breadth-first discovery order, so the initial
+    state has index 0.  Transitions map (state index, event) to successor
+    index.
     """
 
     untimed: UntimedDes
     states: tuple[TimedState, ...]
     index: Mapping[TimedState, int]
     transitions: Mapping[tuple[int, str], int]
-    initial_index: int = 0
 
     @property
     def n(self) -> int:
         return len(self.states)
 
-    def alphabet(self) -> tuple[str, ...]:
-        return tuple(sorted(self.untimed.events | {TICK}))
-
     def label(self, i: int) -> frozenset[str]:
         return self.untimed.label(self.states[i].activity)
-
-    def successors(self, i: int) -> list[tuple[str, int]]:
-        out = []
-        for ev in self.alphabet():
-            j = self.transitions.get((i, ev))
-            if j is not None:
-                out.append((ev, j))
-        return out
 
 
 def build_tdes(system: UntimedDes, state_cap: int = DEFAULT_STATE_CAP) -> TimedDes:
@@ -315,9 +281,9 @@ def build_tdes(system: UntimedDes, state_cap: int = DEFAULT_STATE_CAP) -> TimedD
         i = queue.popleft()
         current = states[i]
         for ev in alphabet:
-            if not enabled(system, current, ev):
-                continue
             succ = step(system, current, ev)
+            if succ is None:
+                continue
             j = index.get(succ)
             if j is None:
                 if len(states) >= state_cap:
@@ -397,9 +363,10 @@ def replay_events(system: UntimedDes, events: Iterable[str]) -> Fragment:
     for k, ev in enumerate(events, start=1):
         if ev != TICK and ev not in system.events:
             raise FragmentError(f"event {ev!r} at step {k} is not declared")
-        if not enabled(system, states[-1], ev):
+        succ = step(system, states[-1], ev)
+        if succ is None:
             raise FragmentError(f"event {ev!r} at step {k} is not enabled")
-        states.append(step(system, states[-1], ev))
+        states.append(succ)
     return Fragment(tuple(states), events)
 
 

@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from ticksynth.encode import Encoding
-from ticksynth.ilp import Assignment, IlpModel
+from ticksynth.ilp import IlpModel
 from ticksynth.logic import (
     TRUE,
     And,
@@ -126,10 +126,12 @@ def random_fragment(
     rng: random.Random, graph: TimedDes, horizon: int
 ) -> Fragment | None:
     """Uniform random walk of exactly ``horizon`` steps, if one exists."""
-    path = [graph.initial_index]
+    path = [0]
     events = []
     for _ in range(horizon):
-        options = graph.successors(path[-1])
+        options = sorted(
+            (ev, j) for (i, ev), j in graph.transitions.items() if i == path[-1]
+        )
         if not options:
             return None
         ev, j = rng.choice(options)
@@ -304,7 +306,7 @@ def reference_propagate(
 
 # --- induced valuations ------------------------------------------------------
 
-def induced_valuation(enc: Encoding, fragment: Fragment) -> Assignment:
+def induced_valuation(enc: Encoding, fragment: Fragment) -> tuple[int, ...]:
     """Valuation a genuine run induces on every variable of the encoding.
 
     State vectors and edge selectors come from the run itself, tick
@@ -350,4 +352,4 @@ def induced_valuation(enc: Encoding, fragment: Fragment) -> Assignment:
         ok = window and sat[(right, j)]
         ok = ok and all(sat[(left, pos)] for pos in range(k, j))
         values[z_step] = int(ok)
-    return Assignment(tuple(values))
+    return tuple(values)

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from ticksynth.encode import add_counter_threshold, build_encoding
-from ticksynth.ilp import Assignment, IlpModel, check_assignment, solve
+from ticksynth.ilp import IlpModel, check_assignment, solve
 from ticksynth.logic import Not, Or, evaluate, parse
 from ticksynth.synth import (
     SynthesisRequest,
@@ -135,7 +135,7 @@ def test_criterion_5_route_exclusion(ring, ring_tdes):
     activity = [s.activity for s in ring_tdes.states]
 
     checked = 0
-    path = [ring_tdes.initial_index]
+    path = [0]
     events = []
 
     def walk(seen_p2: bool, seen_p4: bool, depth: int) -> None:
@@ -282,7 +282,7 @@ def test_criterion_9_threshold_truth_table():
                     expected = (int(count >= m), int(count <= n))
                     for ge in (0, 1):
                         for le in (0, 1):
-                            candidate = Assignment(fixed + (ge, le))
+                            candidate = fixed + (ge, le)
                             ok = check_assignment(model, candidate) == []
                             assert ok == ((ge, le) == expected), (
                                 horizon, m, n, count, ge, le

@@ -131,9 +131,11 @@ def test_build_dot_outputs(capsys):
     assert run(["build", "--system", RING, "--format", "dot"]) == 0
     timed = capsys.readouterr().out
     assert "style=dashed" in timed
-    assert run(["build", "--system", RING, "--untimed-dot"]) == 0
+    assert run(["build", "--system", RING, "--format", "untimed-dot"]) == 0
     untimed = capsys.readouterr().out
     assert untimed.startswith("digraph activity")
+    # the format is the one switch: the old flag is a usage error
+    assert run(["build", "--system", RING, "--untimed-dot"]) == 2
 
 
 def test_oracle_subcommand(capsys):

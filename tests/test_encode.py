@@ -10,7 +10,7 @@ from ticksynth.encode import (
     decode,
     variable_budget,
 )
-from ticksynth.ilp import Assignment, IlpModel, check_assignment, dump, propagate_bounds, solve
+from ticksynth.ilp import IlpModel, check_assignment, dump, propagate_bounds, solve
 from ticksynth.logic import TRUE, Atom, Not, Or, UnknownAtomError, Until, parse
 from ticksynth.tdes import (
     REMOTE,
@@ -71,7 +71,7 @@ def test_trajectory_sizes_on_ring(ring_tdes):
 
 def test_trajectory_pins_initial_state(ring_tdes):
     enc = build_encoding(ring_tdes, TRUE, 2)
-    start = enc.w[0][ring_tdes.initial_index]
+    start = enc.w[0][0]
     assert enc.model.lower[start] == enc.model.upper[start] == 1
 
 
@@ -448,11 +448,11 @@ def test_decode_rejects_corrupted_assignment(ring_tdes, phi_avoid_until):
     enc = build_encoding(ring_tdes, phi_avoid_until, 7)
     result = solve(enc.model)
     assert result.feasible
-    values = list(result.assignment.values)
+    values = list(result.assignment)
     flipped = enc.w[1][0], enc.w[1][1]
     values[flipped[0]], values[flipped[1]] = 1, 1
     with pytest.raises(DecodeError):
-        decode(enc, Assignment(tuple(values)))
+        decode(enc, tuple(values))
 
 
 def test_decode_simple_tick_step():

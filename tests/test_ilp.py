@@ -3,7 +3,6 @@ import random
 import pytest
 
 from ticksynth.ilp import (
-    Assignment,
     IlpModel,
     LinearConstraint,
     ModelError,
@@ -89,7 +88,19 @@ def test_truncate_rejects_a_negative_count():
     assert model.num_constraints == 2
     assert model._rows == rows
     assert (model._slack, model._cap, model._tight) == ([1, 1, 0], [1, 1, 1], [2])
-    assert solve(model).assignment.values == (1, 0)
+    assert solve(model).assignment == (1, 0)
+
+
+def test_declared_bounds_are_read_only():
+    # each row's cached slack was computed from the declared bounds
+    model = IlpModel()
+    x = model.add_var("x", 0, 1)
+    model.add([(1, x)], "<=", 0)
+    for bounds in (model.lower, model.upper):
+        with pytest.raises(TypeError):
+            bounds[x] = 1
+    assert (list(model.lower), list(model.upper)) == ([0], [1])
+    assert propagate_bounds(model) == reference_propagate(model) == ([0], [0])
 
 
 def test_branching_follows_the_model_order():
@@ -97,9 +108,9 @@ def test_branching_follows_the_model_order():
     x = model.add_var("x", 0, 1)
     y = model.add_var("y", 0, 1)
     model.add([(1, x), (1, y)], "=", 1)
-    assert solve(model).assignment.values == (0, 1)  # index order: x first
+    assert solve(model).assignment == (0, 1)  # index order: x first
     model.order = [y, x]
-    assert solve(model).assignment.values == (1, 0)
+    assert solve(model).assignment == (1, 0)
     model.order = [y]
     with pytest.raises(ModelError):
         solve(model)
@@ -126,7 +137,7 @@ def test_propagation_forces_tight_sum():
     model.add([(1, x), (1, y)], ">=", 2)
     result = solve(model)
     assert result.feasible
-    assert result.assignment.values == (1, 1)
+    assert result.assignment == (1, 1)
     assert result.nodes == 0  # settled by propagation alone
 
 
@@ -148,7 +159,7 @@ def test_branching_prefers_low_index_and_low_value():
     model.add([(1, x), (1, y)], ">=", 1)
     result = solve(model)
     # x=0 is tried first, then y is forced to 1
-    assert result.assignment.values == (0, 1)
+    assert result.assignment == (0, 1)
 
 
 def test_solver_handles_general_integer_bounds():
@@ -159,7 +170,7 @@ def test_solver_handles_general_integer_bounds():
     model.add([(1, x)], ">=", 1)
     result = solve(model)
     assert result.feasible
-    xv, yv = result.assignment.values
+    xv, yv = result.assignment
     assert 2 * xv + 3 * yv == 12 and xv >= 1
 
 
@@ -168,7 +179,7 @@ def test_duplicate_terms_are_merged():
     x = model.add_var("x", 0, 1)
     model.add([(1, x), (1, x)], ">=", 2)
     result = solve(model)
-    assert result.feasible and result.assignment.values == (1,)
+    assert result.feasible and result.assignment == (1,)
 
 
 def test_verdicts_match_enumeration_on_integer_domains():
@@ -210,7 +221,7 @@ def test_solver_is_deterministic():
         assert first.feasible == second.feasible
         assert first.nodes == second.nodes
         if first.feasible:
-            assert first.assignment.values == second.assignment.values
+            assert first.assignment == second.assignment
 
 
 def test_propagation_keeps_every_feasible_point():
@@ -237,7 +248,7 @@ def test_propagation_matches_full_recompute_reference():
         assert propagate_bounds(model) == expected, f"trial {trial}: {dump(model)}"
         if expected is None:
             conflicts += 1
-        elif expected != (model.lower, model.upper):
+        elif expected != (list(model.lower), list(model.upper)):
             tightened += 1
     # both outcomes must be exercised for the comparison to mean anything
     assert conflicts >= 20 and tightened >= 20
@@ -247,10 +258,10 @@ def test_verifier_reports_violations():
     model = IlpModel()
     x = model.add_var("x", 0, 1)
     model.add([(1, x)], ">=", 1)
-    assert check_assignment(model, Assignment((0,))) != []
-    assert check_assignment(model, Assignment((1,))) == []
-    assert check_assignment(model, Assignment((5,))) != []  # out of bounds
-    assert check_assignment(model, Assignment(())) != []  # wrong arity
+    assert check_assignment(model, (0,)) != []
+    assert check_assignment(model, (1,)) == []
+    assert check_assignment(model, (5,)) != []  # out of bounds
+    assert check_assignment(model, ()) != []  # wrong arity
 
 
 def test_dump_lists_variables_and_rows():

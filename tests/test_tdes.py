@@ -17,10 +17,8 @@ from ticksynth.tdes import (
     SystemFormatError,
     TimedState,
     UnknownEventError,
-    NotEnabledError,
     UntimedDes,
     build_tdes,
-    enabled,
     fixture_path,
     fragment_errors,
     fragment_from_json,
@@ -174,43 +172,43 @@ def test_initial_timer_single_remote():
     assert initial_state(system).timer("go") == 5
 
 
-# --- enabling -----------------------------------------------------------------
+# --- enabling: an event is enabled exactly where step defines a successor ------
 
 def test_tick_enabled_at_ring_initial(ring):
-    assert enabled(ring, initial_state(ring), TICK)
+    assert step(ring, initial_state(ring), TICK) is not None
 
 
 def test_remote_event_needs_zero_timer(ring):
     start = initial_state(ring)
     # not defined at p1 at all
-    assert not enabled(ring, start, "reach14")
+    assert step(ring, start, "reach14") is None
     moved = step(ring, start, "move14")
     assert moved.timer("reach14") == 1
-    assert not enabled(ring, moved, "reach14")
+    assert step(ring, moved, "reach14") is None
     after_tick = step(ring, moved, TICK)
     assert after_tick.timer("reach14") == 0
-    assert enabled(ring, after_tick, "reach14")
+    assert step(ring, after_tick, "reach14") is not None
 
 
 def test_tick_blocked_by_expired_prospective_event():
     system = tiny_system(timing={"go": EventTiming(PROSPECTIVE, 0, 0)})
     start = initial_state(system)
-    assert not enabled(system, start, TICK)
-    assert enabled(system, start, "go")
+    assert step(system, start, TICK) is None
+    assert step(system, start, "go") is not None
 
 
 def test_prospective_window_respects_minimum_delay():
     system = tiny_system(timing={"go": EventTiming(PROSPECTIVE, 1, 3)})
     start = initial_state(system)  # timer 3, window is 0..2
-    assert not enabled(system, start, "go")
+    assert step(system, start, "go") is None
     after = step(system, start, TICK)
     assert after.timer("go") == 2
-    assert enabled(system, after, "go")
+    assert step(system, after, "go") is not None
 
 
 def test_enabled_rejects_unknown_event(ring):
     with pytest.raises(UnknownEventError):
-        enabled(ring, initial_state(ring), "teleport")
+        step(ring, initial_state(ring), "teleport")
 
 
 # --- stepping -----------------------------------------------------------------
@@ -252,26 +250,64 @@ def test_tick_resets_undefined_event_to_default():
 
 
 def test_step_rejects_disabled_event(ring):
-    with pytest.raises(NotEnabledError):
-        step(ring, initial_state(ring), "reach14")
+    assert step(ring, initial_state(ring), "reach14") is None
 
 
 # --- reachable construction ----------------------------------------------------
+
+def _as_reference(graph):
+    """A built graph as the reference's (states, edges) sets."""
+    states = [(s.activity, frozenset(s.timers)) for s in graph.states]
+    edges = {(states[i], ev, states[j]) for (i, ev), j in graph.transitions.items()}
+    return set(states), edges
+
+
+def _document(system: UntimedDes) -> dict:
+    """The JSON document form of ``system``."""
+    events = []
+    for name, tim in sorted(system.timing.items()):
+        entry = {"name": name, "kind": tim.kind, "lower": tim.lower}
+        if tim.upper is not None:
+            entry["upper"] = tim.upper
+        events.append(entry)
+    return {
+        "states": sorted(system.states),
+        "events": events,
+        "transitions": [
+            {"from": src, "event": ev, "to": dst}
+            for (src, ev), dst in sorted(system.transitions.items())
+        ],
+        "initial": system.initial,
+        "atoms": sorted(system.atoms),
+        "labels": {s: sorted(aps) for s, aps in sorted(system.labeling.items())},
+    }
+
 
 def test_ring_reachable_graph_matches_reference(ring, ring_tdes, ring_doc):
     ref_states, ref_edges = reference_reachable_graph(ring_doc)
     assert ring_tdes.n == len(ref_states) == 28
     assert len(ring_tdes.transitions) == len(ref_edges) == 44
+    assert _as_reference(ring_tdes) == (ref_states, ref_edges)
 
-    def as_ref(state):
-        return (state.activity, frozenset(state.timers))
 
-    assert {as_ref(s) for s in ring_tdes.states} == ref_states
-    built_edges = {
-        (as_ref(ring_tdes.states[i]), ev, as_ref(ring_tdes.states[j]))
-        for (i, ev), j in ring_tdes.transitions.items()
-    }
-    assert built_edges == ref_edges
+def test_random_reachable_graphs_match_reference():
+    # ring4's events are all remote; random systems mix in prospective
+    # ones, so tick blocking and the prospective window are cross-checked
+    rng = random.Random(1994)
+    blocked_ticks = prospective_edges = 0
+    for trial in range(120):
+        system = random_system(rng)
+        doc = json.loads(json.dumps(_document(system)))
+        graph = build_tdes(system, state_cap=5000)
+        assert _as_reference(graph) == reference_reachable_graph(doc), trial
+        blocked_ticks += sum(
+            (i, TICK) not in graph.transitions for i in range(graph.n)
+        )
+        prospective_edges += sum(
+            ev != TICK and system.timing[ev].kind == PROSPECTIVE
+            for _, ev in graph.transitions
+        )
+    assert blocked_ticks >= 100 and prospective_edges >= 100
 
 
 def test_build_numbering_is_deterministic(ring):
@@ -329,8 +365,7 @@ def test_tick_disabled_whenever_prospective_expired():
                 and system.defined(state.activity, name)
                 for name, value in state.timers
             )
-            if pending:
-                assert not enabled(system, state, TICK)
+            assert (step(system, state, TICK) is None) == pending
 
 
 # --- fragments ------------------------------------------------------------------
