@@ -13,15 +13,20 @@ threshold indicators on that count.  An until whose left operand is
 ``true`` (every ``F[m,n]``) leaves the constant operands out of its window
 conjunctions.
 
+Only what the pinned root can see is encoded: ``w[k]`` covers the states
+reachable in exactly k steps, and step k the edges leaving them.  The
+root is demanded at position 0, and so are the Boolean operands of a node
+demanded there only; operands of an until, or of a node demanded
+everywhere, are demanded everywhere.  Only demanded positions get
+satisfaction binaries, and an until demanded at 0 only keeps the windows
+anchored at 0.
+
 One model serves a whole horizon range: :func:`build_encoding`, the only
 way to create or extend a model, grows an encoding in place by one step
 at a time.  Every row belongs to one step except the closing rows
 ``z[k] <= sum_j u[k,j]`` of each until, whose window list ends at the
-horizon; they are added last and replaced on every growth.
-Variables are created step by step, so the model carries the branching
-order of the block layout (all state vectors, the steps' selectors and
-tick indicators, the counters, then each subformula's satisfaction and
-window variables) separately from the variable indices.
+horizon; they are added last and replaced on every growth.  The solver
+branches in the order the variables are created, step by step.
 
 Until windows only range over positions inside the horizon: satisfaction
 is never assumed beyond the last encoded step, matching the finite-trace
@@ -60,43 +65,45 @@ class DecodeError(RuntimeError):
 class Encoding:
     """Model plus the registry mapping variables back to run structure.
 
-    ``closing`` is the number of constraints before the closing rows.
+    ``w[k]`` maps the states reachable in k steps, ascending, to their
+    variables; ``edges[k]`` lists the edges leaving ``w[k-1]`` in (source,
+    event) order and ``x[k]`` their selectors.  ``everywhere`` holds the
+    slots demanded at every position.  ``closing`` is the number of
+    constraints before the closing rows.
     """
 
     model: IlpModel
     tdes: TimedDes
     formula: Formula
     table: SubformulaTable
+    everywhere: frozenset[int]
     horizon: int
-    w: list[list[int]] = field(default_factory=list)
+    w: list[dict[int, int]] = field(default_factory=list)
     ze: list[int | None] = field(default_factory=lambda: [None])
     c: list[int | None] = field(default_factory=lambda: [None])
     zphi: dict[tuple[int, int], int] = field(default_factory=dict)
     zc: dict[tuple[int, int, int], tuple[int, int]] = field(default_factory=dict)
     zu: dict[tuple[int, int, int], int] = field(default_factory=dict)
-    edges: list[tuple[int, str, int]] = field(default_factory=list)
+    edges: list[list[tuple[int, str, int]]] = field(default_factory=lambda: [[]])
     x: list[list[int]] = field(default_factory=lambda: [[]])
     closing: int = 0
 
 
 def _start(graph: TimedDes, formula: Formula) -> Encoding:
-    """The horizon-0 model: the initial state vector, pinned by its
-    bounds to state 0 (the initial state), and the formula's position-0
-    binaries, the root pinned true."""
+    """The horizon-0 model: the initial state (state 0) pinned by its
+    bounds, and the formula's position-0 binaries, the root pinned true."""
     table = subformulas(formula)
     for node in table.entries:
         if isinstance(node, Atom) and node.name not in graph.untimed.atoms:
             raise UnknownAtomError(f"atom {node.name!r} is not declared")
+    everywhere: set[int] = set()  # children precede parents in the table
+    for slot in reversed(range(len(table))):
+        if slot in everywhere or isinstance(table.entries[slot], Until):
+            everywhere.update(table.children[slot])
     model = IlpModel()
-    enc = Encoding(model, graph, formula, table, horizon=0)
-    enc.w.append([
-        model.add_var(f"w[0][{i}]", int(i == 0), 1)
-        for i in range(graph.n)
-    ])
-    model.add([(1, v) for v in enc.w[0]], "=", 1)
-    enc.edges = sorted(
-        (i, ev, j) for (i, ev), j in graph.transitions.items()
-    )
+    enc = Encoding(model, graph, formula, table, frozenset(everywhere), horizon=0)
+    enc.w.append({0: model.add_var("w[0][0]", 1, 1)})
+    model.add([(1, enc.w[0][0])], "=", 1)
     _encode_position(enc, 0)
     model.add([(1, enc.zphi[(table.root, 0)])], "=", 1)
     enc.closing = model.num_constraints
@@ -107,31 +114,34 @@ def _encode_step(enc: Encoding, k: int) -> None:
     """State vector, edge selectors, tick indicator and counter of step k.
 
     The one-hot state vector ``w[k]`` is tied to ``w[k-1]`` by the
-    transition selectors ``x[k][t]``: the selectors leaving state i sum to
-    ``w[k-1][i]`` and those entering state j sum to ``w[k][j]``.  With the
-    one-hot rows these imply that exactly one edge fires per step and
-    that every state taken has a predecessor, so neither has rows of its
-    own.  ``ze[k]`` is the sum of step k's tick selectors and ``c[k] =
-    c[k-1] + ze[k]`` in ``[0, k]``.
+    selectors ``x[k][t]`` of the edges ``edges[k][t]``: the selectors
+    leaving state i sum to ``w[k-1][i]`` and those entering state j sum
+    to ``w[k][j]``.  With the one-hot rows these imply that exactly one
+    edge fires per step and that every state taken has a predecessor, so
+    neither has rows of its own.  ``ze[k]`` is the sum of step k's tick
+    selectors and ``c[k] = c[k-1] + ze[k]`` in ``[0, k]``.
     """
-    model, n = enc.model, enc.tdes.n
-    enc.w.append([model.add_var(f"w[{k}][{i}]", 0, 1) for i in range(n)])
+    model, outgoing = enc.model, enc.tdes.outgoing
+    edges = [(i, ev, j) for i in enc.w[k - 1] for ev, j in outgoing[i]]
+    enc.edges.append(edges)
+    reached = sorted({j for _, _, j in edges})
+    enc.w.append({j: model.add_var(f"w[{k}][{j}]", 0, 1) for j in reached})
     # Implied by the selector rows, but propagation needs it: without the
     # one-hot rows the two-goal search takes 89 nodes instead of 87.
-    model.add([(1, v) for v in enc.w[k]], "=", 1)
+    model.add([(1, v) for v in enc.w[k].values()], "=", 1)
     step_vars = [
-        model.add_var(f"x[{k}][{t}]", 0, 1) for t in range(len(enc.edges))
+        model.add_var(f"x[{k}][{t}]", 0, 1) for t in range(len(edges))
     ]
     enc.x.append(step_vars)
     for state, end in ((enc.w[k - 1], 0), (enc.w[k], 2)):
-        terms: list[list[tuple[int, int]]] = [[(1, v)] for v in state]
-        for edge, x in zip(enc.edges, step_vars):
+        terms = {i: [(1, v)] for i, v in state.items()}
+        for edge, x in zip(edges, step_vars):
             terms[edge[end]].append((-1, x))
-        for row in terms:
+        for row in terms.values():
             model.add(row, "=", 0)
     z = model.add_var(f"ze[{k}]", 0, 1)
     enc.ze.append(z)
-    ticks = [(-1, x) for edge, x in zip(enc.edges, step_vars) if edge[1] == TICK]
+    ticks = [(-1, x) for edge, x in zip(edges, step_vars) if edge[1] == TICK]
     model.add([(1, z)] + ticks, "=", 0)
     counter = model.add_var(f"c[{k}]", 0, k)
     terms = [(1, counter), (-1, z)]
@@ -177,16 +187,21 @@ def _and_rows(model: IlpModel, z: int, operands: Sequence[int]) -> None:
 
 
 def _encode_position(enc: Encoding, k: int) -> None:
-    """Satisfaction binaries of every subformula at position k, and every
-    until window that ends there.
+    """Satisfaction binaries of every subformula demanded at position k,
+    and every until window that ends there.
 
     Walks the subformula table bottom-up so shared subtrees are encoded
     once and every operand exists before its rows.
     """
     graph, model, table, zphi = enc.tdes, enc.model, enc.table, enc.zphi
     for slot, node in enumerate(table.entries):
+        # An until demanded at 0 only still gets its window ending at k.
+        demanded = k == 0 or slot in enc.everywhere
+        if not (demanded or isinstance(node, Until)):
+            continue
         kids = table.children[slot]
-        z = zphi[(slot, k)] = model.add_var(f"z{slot}[{k}]", 0, 1)
+        if demanded:
+            z = zphi[(slot, k)] = model.add_var(f"z{slot}[{k}]", 0, 1)
         if isinstance(node, Truth):
             model.add([(1, z)], "=", 1)
         elif isinstance(node, Atom):
@@ -194,8 +209,7 @@ def _encode_position(enc: Encoding, k: int) -> None:
             # threshold inequalities collapse to an equality.
             terms = [(1, z)]
             terms += [
-                (-1, enc.w[k][i])
-                for i in range(graph.n)
+                (-1, v) for i, v in enc.w[k].items()
                 if node.name in graph.label(i)
             ]
             model.add(terms, "=", 0)
@@ -212,7 +226,7 @@ def _encode_position(enc: Encoding, k: int) -> None:
             # An always-true left operand adds nothing to a window's
             # conjunction, so its satisfaction binaries are left out.
             constant_left = isinstance(table.entries[kids[0]], Truth)
-            for a in range(k + 1):
+            for a in range(k + 1 if slot in enc.everywhere else 1):
                 # Window a..k counts c[k] - c[a] ticks, at most k - a;
                 # c[0] = 0 and an empty window have no terms.  This big-M
                 # holds for every horizon that contains the window.
@@ -238,27 +252,17 @@ def _encode_position(enc: Encoding, k: int) -> None:
 
 
 def _close(enc: Encoding) -> None:
-    """Add the closing rows at the current horizon and set the branching
-    order."""
+    """Add the closing rows at the current horizon."""
     model, horizon = enc.model, enc.horizon
     enc.closing = model.num_constraints
-    order = [v for state in enc.w for v in state]
-    for k in range(1, horizon + 1):
-        order += enc.x[k]
-        order.append(enc.ze[k])
-    order += enc.c[1:]
     for slot, node in enumerate(enc.table.entries):
-        order += [enc.zphi[(slot, k)] for k in range(horizon + 1)]
         if not isinstance(node, Until):
             continue
-        for a in range(horizon + 1):
+        for a in range(horizon + 1 if slot in enc.everywhere else 1):
             windows = [enc.zu[(slot, a, j)] for j in range(a, horizon + 1)]
             model.add(
                 [(1, enc.zphi[(slot, a)])] + [(-1, u) for u in windows], "<=", 0
             )
-            for j, u in enumerate(windows, start=a):
-                order += [*enc.zc[(slot, a, j)], u]
-    model.order = order
 
 
 def variable_budget(graph: TimedDes, formula: Formula, horizon: int) -> int:
@@ -327,19 +331,16 @@ def decode(enc: Encoding, assignment: tuple[int, ...]) -> Fragment:
     graph = enc.tdes
     system = graph.untimed
     path = []
-    for k in range(enc.horizon + 1):
-        chosen = [i for i in range(graph.n) if assignment[enc.w[k][i]] == 1]
+    for k, state in enumerate(enc.w):
+        chosen = [i for i, v in state.items() if assignment[v] == 1]
         if len(chosen) != 1:
             raise DecodeError(f"state vector at step {k} is not one-hot")
         path.append(chosen[0])
 
     events = []
     for k in range(1, enc.horizon + 1):
-        picked = [
-            edge
-            for edge, var in zip(enc.edges, enc.x[k])
-            if assignment[var] == 1
-        ]
+        pairs = zip(enc.edges[k], enc.x[k])
+        picked = [edge for edge, var in pairs if assignment[var] == 1]
         if len(picked) != 1:
             raise DecodeError(f"step {k} does not select a unique edge")
         events.append(picked[0][1])

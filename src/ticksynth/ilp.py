@@ -4,8 +4,7 @@ Models hold integer variables with finite bounds and linear constraints
 with integer coefficients; everything stays in exact integer arithmetic,
 so there is no floating point anywhere in the solver.  Solving is
 depth-first branch and bound: integer bounds propagation runs to a
-fixpoint after every decision, the first unfixed variable of the
-model's branching order (index order unless the builder set one) is
+fixpoint after every decision, the unfixed variable of lowest index is
 branched next, and candidate values are tried in ascending order (0
 before 1 for binaries).  The search is completely deterministic.
 
@@ -90,9 +89,6 @@ class IlpModel:
     the verifier.  A finished model is never mutated by :func:`solve`, so
     independent solves of the same model may run concurrently.
 
-    ``order`` is the branching order: every variable index once, or
-    ``None`` for index order.
-
     Declared bounds are fixed at :meth:`add_var`, and ``lower`` and
     ``upper`` are read-only views of them.  Each row's declared slack and
     cap are computed once, when the row is added, and every solve starts
@@ -118,7 +114,6 @@ class IlpModel:
         self._slack: list[int] = []
         self._cap: list[int] = []
         self._tight: list[int] = []
-        self.order: list[int] | None = None
 
     @property
     def num_variables(self) -> int:
@@ -338,26 +333,20 @@ def check_assignment(
 def solve(model: IlpModel) -> SolveResult:
     """Depth-first search with bounds propagation at every node.
 
-    Branching always picks the first unfixed variable of the model's
-    branching order and tries values in ascending order, so identical
-    models yield identical assignments.  ``nodes`` counts value decisions.
+    Branching always picks the unfixed variable of lowest index and tries
+    values in ascending order, so identical models yield identical
+    assignments.  ``nodes`` counts value decisions.
     """
     propagator = _Propagator(model)
     lo, hi, trail = propagator.lo, propagator.hi, propagator.trail
     move, propagate = propagator.move, propagator.propagate
     n = len(lo)
-    order = range(n) if model.order is None else model.order
-    if sorted(order) != list(range(n)):
-        raise ModelError(
-            f"branching order is not a permutation of the {n} variable indices"
-        )
 
-    # Cursors are positions in ``order``.
     def first_unfixed(start: int) -> int:
-        pos = start
-        while pos < n and lo[order[pos]] == hi[order[pos]]:
-            pos += 1
-        return pos
+        var = start
+        while var < n and lo[var] == hi[var]:
+            var += 1
+        return var
 
     def finish(nodes: int) -> SolveResult:
         assignment = tuple(lo)
@@ -371,27 +360,26 @@ def solve(model: IlpModel) -> SolveResult:
     nodes = 0
     if propagate():
         return SolveResult(False, None, nodes)
-    cursor = first_unfixed(0)
-    if cursor == n:
+    var = first_unfixed(0)
+    if var == n:
         return finish(nodes)
 
-    # frames: [variable, value tried, trail mark, cursor before the decision]
+    # frames: [variable, value tried, trail mark]
     stack: list[list[int]] = []
     while True:
-        var = order[cursor]
         value = lo[var]
-        stack.append([var, value, len(trail), cursor])
+        stack.append([var, value, len(trail)])
         nodes += 1
         move(var, True, value)
         if not propagate():
-            cursor = first_unfixed(cursor)
-            if cursor == n:
+            var = first_unfixed(var)
+            if var == n:
                 return finish(nodes)
             continue
         while True:
             if not stack:
                 return SolveResult(False, None, nodes)
-            var, value, mark, at = stack[-1]
+            var, value, mark = stack[-1]
             propagator.undo(mark)
             if value < hi[var]:
                 stack[-1][1] = value + 1
@@ -400,8 +388,8 @@ def solve(model: IlpModel) -> SolveResult:
                 if hi[var] > value + 1:
                     move(var, True, value + 1)
                 if not propagate():
-                    cursor = first_unfixed(at)
-                    if cursor == n:
+                    var = first_unfixed(var)
+                    if var == n:
                         return finish(nodes)
                     break
             else:

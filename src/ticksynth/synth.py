@@ -113,12 +113,6 @@ def synthesize(request: SynthesisRequest) -> SynthesisResult:
 
 def enumerate_fragments(graph: TimedDes, horizon: int) -> Iterator[Fragment]:
     """All runs of exactly ``horizon`` steps, in lexicographic event order."""
-    outgoing: list[list[tuple[str, int]]] = [[] for _ in range(graph.n)]
-    for (i, ev), j in graph.transitions.items():
-        outgoing[i].append((ev, j))
-    for adjacency in outgoing:
-        adjacency.sort()
-
     path = [0]
     events: list[str] = []
 
@@ -128,7 +122,7 @@ def enumerate_fragments(graph: TimedDes, horizon: int) -> Iterator[Fragment]:
                 tuple(graph.states[i] for i in path), tuple(events)
             )
             return
-        for ev, j in outgoing[path[-1]]:
+        for ev, j in graph.outgoing[path[-1]]:
             path.append(j)
             events.append(ev)
             yield from walk(depth + 1)
@@ -150,10 +144,7 @@ def oracle_synthesize(
     start = time.perf_counter()
     graph = build_tdes(request.system, request.state_cap)
     system = request.system
-    degree = [0] * graph.n
-    for i, _ in graph.transitions:
-        degree[i] += 1
-    branching = max(degree)
+    branching = max(len(adjacency) for adjacency in graph.outgoing)
     examined = 0
     for horizon in range(request.horizon_min, request.horizon_max + 1):
         if branching > 1 and branching**horizon > budget:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -247,7 +248,8 @@ class TimedDes:
 
     States are numbered in breadth-first discovery order, so the initial
     state has index 0.  Transitions map (state index, event) to successor
-    index.
+    index; ``outgoing`` lists each state's ``(event, successor)`` pairs,
+    sorted by event.
     """
 
     untimed: UntimedDes
@@ -258,6 +260,13 @@ class TimedDes:
     @property
     def n(self) -> int:
         return len(self.states)
+
+    @cached_property
+    def outgoing(self) -> tuple[tuple[tuple[str, int], ...], ...]:
+        pairs: list[list[tuple[str, int]]] = [[] for _ in self.states]
+        for (i, ev), j in sorted(self.transitions.items()):
+            pairs[i].append((ev, j))
+        return tuple(map(tuple, pairs))
 
     def label(self, i: int) -> frozenset[str]:
         return self.untimed.label(self.states[i].activity)
@@ -469,6 +478,8 @@ def load_system(path: str | Path) -> UntimedDes:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SystemFormatError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise SystemFormatError(f"{path}: JSON nests too deeply") from exc
     try:
         return system_from_json(data)
     except (SystemFormatError, InvalidSystemError) as exc:
@@ -542,6 +553,8 @@ def load_fragment(path: str | Path, system: UntimedDes) -> Fragment:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FragmentError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise FragmentError(f"{path}: JSON nests too deeply") from exc
     try:
         return fragment_from_json(data, system)
     except FragmentError as exc:

@@ -129,9 +129,7 @@ def random_fragment(
     path = [0]
     events = []
     for _ in range(horizon):
-        options = sorted(
-            (ev, j) for (i, ev), j in graph.transitions.items() if i == path[-1]
-        )
+        options = graph.outgoing[path[-1]]
         if not options:
             return None
         ev, j = rng.choice(options)
@@ -309,7 +307,8 @@ def reference_propagate(
 def induced_valuation(enc: Encoding, fragment: Fragment) -> tuple[int, ...]:
     """Valuation a genuine run induces on every variable of the encoding.
 
-    State vectors and edge selectors come from the run itself, tick
+    Only the variables the encoding has are filled.  State vectors and
+    edge selectors come from the run itself, tick
     indicators from its events, prefix tick counters and threshold
     indicators from real tick counts, and satisfaction variables from the
     direct evaluator.
@@ -326,19 +325,17 @@ def induced_valuation(enc: Encoding, fragment: Fragment) -> tuple[int, ...]:
     for k in range(1, horizon + 1):
         values[enc.ze[k]] = 1 if fragment.events[k - 1] == TICK else 0
         values[enc.c[k]] = fragment.count(0, k)
-    lookup = {edge: t for t, edge in enumerate(enc.edges)}
     for k in range(1, horizon + 1):
         edge = (path[k - 1], fragment.events[k - 1], path[k])
-        values[enc.x[k][lookup[edge]]] = 1
+        values[enc.x[k][enc.edges[k].index(edge)]] = 1
 
     table = enc.table
     sat = {}
-    for slot in range(len(table)):
-        for k in range(horizon + 1):
-            sat[(slot, k)] = evaluate(
-                fragment, table.entries[slot], k, system.labeling, system.atoms
-            )
-            values[enc.zphi[(slot, k)]] = int(sat[(slot, k)])
+    for (slot, k), var in enc.zphi.items():
+        sat[(slot, k)] = evaluate(
+            fragment, table.entries[slot], k, system.labeling, system.atoms
+        )
+        values[var] = int(sat[(slot, k)])
     for (slot, k, j), (z_ge, z_le) in enc.zc.items():
         node = table.entries[slot]
         ticks = fragment.count(k, j)

@@ -127,11 +127,7 @@ def test_criterion_5_route_exclusion(ring, ring_tdes):
     least 2+3+1 = 6 ticks by the time it could reach p4, so the 1..5
     window on the p4 goal fails on all of them."""
     goal = parse("F[1,5] ap4")
-    outgoing = [[] for _ in range(ring_tdes.n)]
-    for (i, ev), j in ring_tdes.transitions.items():
-        outgoing[i].append((ev, j))
-    for adjacency in outgoing:
-        adjacency.sort()
+    outgoing = ring_tdes.outgoing
     activity = [s.activity for s in ring_tdes.states]
 
     checked = 0

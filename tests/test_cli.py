@@ -200,6 +200,24 @@ def test_input_errors_exit_two(tmp_path, capsys):
     assert run([]) == 2
 
 
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
+
+
+def test_deeply_nested_system_exits_two(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON, encoding="utf-8")
+    assert run(["build", "--system", str(path)]) == 2
+    assert f"error: {path}: JSON nests too deeply" in capsys.readouterr().err
+
+
+def test_deeply_nested_fragment_exits_two(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON, encoding="utf-8")
+    assert run(["check", "--system", RING, "--fragment", str(path),
+                "--formula", "ap1"]) == 2
+    assert f"error: {path}: JSON nests too deeply" in capsys.readouterr().err
+
+
 def _synth_and_check(formula, capsys):
     codes = (
         run(["synth", "--system", RING, "--formula", formula, "--hmax", "2"]),

@@ -11,7 +11,16 @@ from ticksynth.encode import (
     variable_budget,
 )
 from ticksynth.ilp import IlpModel, check_assignment, dump, propagate_bounds, solve
-from ticksynth.logic import TRUE, Atom, Not, Or, UnknownAtomError, Until, parse
+from ticksynth.logic import (
+    TRUE,
+    And,
+    Atom,
+    Not,
+    Or,
+    UnknownAtomError,
+    Until,
+    parse,
+)
 from ticksynth.tdes import (
     REMOTE,
     TICK,
@@ -55,18 +64,54 @@ def pulse_system():
 def test_trajectory_sizes_on_ring(ring_tdes):
     horizon = 11
     enc = build_encoding(ring_tdes, TRUE, horizon)
-    n, t = ring_tdes.n, len(ring_tdes.transitions)
-    assert (n, t) == (28, 44)
+    assert (ring_tdes.n, len(ring_tdes.transitions)) == (28, 44)
+    # states reachable in k steps, and the edges leaving the layer before
+    layers = [len(state) for state in enc.w]
+    steps = [len(edges) for edges in enc.edges]
+    assert layers == [1, 3, 5, 7, 10, 14, 18, 22, 25, 27, 28, 28]
+    assert steps == [0, 3, 5, 8, 13, 18, 23, 30, 35, 39, 42, 44]
     # state vectors, then per step: selectors, tick indicator, counter;
-    # `true` adds one satisfaction binary per position
-    assert enc.model.num_variables == (horizon + 1) * (n + 1) + horizon * (t + 2)
-    assert enc.model.num_variables == 854
+    # the root `true` is demanded at position 0 only
+    assert enc.model.num_variables == sum(layers) + sum(steps) + 2 * horizon + 1
+    assert enc.model.num_variables == 471
     # one-hot rows, then per step: outgoing, incoming, tick and counter
-    # rows; `true` adds one row per position and the root pin
+    # rows; `true` adds its row and the root pin
     assert enc.model.num_constraints == (
-        (horizon + 1) + horizon * (2 * n + 2) + (horizon + 2)
+        (horizon + 1) + sum(layers[:-1]) + sum(layers[1:]) + 2 * horizon + 2
     )
-    assert enc.model.num_constraints == 663
+    assert enc.model.num_constraints == 383
+
+
+def test_state_vectors_cover_exactly_the_reachable_layers():
+    # the 120 random systems of test_random_reachable_graphs_match_reference
+    rng = random.Random(1994)
+    horizon = 4
+    for _ in range(120):
+        graph = build_tdes(random_system(rng), state_cap=5000)
+        enc = build_encoding(graph, TRUE, horizon)
+        for k in range(horizon + 1):
+            ends = {
+                graph.index[frag.states[-1]]
+                for frag in enumerate_fragments(graph, k)
+            }
+            assert list(enc.w[k]) == sorted(ends)
+
+
+def test_root_demands_only_position_zero(ring_tdes, phi_two_goals):
+    horizon = 11
+    enc = build_encoding(ring_tdes, phi_two_goals, horizon)
+    table = enc.table
+    assert isinstance(table.entries[table.root], And)
+    untils = [
+        slot for slot, node in enumerate(table.entries)
+        if isinstance(node, Until)
+    ]
+    assert len(untils) == 2
+    for slot in untils:
+        # only the windows anchored at 0, one per end position
+        windows = sorted((a, j) for (s, a, j) in enc.zu if s == slot)
+        assert windows == [(0, j) for j in range(horizon + 1)]
+    assert [k for (slot, k) in enc.zphi if slot == table.root] == [0]
 
 
 def test_trajectory_pins_initial_state(ring_tdes):
@@ -205,7 +250,8 @@ def test_unknown_atom_rejected(ring_tdes):
 def test_root_pin_and_registry_names(ring_tdes):
     enc = build_encoding(ring_tdes, parse("F[1,5] ap2"), 3)
     text = dump(enc.model)
-    assert "w[3][27]" in text
+    # states 0..6 are reachable in three steps, state 27 is not
+    assert "w[3][6]" in text and "w[3][27]" not in text
     assert "ze[2]" in text
     assert "cge" in text and "cle" in text
     # trivially satisfiable root
@@ -220,51 +266,31 @@ def test_variable_budget_holds(ring_tdes, phi_two_goals):
     )
 
 
-def test_grown_encoding_branches_in_block_order(ring_tdes, phi_two_goals):
+def test_encoding_grows_only_forward(ring_tdes, phi_two_goals):
     enc = build_encoding(ring_tdes, phi_two_goals, 1)
     assert build_encoding(ring_tdes, phi_two_goals, 2, enc) is enc
-    n, t = ring_tdes.n, len(ring_tdes.transitions)
-    expected = [f"w[{k}][{i}]" for k in range(3) for i in range(n)]
-    for k in (1, 2):
-        expected += [f"x[{k}][{e}]" for e in range(t)] + [f"ze[{k}]"]
-    expected += ["c[1]", "c[2]"]
-    for slot, node in enumerate(enc.table.entries):
-        expected += [f"z{slot}[{k}]" for k in range(3)]
-        if isinstance(node, Until):
-            for a in range(3):
-                for j in range(a, 3):
-                    expected += [
-                        f"cge{slot}[{a},{j}]",
-                        f"cle{slot}[{a},{j}]",
-                        f"u{slot}[{a},{j}]",
-                    ]
-    assert [enc.model.names[var] for var in enc.model.order] == expected
     # growing a step equals building at that horizon
     assert dump(enc.model) == dump(build_encoding(ring_tdes, phi_two_goals, 2).model)
-
-
-def test_encoding_grows_only_forward(ring_tdes, phi_two_goals):
-    enc = build_encoding(ring_tdes, phi_two_goals, 3)
+    build_encoding(ring_tdes, phi_two_goals, 3, enc)
     with pytest.raises(ValueError):
         build_encoding(ring_tdes, phi_two_goals, 2, enc)
     with pytest.raises(ValueError):
         build_encoding(ring_tdes, parse("F[1,5] ap2"), 4, enc)
 
 
-# sha256 of ``dump(model)`` followed by the branching order's variable
-# names, one per line.  Any change to a variable, a row, a big-M or the
-# branching order changes the digest.
+# sha256 of ``dump(model)``.  The solver branches in variable index
+# order, so any change to a variable, a row, a big-M or the branching
+# order changes the digest.
 GOLDEN_MODELS = {
     ("F[1,5] ap2 & F[1,5] ap4", 11):
-        "703e93acb414d5fe05b5bcc51799331f936421754bc45afda494e5895519c0e1",
+        "3874291516a7d997935c918884e8d122d103a30c648b2d3190a0c45dd47a9348",
     ("!ap2 U[3,5] ap3", 7):
-        "4a6d9d06a134a396b41c8f180561e5b6464564690c36e39b6804677b5c17f187",
+        "a468f3741b9f346fa6cf1356d689d9966e4e5ab6e5786ad12a5575232ce718c3",
 }
 
 
 def model_digest(model):
-    text = dump(model) + "".join(model.names[var] + "\n" for var in model.order)
-    return hashlib.sha256(text.encode()).hexdigest()
+    return hashlib.sha256(dump(model).encode()).hexdigest()
 
 
 @pytest.mark.parametrize(("text", "horizon"), list(GOLDEN_MODELS))

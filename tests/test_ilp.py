@@ -103,33 +103,6 @@ def test_declared_bounds_are_read_only():
     assert propagate_bounds(model) == reference_propagate(model) == ([0], [0])
 
 
-def test_branching_follows_the_model_order():
-    model = IlpModel()
-    x = model.add_var("x", 0, 1)
-    y = model.add_var("y", 0, 1)
-    model.add([(1, x), (1, y)], "=", 1)
-    assert solve(model).assignment == (0, 1)  # index order: x first
-    model.order = [y, x]
-    assert solve(model).assignment == (1, 0)
-    model.order = [y]
-    with pytest.raises(ModelError):
-        solve(model)
-
-
-@pytest.mark.parametrize("order", [[0, 1, 3], [0, 0, 0], [2, 1, 1]])
-def test_branching_order_must_be_a_permutation(order):
-    # Feasible (y + z >= 1), but an out-of-range index would crash the
-    # search and a repeated one would leave a variable unbranched.
-    model = IlpModel()
-    x, y, z = (model.add_var(name, 0, 1) for name in "xyz")
-    model.add([(1, y), (1, z)], ">=", 1)
-    model.order = order
-    with pytest.raises(ModelError):
-        solve(model)
-    model.order = [x, y, z]
-    assert solve(model).feasible
-
-
 def test_propagation_forces_tight_sum():
     model = IlpModel()
     x = model.add_var("x", 0, 1)

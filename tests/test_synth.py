@@ -54,7 +54,7 @@ def test_decisive_model_size_is_pinned(ring, phi_two_goals, phi_avoid_until):
     """Variables and constraints of the model that decided the search.
     Growing the model a step per horizon must leave them as a fresh
     build at the decisive horizon has them."""
-    for phi, size in ((phi_two_goals, (1382, 2151)), (phi_avoid_until, (686, 855))):
+    for phi, size in ((phi_two_goals, (581, 639)), (phi_avoid_until, (243, 285))):
         stats = synthesize(SynthesisRequest(ring, phi, 5, 15)).statistics
         assert (stats.variables, stats.constraints) == size
 

@@ -317,6 +317,16 @@ def test_build_numbering_is_deterministic(ring):
     assert first.transitions == second.transitions
 
 
+def test_outgoing_lists_each_state_edges_by_event(ring_tdes):
+    outgoing = ring_tdes.outgoing
+    assert len(outgoing) == ring_tdes.n
+    assert sum(map(len, outgoing)) == len(ring_tdes.transitions)
+    for i, pairs in enumerate(outgoing):
+        assert list(pairs) == sorted(pairs)
+        assert all(ring_tdes.transitions[(i, ev)] == j for ev, j in pairs)
+    assert outgoing[0] == (("move12", 1), ("move14", 2), (TICK, 0))
+
+
 def test_single_state_system_gets_tick_self_loop():
     system = UntimedDes(
         states={"only"},
