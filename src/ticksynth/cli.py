@@ -54,7 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--state-cap",
             type=int,
             default=tdes.DEFAULT_STATE_CAP,
-            help="abort when the reachable timed state count passes this",
+            help="abort when more timed states than this are discovered "
+            "(synth and dump-ilp discover only those their horizons reach)",
         )
 
     p_synth = sub.add_parser("synth", help="search the horizon range for a run")
@@ -223,7 +224,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_dump(args: argparse.Namespace) -> int:
     system = tdes.load_system(args.system)
     formula = parse(_formula_text(args))
-    graph = tdes.build_tdes(system, args.state_cap)
+    graph = tdes.TimedDes(system, args.state_cap)
     enc = encode.build_encoding(graph, formula, args.horizon)
     print(ilp.dump(enc.model), end="")
     return 0

@@ -14,8 +14,8 @@ threshold indicators on that count.  An until whose left operand is
 conjunctions.
 
 Only what the pinned root can see is encoded: ``w[k]`` covers the states
-reachable in exactly k steps, and step k the edges leaving them.  The
-root is demanded at position 0, and so are the Boolean operands of a node
+reachable in exactly k steps, and step k the edges leaving them, which
+step k explores in the timed graph first.  The root is demanded at position 0, and so are the Boolean operands of a node
 demanded there only; operands of an until, or of a node demanded
 everywhere, are demanded everywhere.  Only demanded positions get
 satisfaction binaries, and an until demanded at 0 only keeps the windows
@@ -121,8 +121,9 @@ def _encode_step(enc: Encoding, k: int) -> None:
     neither has rows of its own.  ``ze[k]`` is the sum of step k's tick
     selectors and ``c[k] = c[k-1] + ze[k]`` in ``[0, k]``.
     """
-    model, outgoing = enc.model, enc.tdes.outgoing
-    edges = [(i, ev, j) for i in enc.w[k - 1] for ev, j in outgoing[i]]
+    model, graph = enc.model, enc.tdes
+    graph.explore(max(enc.w[k - 1]))
+    edges = [(i, ev, j) for i in enc.w[k - 1] for ev, j in graph.outgoing[i]]
     enc.edges.append(edges)
     reached = sorted({j for _, _, j in edges})
     enc.w.append({j: model.add_var(f"w[{k}][{j}]", 0, 1) for j in reached})

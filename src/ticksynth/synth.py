@@ -1,7 +1,7 @@
 """Horizon-iterating synthesis driver and its brute-force cross-check.
 
-``synthesize`` builds the timed system once, then walks the horizon range
-upward with one model that grows a step per horizon: extend, solve,
+``synthesize`` walks the horizon range upward with one model that grows a
+step per horizon, exploring the timed graph as it goes: extend, solve,
 decode, certify, so a reported horizon is always backed by a certified
 run and no horizon is encoded twice.  ``oracle_synthesize`` is
 the independent reference: it enumerates every run of each horizon in
@@ -79,12 +79,13 @@ def synthesize(request: SynthesisRequest) -> SynthesisResult:
 
     Horizons are tried in ascending order, the encoding of the previous
     horizon grown in place by one step, so the reported horizon is
-    minimal.  Every returned fragment has been certified by
-    :func:`~ticksynth.encode.decode`, which raises
+    minimal.  Only the timed states the horizons reach are explored, and
+    ``state_cap`` bounds those.  Every returned fragment has been
+    certified by :func:`~ticksynth.encode.decode`, which raises
     :class:`~ticksynth.encode.DecodeError` for a run that fails.
     """
     start = time.perf_counter()
-    graph = build_tdes(request.system, request.state_cap)
+    graph = TimedDes(request.system, request.state_cap)
     total_nodes = 0
     variables = constraints = 0
     enc = None

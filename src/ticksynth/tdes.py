@@ -16,17 +16,15 @@ after which the event may occur at any time.
 As in Brandin and Wonham's timed DES, the rules form one partial
 transition function, :func:`step`: an event is enabled exactly where its
 successor is defined.  This module holds the untimed/timed system types,
-that function, breadth-first construction of the reachable timed system,
-execution fragments with tick-counting and suffix views, JSON ingestion,
-and DOT export.
+that function, the reachable timed system explored breadth-first on
+demand, execution fragments with tick counting, JSON ingestion, and DOT
+export.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -242,74 +240,71 @@ def step(
     return TimedState(target, tuple(items))
 
 
-@dataclass(frozen=True, eq=False)
 class TimedDes:
-    """Reachable timed system as an explicit graph.
+    """The reachable timed system, as far as it has been explored.
 
     States are numbered in breadth-first discovery order, so the initial
-    state has index 0.  Transitions map (state index, event) to successor
-    index; ``outgoing`` lists each state's ``(event, successor)`` pairs,
-    sorted by event.
+    state has index 0, and a new graph holds that state only.
+    :meth:`explore` is the one way to grow it: it expands states in index
+    order, which numbers them exactly as a full breadth-first search
+    does.  ``transitions`` maps (state index, event) to successor index
+    for every expanded state, and ``outgoing[i]``, present once state i
+    is expanded, lists its ``(event, successor)`` pairs sorted by event.
     """
 
-    untimed: UntimedDes
-    states: tuple[TimedState, ...]
-    index: Mapping[TimedState, int]
-    transitions: Mapping[tuple[int, str], int]
+    def __init__(
+        self, untimed: UntimedDes, state_cap: int = DEFAULT_STATE_CAP
+    ) -> None:
+        start = initial_state(untimed)
+        self.untimed = untimed
+        self.state_cap = state_cap
+        self._alphabet = sorted(untimed.events | {TICK})
+        self.states = [start]
+        self.index = {start: 0}
+        self.transitions: dict[tuple[int, str], int] = {}
+        self.outgoing: list[tuple[tuple[str, int], ...]] = []
 
     @property
     def n(self) -> int:
         return len(self.states)
 
-    @cached_property
-    def outgoing(self) -> tuple[tuple[tuple[str, int], ...], ...]:
-        pairs: list[list[tuple[str, int]]] = [[] for _ in self.states]
-        for (i, ev), j in sorted(self.transitions.items()):
-            pairs[i].append((ev, j))
-        return tuple(map(tuple, pairs))
-
     def label(self, i: int) -> frozenset[str]:
         return self.untimed.label(self.states[i].activity)
 
+    def explore(self, through: int) -> None:
+        """Expand every state up to index ``through`` (every state, if no
+        state has that index) that is not expanded yet, in index order,
+        trying events in alphabet order.  Raises :class:`StateCapError`
+        once more than ``state_cap`` states are discovered.
+        """
+        while len(self.outgoing) <= min(through, self.n - 1):
+            i = len(self.outgoing)
+            pairs = []
+            for ev in self._alphabet:
+                succ = step(self.untimed, self.states[i], ev)
+                if succ is None:
+                    continue
+                j = self.index.get(succ)
+                if j is None:
+                    if self.n >= self.state_cap:
+                        raise StateCapError(
+                            "discovered timed state count exceeds cap "
+                            f"{self.state_cap}"
+                        )
+                    j = self.index[succ] = self.n
+                    self.states.append(succ)
+                self.transitions[(i, ev)] = j
+                pairs.append((ev, j))
+            self.outgoing.append(tuple(pairs))
+
 
 def build_tdes(system: UntimedDes, state_cap: int = DEFAULT_STATE_CAP) -> TimedDes:
-    """Explore the reachable timed state space breadth-first.
-
-    State numbering is deterministic: the frontier is processed FIFO and
-    events are tried in lexicographic order over the full alphabet
-    (declared events plus ``tick``).  Raises :class:`StateCapError` once
-    more than ``state_cap`` states are discovered.
-    """
-    alphabet = sorted(system.events | {TICK})
-    start = initial_state(system)
-    states = [start]
-    index = {start: 0}
-    transitions: dict[tuple[int, str], int] = {}
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        current = states[i]
-        for ev in alphabet:
-            succ = step(system, current, ev)
-            if succ is None:
-                continue
-            j = index.get(succ)
-            if j is None:
-                if len(states) >= state_cap:
-                    raise StateCapError(
-                        f"reachable timed state count exceeds cap {state_cap}"
-                    )
-                j = len(states)
-                index[succ] = j
-                states.append(succ)
-                queue.append(j)
-            transitions[(i, ev)] = j
-    return TimedDes(
-        untimed=system,
-        states=tuple(states),
-        index=index,
-        transitions=transitions,
-    )
+    """The whole reachable timed system: every state explored.  Raises
+    :class:`StateCapError` once more than ``state_cap`` states are
+    discovered."""
+    graph = TimedDes(system, state_cap)
+    graph.explore(state_cap)  # no state has index state_cap
+    return graph
 
 
 @dataclass(frozen=True)
@@ -318,8 +313,7 @@ class Fragment:
 
     The structural requirement here is only that lengths line up; whether
     the fragment actually replays on a given system is checked by
-    :func:`fragment_errors`.  Synthesis requests demand horizon >= 1, but
-    suffix views may have horizon 0.
+    :func:`fragment_errors`.
     """
 
     states: tuple[TimedState, ...]
@@ -341,12 +335,6 @@ class Fragment:
         if not 0 <= k <= j <= self.horizon:
             raise IndexError(f"count window ({k}, {j}) out of range")
         return sum(1 for ev in self.events[k:j] if ev == TICK)
-
-    def suffix(self, k: int) -> "Fragment":
-        """View of the run from position k onward."""
-        if not 0 <= k <= self.horizon:
-            raise IndexError(f"suffix index {k} out of range")
-        return Fragment(self.states[k:], self.events[k:])
 
     def activities(self) -> tuple[str, ...]:
         return tuple(s.activity for s in self.states)
@@ -578,14 +566,21 @@ def fixture_path(name: str) -> Path:
 
 # --- DOT export -------------------------------------------------------------
 
+def _dot_text(text: str) -> str:
+    """``text`` escaped for a quoted DOT string or a ``//`` comment line."""
+    return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
 def untimed_to_dot(system: UntimedDes) -> str:
     lines = ["digraph activity {", "  rankdir=LR;", "  node [shape=circle];"]
     for state in sorted(system.states):
-        aps = ",".join(sorted(system.label(state)))
-        label = f"{state}\\n{{{aps}}}" if aps else state
+        name = _dot_text(state)
+        aps = _dot_text(",".join(sorted(system.label(state))))
+        label = f"{name}\\n{{{aps}}}" if aps else name
         shape = ' style=bold' if state == system.initial else ""
-        lines.append(f'  "{state}" [label="{label}"{shape}];')
+        lines.append(f'  "{name}" [label="{label}"{shape}];')
     for (src, ev), dst in sorted(system.transitions.items()):
+        src, ev, dst = map(_dot_text, (src, ev, dst))
         lines.append(f'  "{src}" -> "{dst}" [label="{ev}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -605,7 +600,7 @@ def tdes_to_dot(graph: TimedDes, highlight: Fragment | None = None) -> str:
         for k, ev in enumerate(highlight.events):
             hot_edges.add((idx[k], ev, idx[k + 1]))
 
-    order = ",".join(graph.untimed.event_order())
+    order = _dot_text(",".join(graph.untimed.event_order()))
     lines = [
         "digraph timed {",
         f"  // timer order: {order}",
@@ -614,12 +609,12 @@ def tdes_to_dot(graph: TimedDes, highlight: Fragment | None = None) -> str:
     ]
     for i, state in enumerate(graph.states):
         timers = ",".join(str(v) for _, v in state.timers)
-        attrs = f'label="{state.activity} | {timers}"'
+        attrs = f'label="{_dot_text(state.activity)} | {timers}"'
         if i in hot_states:
             attrs += ", color=red, fontcolor=red"
         lines.append(f"  n{i} [{attrs}];")
     for (i, ev), j in sorted(graph.transitions.items()):
-        attrs = f'label="{ev}"'
+        attrs = f'label="{_dot_text(ev)}"'
         if ev == TICK:
             attrs += ", style=dashed"
         if (i, ev, j) in hot_edges:

@@ -306,6 +306,14 @@ def test_state_cap_flag(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_synth_state_cap_bounds_only_the_states_its_horizons_reach(capsys):
+    cap = ["--system", RING, "--state-cap", "24"]
+    assert run(["synth", *cap, "--formula", AVOID_UNTIL, "--hmax", "7"]) == 0
+    assert "horizon: 7" in capsys.readouterr().out.splitlines()
+    assert run(["build", *cap]) == 2
+    assert "exceeds cap 24" in capsys.readouterr().err
+
+
 def test_byte_identical_reruns(capsys):
     args = [
         "synth", "--system", RING, "--formula", AVOID_UNTIL,

@@ -97,6 +97,19 @@ def test_state_vectors_cover_exactly_the_reachable_layers():
             assert list(enc.w[k]) == sorted(ends)
 
 
+def test_model_over_explored_graph_matches_model_over_full_graph():
+    # the 120 random systems of test_random_reachable_graphs_match_reference
+    rng, formulas = random.Random(1994), random.Random(5)
+    for trial in range(120):
+        system = random_system(rng)
+        full = build_tdes(system, state_cap=5000)
+        for horizon in range(1, 5):
+            phi = random_formula(formulas, sorted(system.atoms), horizon)
+            explored = build_encoding(TimedDes(system), phi, horizon)
+            expected = build_encoding(full, phi, horizon)
+            assert dump(explored.model) == dump(expected.model), trial
+
+
 def test_root_demands_only_position_zero(ring_tdes, phi_two_goals):
     horizon = 11
     enc = build_encoding(ring_tdes, phi_two_goals, horizon)
@@ -135,17 +148,12 @@ def test_single_state_tick_loop_forces_every_step():
 
 
 def test_dead_end_state_makes_longer_horizons_infeasible():
-    system = pulse_system()
-    graph = build_tdes(system)
-    # synthetic copy whose transition relation loses every edge out of s1
-    pruned = TimedDes(
-        untimed=system,
-        states=graph.states,
-        index=graph.index,
-        transitions={
-            key: j for key, j in graph.transitions.items() if key[0] != 1
-        },
-    )
+    # the whole graph, then every edge out of s1 dropped
+    pruned = build_tdes(pulse_system())
+    pruned.outgoing[1] = ()
+    pruned.transitions = {
+        key: j for key, j in pruned.transitions.items() if key[0] != 1
+    }
     enc = build_encoding(pruned, TRUE, 2)
     assert not solve(enc.model).feasible
     enc1 = build_encoding(pruned, TRUE, 1)

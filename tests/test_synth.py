@@ -11,7 +11,7 @@ from ticksynth.synth import (
     oracle_synthesize,
     synthesize,
 )
-from ticksynth.tdes import build_tdes
+from ticksynth.tdes import StateCapError, build_tdes
 
 from helpers import random_formula, random_system
 
@@ -48,6 +48,18 @@ def test_exact_search_effort_is_pinned(ring, phi_two_goals, phi_avoid_until):
     for phi, horizon, nodes in ((phi_two_goals, 11, 87), (phi_avoid_until, 7, 6)):
         result = synthesize(SynthesisRequest(ring, phi, 5, 15))
         assert (result.horizon, result.statistics.nodes) == (horizon, nodes)
+
+
+def test_state_cap_bounds_only_the_states_the_horizons_reach(
+    ring, phi_avoid_until
+):
+    # ring4 has 28 timed states; horizons 1..7 discover 22 of them
+    with pytest.raises(StateCapError):
+        build_tdes(ring, 24)
+    capped = synthesize(SynthesisRequest(ring, phi_avoid_until, 1, 7, 24))
+    default = synthesize(SynthesisRequest(ring, phi_avoid_until, 1, 7))
+    assert capped.horizon == default.horizon == 7
+    assert capped.fragment == default.fragment
 
 
 def test_decisive_model_size_is_pinned(ring, phi_two_goals, phi_avoid_until):

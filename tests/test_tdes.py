@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from ticksynth.tdes import (
     InvalidSystemError,
     StateCapError,
     SystemFormatError,
+    TimedDes,
     TimedState,
     UnknownEventError,
     UntimedDes,
@@ -310,6 +312,39 @@ def test_random_reachable_graphs_match_reference():
     assert blocked_ticks >= 100 and prospective_edges >= 100
 
 
+def bfs_depths(graph):
+    """Each state's distance from the initial state in the full graph."""
+    depth = [0] + [None] * (graph.n - 1)
+    for i in range(graph.n):
+        for _, j in graph.outgoing[i]:
+            if depth[j] is None:
+                depth[j] = depth[i] + 1
+    return depth
+
+
+def test_explored_prefix_matches_full_graph():
+    # the 120 random systems of test_random_reachable_graphs_match_reference
+    rng = random.Random(1994)
+    for trial in range(120):
+        system = random_system(rng)
+        full = build_tdes(system, state_cap=5000)
+        depth = bfs_depths(full)
+        last = {d: i for i, d in enumerate(depth)}  # depths ascend
+        for d in range(min(4, max(depth)) + 1):
+            graph = TimedDes(system)
+            graph.explore(last[d])
+            n = graph.n
+            # expanding depths 0..d discovers exactly depths 0..d+1
+            assert n == last.get(d + 1, last[d]) + 1, trial
+            assert graph.states == full.states[:n]
+            assert all(graph.index[s] == i for i, s in enumerate(graph.states))
+            assert graph.outgoing == full.outgoing[:last[d] + 1]
+            assert graph.transitions == {
+                (i, ev): j for (i, ev), j in full.transitions.items()
+                if i <= last[d]
+            }
+
+
 def test_build_numbering_is_deterministic(ring):
     first = build_tdes(ring)
     second = build_tdes(ring)
@@ -386,19 +421,6 @@ def test_count_over_mixed_event_sequence():
     assert frag.count(1, 3) == 1
     for k in range(4):
         assert frag.count(k, k) == 0
-
-
-def test_suffix_views():
-    frag = abstract_fragment(["a", "a", "b", "a"], ["tick", "sigma", "tick"])
-    assert frag.suffix(0) == frag
-    tail = frag.suffix(1)
-    assert tail.activities() == ("a", "b", "a")
-    assert tail.events == ("sigma", "tick")
-    end = frag.suffix(3)
-    assert end.events == ()
-    assert end.activities() == ("a",)
-    with pytest.raises(IndexError):
-        frag.suffix(4)
     with pytest.raises(IndexError):
         frag.count(2, 1)
 
@@ -532,6 +554,35 @@ def test_dot_exports(ring, ring_tdes, route_a):
     overlay = tdes_to_dot(ring_tdes, highlight=route_a)
     assert "color=red" in overlay
     assert overlay != plain
+
+
+# A DOT quoted string: no bare quote, backslash or newline inside.
+DOT_STRING = re.compile(r'"(?:[^"\\\n]|\\[^\n])*"')
+
+
+def test_dot_exports_escape_quotes_backslashes_and_newlines():
+    odd = 'a"b\\c\nd'
+    system = UntimedDes(
+        states={odd, "plain"},
+        events={'go"x', "back\nstep"},
+        transitions={(odd, 'go"x'): "plain", ("plain", "back\nstep"): odd},
+        initial=odd,
+        atoms={'p"q'},
+        labeling={odd: {'p"q'}},
+        timing={
+            'go"x': EventTiming(REMOTE, 0),
+            "back\nstep": EventTiming(REMOTE, 1),
+        },
+    )
+    untimed = untimed_to_dot(system).splitlines()
+    timed = tdes_to_dot(build_tdes(system)).splitlines()
+    # 3 + 2 states + 2 transitions + 1, and 4 + 3 states + 5 edges + 1
+    assert (len(untimed), len(timed)) == (8, 13)
+    assert r'  "a\"b\\c\nd" -> "plain" [label="go\"x"];' in untimed
+    assert r'  // timer order: back\nstep,go\"x' in timed
+    for line in untimed + timed[2:]:
+        # outside its quoted strings a line holds no quote or backslash
+        assert not {'"', "\\"} & set(DOT_STRING.sub("", line)), line
 
 
 # --- JSON fuzzing -------------------------------------------------------------
