@@ -55,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
             type=int,
             default=tdes.DEFAULT_STATE_CAP,
             help="abort when more timed states than this are discovered "
-            "(synth and dump-ilp discover only those their horizons reach)",
+            "(synth and dump-ilp discover only those their horizons reach; "
+            "synth --format dot draws, and so discovers, the whole graph)",
         )
 
     p_synth = sub.add_parser("synth", help="search the horizon range for a run")
@@ -141,11 +142,12 @@ def _run_request(
         horizon_max=args.hmax,
         state_cap=args.state_cap,
     )
+    if args.format == "dot":  # over the cap, fail before the search
+        graph = tdes.build_tdes(system, args.state_cap)
     result = search(request)
     if args.format == "json":
         print(json.dumps(_result_payload(result), indent=2, sort_keys=True))
     elif args.format == "dot":
-        graph = tdes.build_tdes(system, args.state_cap)
         print(tdes.tdes_to_dot(graph, highlight=result.fragment), end="")
     else:
         print(f"found: {'yes' if result.found else 'no'}")

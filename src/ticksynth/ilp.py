@@ -3,10 +3,12 @@
 Models hold integer variables with finite bounds and linear constraints
 with integer coefficients; everything stays in exact integer arithmetic,
 so there is no floating point anywhere in the solver.  Solving is
-depth-first branch and bound: integer bounds propagation runs to a
-fixpoint after every decision, the unfixed variable of lowest index is
-branched next, and candidate values are tried in ascending order (0
-before 1 for binaries).  The search is completely deterministic.
+depth-first branch and bound in one decide–propagate–backtrack loop:
+integer bounds propagation runs to a fixpoint after every decision, the
+unfixed variable of lowest index is branched next, candidate values are
+tried in ascending order (0 before 1 for binaries), and backtracking
+undoes the trail of bound moves to the deepest frame with a value left.
+The search is completely deterministic.
 
 Propagation is incremental and activity based, and ``solve`` and
 ``propagate_bounds`` share it.  Declared bounds are fixed at ``add_var``,
@@ -333,67 +335,48 @@ def check_assignment(
 def solve(model: IlpModel) -> SolveResult:
     """Depth-first search with bounds propagation at every node.
 
-    Branching always picks the unfixed variable of lowest index and tries
-    values in ascending order, so identical models yield identical
-    assignments.  ``nodes`` counts value decisions.
+    One loop: propagate (the root first, then each decision); if there is
+    no conflict, push a frame for the unfixed variable of lowest index,
+    or return the assignment once every variable is fixed.  Then undo to
+    the deepest frame whose variable still has a value left, fix it to
+    that value and loop.  Values are tried in ascending order, so
+    identical models yield identical assignments.  ``nodes`` counts value
+    decisions.
     """
     propagator = _Propagator(model)
     lo, hi, trail = propagator.lo, propagator.hi, propagator.trail
-    move, propagate = propagator.move, propagator.propagate
+    move, propagate, undo = propagator.move, propagator.propagate, propagator.undo
     n = len(lo)
-
-    def first_unfixed(start: int) -> int:
-        var = start
-        while var < n and lo[var] == hi[var]:
-            var += 1
-        return var
-
-    def finish(nodes: int) -> SolveResult:
-        assignment = tuple(lo)
-        problems = check_assignment(model, assignment)
-        if problems:
-            raise RuntimeError(
-                "solver produced an invalid assignment: " + "; ".join(problems)
-            )
-        return SolveResult(True, assignment, nodes)
-
-    nodes = 0
-    if propagate():
-        return SolveResult(False, None, nodes)
-    var = first_unfixed(0)
-    if var == n:
-        return finish(nodes)
-
-    # frames: [variable, value tried, trail mark]
-    stack: list[list[int]] = []
+    nodes = var = 0
+    stack: list[list[int]] = []  # frames: [variable, next value, trail mark]
     while True:
-        value = lo[var]
-        stack.append([var, value, len(trail)])
-        nodes += 1
-        move(var, True, value)
         if not propagate():
-            var = first_unfixed(var)
+            while var < n and lo[var] == hi[var]:
+                var += 1
             if var == n:
-                return finish(nodes)
-            continue
-        while True:
-            if not stack:
-                return SolveResult(False, None, nodes)
+                assignment = tuple(lo)
+                problems = check_assignment(model, assignment)
+                if problems:
+                    raise RuntimeError(
+                        "solver produced an invalid assignment: "
+                        + "; ".join(problems)
+                    )
+                return SolveResult(True, assignment, nodes)
+            stack.append([var, lo[var], len(trail)])
+        while stack:
             var, value, mark = stack[-1]
-            propagator.undo(mark)
-            if value < hi[var]:
-                stack[-1][1] = value + 1
-                nodes += 1
-                move(var, False, value + 1)
-                if hi[var] > value + 1:
-                    move(var, True, value + 1)
-                if not propagate():
-                    var = first_unfixed(var)
-                    if var == n:
-                        return finish(nodes)
-                    break
-            else:
-                stack.pop()
+            undo(mark)
+            if value <= hi[var]:
+                break
+            stack.pop()
+        if not stack:
+            return SolveResult(False, None, nodes)
+        stack[-1][1] = value + 1
+        nodes += 1
+        if lo[var] < value:
+            move(var, False, value)
+        if hi[var] > value:
+            move(var, True, value)
 
 
 def dump(model: IlpModel) -> str:

@@ -255,6 +255,8 @@ class TimedDes:
     def __init__(
         self, untimed: UntimedDes, state_cap: int = DEFAULT_STATE_CAP
     ) -> None:
+        if state_cap < 1:
+            raise ValueError(f"state cap must be at least 1, got {state_cap}")
         start = initial_state(untimed)
         self.untimed = untimed
         self.state_cap = state_cap

@@ -304,6 +304,27 @@ def test_invalid_system_exits_two(tmp_path, capsys, ring_doc):
 def test_state_cap_flag(capsys):
     assert run(["build", "--system", RING, "--state-cap", "5"]) == 2
     assert "cap" in capsys.readouterr().err
+    oracle = ["oracle", "--formula", "ap1", "--hmax", "2"]
+    for cap in ("-3", "0"):
+        for command in (["build"], oracle):
+            args = [*command, "--system", RING, "--state-cap", cap]
+            assert run(args) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"state cap must be at least 1, got {cap}" in captured.err
+
+
+def test_synth_dot_over_the_cap_fails_before_the_search(capsys, monkeypatch):
+    # the overlay draws the whole graph (28 states), so it is built first
+    def no_search(request):
+        raise AssertionError("the search ran before the cap was checked")
+
+    monkeypatch.setattr("ticksynth.synth.synthesize", no_search)
+    assert run([
+        "synth", "--system", RING, "--formula", AVOID_UNTIL,
+        "--hmax", "7", "--format", "dot", "--state-cap", "24",
+    ]) == 2
+    assert "exceeds cap 24" in capsys.readouterr().err
 
 
 def test_synth_state_cap_bounds_only_the_states_its_horizons_reach(capsys):

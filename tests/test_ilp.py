@@ -6,6 +6,7 @@ from ticksynth.ilp import (
     IlpModel,
     LinearConstraint,
     ModelError,
+    SolveResult,
     check_assignment,
     dump,
     propagate_bounds,
@@ -147,6 +148,19 @@ def test_solver_handles_general_integer_bounds():
     assert 2 * xv + 3 * yv == 12 and xv >= 1
 
 
+def test_general_integer_branch_tries_each_value_in_turn():
+    # x=0 and x=1 each force y=z=1 against y+z<=1; x=2 fixes only its
+    # lower bound (its upper bound is already 2), then y=0 forces z=1
+    for x_lower, x_upper in ((0, 2), (-2, 3)):
+        model = IlpModel()
+        x = model.add_var("x", x_lower, x_upper)
+        y = model.add_var("y", 0, 1)
+        z = model.add_var("z", 0, 1)
+        model.add([(1, x), (2, y), (2, z)], ">=", 4)
+        model.add([(1, y), (1, z)], "<=", 1)
+        assert solve(model) == SolveResult(True, (2, 0, 1), 4)
+
+
 def test_duplicate_terms_are_merged():
     model = IlpModel()
     x = model.add_var("x", 0, 1)
@@ -156,22 +170,33 @@ def test_duplicate_terms_are_merged():
 
 
 def test_verdicts_match_enumeration_on_integer_domains():
+    # Branching in index order on ascending values, with a propagation that
+    # keeps every feasible point, finds the lexicographically least one:
+    # the first point the enumeration yields.  The first 60 models (up to
+    # 8 rows) are mostly infeasible; the 200 looser ones, with up to 4 rows
+    # and spans of 1-5, are feasible far more often.
     rng = random.Random(8675309)
-    for trial in range(60):
+    shapes = [(8, 0)] * 60 + [(4, 1)] * 200  # (most rows, least span)
+    feasible = 0
+    for trial, (most_rows, least_span) in enumerate(shapes):
         model = IlpModel()
         n = rng.randint(1, 5)
         for v in range(n):
             lo = rng.randint(-3, 2)
-            model.add_var(f"v{v}", lo, lo + rng.randint(0, 4))
-        for _ in range(rng.randint(1, 8)):
+            span = rng.randint(least_span, least_span + 4)
+            model.add_var(f"v{v}", lo, lo + span)
+        for _ in range(rng.randint(1, most_rows)):
             support = rng.sample(range(n), rng.randint(1, n))
             terms = [(rng.choice([-3, -2, -1, 1, 2, 3]), v) for v in support]
             model.add(terms, rng.choice(["<=", ">=", "="]), rng.randint(-6, 6))
         got = solve(model)
-        expected = next(iter(enumerate_feasible(model)), None) is not None
-        assert got.feasible == expected, f"trial {trial}: {dump(model)}"
+        least = next(iter(enumerate_feasible(model)), None)
+        assert got.assignment == least, f"trial {trial}: {dump(model)}"
+        assert got.feasible == (least is not None)
         if got.feasible:
             assert check_assignment(model, got.assignment) == []
+            feasible += 1
+    assert feasible >= 60  # the least-point comparison must be exercised
 
 
 def test_verdicts_match_enumeration_on_random_models():

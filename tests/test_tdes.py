@@ -380,6 +380,10 @@ def test_single_state_system_gets_tick_self_loop():
 def test_state_cap_aborts_construction(ring):
     with pytest.raises(StateCapError):
         build_tdes(ring, state_cap=5)
+    # the initial state alone needs a cap of 1
+    with pytest.raises(ValueError, match="state cap must be at least 1"):
+        TimedDes(ring, 0)
+    assert TimedDes(ring, 1).n == 1
 
 
 def test_build_refuses_invalid_system():
