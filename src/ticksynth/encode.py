@@ -3,23 +3,27 @@
 The timed system's run of horizon ``H`` is encoded with one-hot binary
 state vectors ``w[k]`` (k = 0..H) tied step to step by one binary per
 (step, transition) selecting the edge taken; there are no adjacency rows.
-The tick indicator ``ze[k]`` is the sum of the step's tick selectors, so
-it is exact by construction.  Prefix tick counters
-``c[k]`` (the integer ``ze[1] + ... + ze[k]``, with ``c[0] = 0`` left out)
-make the tick count of window k..j the two-term expression
-``c[j] - c[k]``.  Formula satisfaction introduces one binary per
-(subformula, position), with until windows handled through big-M
-threshold indicators on that count.  An until whose left operand is
-``true`` (every ``F[m,n]``) leaves the constant operands out of its window
-conjunctions.
+A selector or state that the selector rows force equal to an earlier
+variable is that variable, so an ``x[k]`` entry may be a state's
+variable, and ``dump-ilp`` names a merged variable after its earliest
+state.  The tick indicator
+``ze[k]`` is the sum of the step's tick selectors, so it is exact by
+construction.  Prefix tick counters ``c[k]`` (the integer
+``ze[1] + ... + ze[k]``, with ``c[0] = 0`` left out) make the tick count
+of window k..j the two-term expression ``c[j] - c[k]``.  Formula
+satisfaction introduces one binary per (subformula, position), with
+until windows handled through big-M threshold indicators on that count.
+An until whose left operand is ``true`` (every ``F[m,n]``) leaves the
+constant operands out of its window conjunctions.
 
-Only what the pinned root can see is encoded: ``w[k]`` covers the states
-reachable in exactly k steps, and step k the edges leaving them, which
-step k explores in the timed graph first.  The root is demanded at position 0, and so are the Boolean operands of a node
-demanded there only; operands of an until, or of a node demanded
-everywhere, are demanded everywhere.  Only demanded positions get
-satisfaction binaries, and an until demanded at 0 only keeps the windows
-anchored at 0.
+Only what the pinned root can see is encoded.  ``w[k]`` covers the
+states reachable in exactly k steps, and step k covers the edges leaving
+the states of ``w[k-1]``; step k explores those states in the timed
+graph before it reads their edges.  The root is demanded at position 0,
+and so are the Boolean operands of a node demanded there only; operands
+of an until, or of a node demanded everywhere, are demanded everywhere.
+Only demanded positions get satisfaction binaries, and an until demanded
+at 0 only keeps the windows anchored at 0.
 
 One model serves a whole horizon range: :func:`build_encoding`, the only
 way to create or extend a model, grows an encoding in place by one step
@@ -37,6 +41,7 @@ evaluator; a run that fails certification is never returned.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -67,8 +72,10 @@ class Encoding:
 
     ``w[k]`` maps the states reachable in k steps, ascending, to their
     variables; ``edges[k]`` lists the edges leaving ``w[k-1]`` in (source,
-    event) order and ``x[k]`` their selectors.  ``everywhere`` holds the
-    slots demanded at every position.  ``closing`` is the number of
+    event) order and ``x[k]`` their selectors.  An ``x[k]`` or ``w[k]``
+    entry may be the variable of a state of ``w[k-1]`` or ``w[k]``
+    (see :func:`_encode_step`), so one variable may serve several steps.
+    ``everywhere`` holds the slots demanded at every position.  ``closing`` is the number of
     constraints before the closing rows.
     """
 
@@ -120,24 +127,45 @@ def _encode_step(enc: Encoding, k: int) -> None:
     edge fires per step and that every state taken has a predecessor, so
     neither has rows of its own.  ``ze[k]`` is the sum of step k's tick
     selectors and ``c[k] = c[k-1] + ze[k]`` in ``[0, k]``.
+
+    A variable those rows force equal to an earlier one is that variable.
+    The only edge leaving i is selected by ``w[k-1][i]``, and otherwise
+    the only edge entering j by ``w[k][j]``; a state entered only by the
+    only edge leaving i is ``w[k-1][i]``.  So a selector row is added only
+    for a state left or entered by several edges (or left by none): any
+    other would read ``0 = 0``.  The kept variable precedes the one it
+    stands for, so the solver, branching in index order, searches as it
+    would over separate copies.
     """
     model, graph = enc.model, enc.tdes
-    graph.explore(max(enc.w[k - 1]))
-    edges = [(i, ev, j) for i in enc.w[k - 1] for ev, j in graph.outgoing[i]]
+    before = enc.w[k - 1]
+    graph.explore(max(before))
+    edges = [(i, ev, j) for i in before for ev, j in graph.outgoing[i]]
     enc.edges.append(edges)
-    reached = sorted({j for _, _, j in edges})
-    enc.w.append({j: model.add_var(f"w[{k}][{j}]", 0, 1) for j in reached})
+    leaving = Counter(i for i, _, _ in edges)
+    entering = Counter(j for _, _, j in edges)
+    copies = {
+        j: before[i] for i, _, j in edges if leaving[i] == entering[j] == 1
+    }
+    enc.w.append({
+        j: copies[j] if j in copies else model.add_var(f"w[{k}][{j}]", 0, 1)
+        for j in sorted(entering)
+    })
     # Implied by the selector rows, but propagation needs it: without the
     # one-hot rows the two-goal search takes 89 nodes instead of 87.
     model.add([(1, v) for v in enc.w[k].values()], "=", 1)
     step_vars = [
-        model.add_var(f"x[{k}][{t}]", 0, 1) for t in range(len(edges))
+        before[i] if leaving[i] == 1
+        else enc.w[k][j] if entering[j] == 1
+        else model.add_var(f"x[{k}][{t}]", 0, 1)
+        for t, (i, _, j) in enumerate(edges)
     ]
     enc.x.append(step_vars)
-    for state, end in ((enc.w[k - 1], 0), (enc.w[k], 2)):
-        terms = {i: [(1, v)] for i, v in state.items()}
+    for state, end, count in ((before, 0, leaving), (enc.w[k], 2, entering)):
+        terms = {i: [(1, v)] for i, v in state.items() if count[i] != 1}
         for edge, x in zip(edges, step_vars):
-            terms[edge[end]].append((-1, x))
+            if edge[end] in terms:
+                terms[edge[end]].append((-1, x))
         for row in terms.values():
             model.add(row, "=", 0)
     z = model.add_var(f"ze[{k}]", 0, 1)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -70,16 +71,23 @@ def test_trajectory_sizes_on_ring(ring_tdes):
     steps = [len(edges) for edges in enc.edges]
     assert layers == [1, 3, 5, 7, 10, 14, 18, 22, 25, 27, 28, 28]
     assert steps == [0, 3, 5, 8, 13, 18, 23, 30, 35, 39, 42, 44]
-    # state vectors, then per step: selectors, tick indicator, counter;
-    # the root `true` is demanded at position 0 only
-    assert enc.model.num_variables == sum(layers) + sum(steps) + 2 * horizon + 1
-    assert enc.model.num_variables == 471
-    # one-hot rows, then per step: outgoing, incoming, tick and counter
-    # rows; `true` adds its row and the root pin
-    assert enc.model.num_constraints == (
-        (horizon + 1) + sum(layers[:-1]) + sum(layers[1:]) + 2 * horizon + 2
-    )
-    assert enc.model.num_constraints == 383
+    # distinct state and selector variables, then per step: tick
+    # indicator and counter; the root `true` is demanded at position 0 only
+    run = {v for state in enc.w for v in state.values()}
+    run |= {v for step in enc.x for v in step}
+    assert enc.model.num_variables == len(run) + 2 * horizon + 1
+    assert enc.model.num_variables == 256
+    # one-hot rows, then per step: the outgoing rows of states left by
+    # several edges, the incoming rows of states entered by several, tick
+    # and counter rows; `true` adds its row and the root pin
+    shared = 0
+    for edges in enc.edges[1:]:
+        leaving = Counter(i for i, _, _ in edges)
+        entering = Counter(j for _, _, j in edges)
+        shared += sum(n >= 2 for n in leaving.values())
+        shared += sum(n >= 2 for n in entering.values())
+    assert enc.model.num_constraints == (horizon + 1) + shared + 2 * horizon + 2
+    assert enc.model.num_constraints == 168
 
 
 def test_state_vectors_cover_exactly_the_reachable_layers():
@@ -95,6 +103,46 @@ def test_state_vectors_cover_exactly_the_reachable_layers():
                 for frag in enumerate_fragments(graph, k)
             }
             assert list(enc.w[k]) == sorted(ends)
+
+
+def assert_no_forced_copies(enc):
+    """Every selector an earlier variable forces is that variable, and no
+    row equates two run variables or names a variable twice."""
+    names = enc.model.names
+    for k in range(1, enc.horizon + 1):
+        edges, before, after = enc.edges[k], enc.w[k - 1], enc.w[k]
+        leaving = Counter(i for i, _, _ in edges)
+        entering = Counter(j for _, _, j in edges)
+        for t, ((i, _, j), x) in enumerate(zip(edges, enc.x[k])):
+            if leaving[i] == 1:
+                assert x == before[i]
+            elif entering[j] == 1:
+                assert x == after[j]
+            else:
+                assert names[x] == f"x[{k}][{t}]"
+            if entering[j] == 1:
+                copy = leaving[i] == 1
+                assert (after[j] == before[i]) == copy
+                assert copy or names[after[j]] == f"w[{k}][{j}]"
+    run = {v for state in enc.w for v in state.values()}
+    run |= {v for step in enc.x for v in step}
+    for row in enc.model.constraints:
+        variables = [var for _, var in row.terms]
+        assert len(variables) == len(set(variables)), row
+        if len(row.terms) == 2 and set(variables) <= run:
+            # only a one-hot row of a two-state layer has this shape
+            assert [coef for coef, _ in row.terms] == [1, 1], row
+
+
+def test_forced_selectors_reuse_their_state_variable(ring_tdes):
+    for text, horizon in (("true", 11), ("F[1,5] ap2 & F[1,5] ap4", 11),
+                          ("!ap2 U[3,5] ap3", 7)):
+        assert_no_forced_copies(build_encoding(ring_tdes, parse(text), horizon))
+    # the 120 random systems of test_random_reachable_graphs_match_reference
+    rng = random.Random(1994)
+    for _ in range(120):
+        graph = build_tdes(random_system(rng), state_cap=5000)
+        assert_no_forced_copies(build_encoding(graph, TRUE, 4))
 
 
 def test_model_over_explored_graph_matches_model_over_full_graph():
@@ -291,9 +339,9 @@ def test_encoding_grows_only_forward(ring_tdes, phi_two_goals):
 # order changes the digest.
 GOLDEN_MODELS = {
     ("F[1,5] ap2 & F[1,5] ap4", 11):
-        "3874291516a7d997935c918884e8d122d103a30c648b2d3190a0c45dd47a9348",
+        "8ce600cb6e2ee295c8478812a00ac283409e3728a6764d9fd1204d8177fda3fb",
     ("!ap2 U[3,5] ap3", 7):
-        "a468f3741b9f346fa6cf1356d689d9966e4e5ab6e5786ad12a5575232ce718c3",
+        "3d925831817f9369d1246977a1c1efeae5d28ed419a60efcfd1711861ba1a032",
 }
 
 

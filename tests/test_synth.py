@@ -3,6 +3,7 @@ import random
 import pytest
 
 from ticksynth.encode import build_encoding
+from ticksynth.ilp import solve
 from ticksynth.logic import Atom, Not, Truth, evaluate
 from ticksynth.synth import (
     OracleBudgetError,
@@ -50,6 +51,25 @@ def test_exact_search_effort_is_pinned(ring, phi_two_goals, phi_avoid_until):
         assert (result.horizon, result.statistics.nodes) == (horizon, nodes)
 
 
+def test_search_effort_per_horizon_is_pinned(
+    ring_tdes, phi_two_goals, phi_avoid_until
+):
+    """Nodes of each horizon's solve, grown as ``synthesize`` grows them:
+    a change that moves nodes between horizons fails here even when the
+    totals above still match."""
+    for phi, nodes in (
+        (phi_two_goals, [4, 8, 12, 16, 20, 24, 3]),
+        (phi_avoid_until, [0, 0, 6]),
+    ):
+        enc, seen = None, []
+        for horizon in range(5, 5 + len(nodes)):
+            enc = build_encoding(ring_tdes, phi, horizon, enc)
+            result = solve(enc.model)
+            seen.append(result.nodes)
+            assert result.feasible == (horizon == 4 + len(nodes))
+        assert seen == nodes
+
+
 def test_state_cap_bounds_only_the_states_the_horizons_reach(
     ring, phi_avoid_until
 ):
@@ -66,7 +86,7 @@ def test_decisive_model_size_is_pinned(ring, phi_two_goals, phi_avoid_until):
     """Variables and constraints of the model that decided the search.
     Growing the model a step per horizon must leave them as a fresh
     build at the decisive horizon has them."""
-    for phi, size in ((phi_two_goals, (581, 639)), (phi_avoid_until, (243, 285))):
+    for phi, size in ((phi_two_goals, (366, 424)), (phi_avoid_until, (154, 196))):
         stats = synthesize(SynthesisRequest(ring, phi, 5, 15)).statistics
         assert (stats.variables, stats.constraints) == size
 
