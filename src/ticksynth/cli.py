@@ -195,7 +195,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
         print(tdes.untimed_to_dot(system), end="")
         return 0
     graph = tdes.build_tdes(system, args.state_cap)
-    tick_edges = sum(1 for (_, ev) in graph.transitions if ev == tdes.TICK)
+    events = [ev for pairs in graph.outgoing for ev, _ in pairs]
+    tick_edges = events.count(tdes.TICK)
     if args.format == "dot":
         print(tdes.tdes_to_dot(graph), end="")
     elif args.format == "json":
@@ -203,7 +204,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
             "activity_states": len(system.states),
             "events": len(system.events),
             "timed_states": graph.n,
-            "timed_transitions": len(graph.transitions),
+            "timed_transitions": len(events),
             "tick_transitions": tick_edges,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -211,7 +212,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         print(f"activity states: {len(system.states)}")
         print(f"events: {len(system.events)}")
         print(f"timed states: {graph.n}")
-        print(f"timed transitions: {len(graph.transitions)}")
+        print(f"timed transitions: {len(events)}")
         print(f"tick transitions: {tick_edges}")
     return 0
 

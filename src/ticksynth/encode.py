@@ -13,15 +13,16 @@ construction.  Prefix tick counters ``c[k]`` (the integer
 of window k..j the two-term expression ``c[j] - c[k]``.  Formula
 satisfaction introduces one binary per (subformula, position), with
 until windows handled through big-M threshold indicators on that count.
-An until whose left operand is ``true`` (every ``F[m,n]``) leaves the
-constant operands out of its window conjunctions.
+An until whose left operand is ``true`` (every ``F[m,n]``) leaves that
+operand out of its window conjunctions.
 
 Only what the pinned root can see is encoded.  ``w[k]`` covers the
 states reachable in exactly k steps, and step k covers the edges leaving
 the states of ``w[k-1]``; step k explores those states in the timed
 graph before it reads their edges.  The root is demanded at position 0,
 and so are the Boolean operands of a node demanded there only; operands
-of an until, or of a node demanded everywhere, are demanded everywhere.
+of an until, or of a node demanded everywhere, are demanded everywhere,
+except an until's constant-true left operand, which no window reads.
 Only demanded positions get satisfaction binaries, and an until demanded
 at 0 only keeps the windows anchored at 0.
 
@@ -105,8 +106,11 @@ def _start(graph: TimedDes, formula: Formula) -> Encoding:
             raise UnknownAtomError(f"atom {node.name!r} is not declared")
     everywhere: set[int] = set()  # children precede parents in the table
     for slot in reversed(range(len(table))):
-        if slot in everywhere or isinstance(table.entries[slot], Until):
-            everywhere.update(table.children[slot])
+        node, kids = table.entries[slot], table.children[slot]
+        if isinstance(node, Until) and isinstance(table.entries[kids[0]], Truth):
+            kids = kids[1:]  # the windows leave a constant-true left out
+        if slot in everywhere or isinstance(node, Until):
+            everywhere.update(kids)
     model = IlpModel()
     enc = Encoding(model, graph, formula, table, frozenset(everywhere), horizon=0)
     enc.w.append({0: model.add_var("w[0][0]", 1, 1)})
@@ -294,23 +298,6 @@ def _close(enc: Encoding) -> None:
             )
 
 
-def variable_budget(graph: TimedDes, formula: Formula, horizon: int) -> int:
-    """Documented upper bound on model size: Theta(H*N) state vectors,
-    Theta(H*T) edge selectors and Theta(H^2) per until node.  Tick
-    indicators ``ze[k]`` and prefix tick counters ``c[k]`` add H each.
-    """
-    table = subformulas(formula)
-    n_until = sum(1 for e in table.entries if isinstance(e, Until))
-    windows = (horizon + 1) * (horizon + 2) // 2
-    bound = (horizon + 1) * graph.n  # state vectors
-    bound += horizon  # tick indicators
-    bound += horizon  # prefix tick counters
-    bound += (horizon + 1) * len(table)  # per-subformula satisfaction
-    bound += n_until * 3 * windows  # thresholds + window indicators
-    bound += horizon * len(graph.transitions)  # edge selectors
-    return bound
-
-
 def build_encoding(
     graph: TimedDes,
     formula: Formula,
@@ -342,11 +329,6 @@ def build_encoding(
         _encode_position(enc, k)
     enc.horizon = horizon
     _close(enc)
-    budget = variable_budget(graph, formula, horizon)
-    assert enc.model.num_variables <= budget, (
-        enc.model.num_variables,
-        budget,
-    )
     return enc
 
 

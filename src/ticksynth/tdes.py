@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
 TICK = "tick"
 
@@ -35,6 +35,8 @@ PROSPECTIVE = "prospective"
 REMOTE = "remote"
 
 DEFAULT_STATE_CAP = 1_000_000
+
+T = TypeVar("T")
 
 
 class UnknownEventError(ValueError):
@@ -247,9 +249,9 @@ class TimedDes:
     state has index 0, and a new graph holds that state only.
     :meth:`explore` is the one way to grow it: it expands states in index
     order, which numbers them exactly as a full breadth-first search
-    does.  ``transitions`` maps (state index, event) to successor index
-    for every expanded state, and ``outgoing[i]``, present once state i
-    is expanded, lists its ``(event, successor)`` pairs sorted by event.
+    does.  ``outgoing[i]``, present once state i is expanded, lists its
+    ``(event, successor)`` pairs sorted by event; it is the graph's only
+    edge store.
     """
 
     def __init__(
@@ -263,7 +265,6 @@ class TimedDes:
         self._alphabet = sorted(untimed.events | {TICK})
         self.states = [start]
         self.index = {start: 0}
-        self.transitions: dict[tuple[int, str], int] = {}
         self.outgoing: list[tuple[tuple[str, int], ...]] = []
 
     @property
@@ -295,7 +296,6 @@ class TimedDes:
                         )
                     j = self.index[succ] = self.n
                     self.states.append(succ)
-                self.transitions[(i, ev)] = j
                 pairs.append((ev, j))
             self.outgoing.append(tuple(pairs))
 
@@ -462,18 +462,29 @@ def system_from_json(data: object) -> UntimedDes:
     )
 
 
-def load_system(path: str | Path) -> UntimedDes:
+def _load_json(
+    path: str | Path, read: Callable[[object], T], *errors: type
+) -> T:
+    """``read`` applied to the JSON document at ``path``.  A document that
+    does not decode raises ``errors[0]``, and any of ``errors`` that
+    ``read`` raises is raised again; each message starts with the path."""
     text = Path(path).read_text(encoding="utf-8")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SystemFormatError(f"{path}: {exc}") from exc
+        raise errors[0](f"{path}: {exc}") from exc
     except RecursionError as exc:
-        raise SystemFormatError(f"{path}: JSON nests too deeply") from exc
+        raise errors[0](f"{path}: JSON nests too deeply") from exc
     try:
-        return system_from_json(data)
-    except (SystemFormatError, InvalidSystemError) as exc:
+        return read(data)
+    except errors as exc:
         raise type(exc)(f"{path}: {exc}") from exc
+
+
+def load_system(path: str | Path) -> UntimedDes:
+    return _load_json(
+        path, system_from_json, SystemFormatError, InvalidSystemError
+    )
 
 
 def fragment_from_json(data: object, system: UntimedDes) -> Fragment:
@@ -538,17 +549,9 @@ def fragment_from_json(data: object, system: UntimedDes) -> Fragment:
 
 
 def load_fragment(path: str | Path, system: UntimedDes) -> Fragment:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FragmentError(f"{path}: {exc}") from exc
-    except RecursionError as exc:
-        raise FragmentError(f"{path}: JSON nests too deeply") from exc
-    try:
-        return fragment_from_json(data, system)
-    except FragmentError as exc:
-        raise FragmentError(f"{path}: {exc}") from exc
+    return _load_json(
+        path, lambda data: fragment_from_json(data, system), FragmentError
+    )
 
 
 def fragment_to_json(fragment: Fragment) -> dict:
@@ -615,12 +618,13 @@ def tdes_to_dot(graph: TimedDes, highlight: Fragment | None = None) -> str:
         if i in hot_states:
             attrs += ", color=red, fontcolor=red"
         lines.append(f"  n{i} [{attrs}];")
-    for (i, ev), j in sorted(graph.transitions.items()):
-        attrs = f'label="{_dot_text(ev)}"'
-        if ev == TICK:
-            attrs += ", style=dashed"
-        if (i, ev, j) in hot_edges:
-            attrs += ", color=red, fontcolor=red"
-        lines.append(f"  n{i} -> n{j} [{attrs}];")
+    for i, pairs in enumerate(graph.outgoing):
+        for ev, j in pairs:
+            attrs = f'label="{_dot_text(ev)}"'
+            if ev == TICK:
+                attrs += ", style=dashed"
+            if (i, ev, j) in hot_edges:
+                attrs += ", color=red, fontcolor=red"
+            lines.append(f"  n{i} -> n{j} [{attrs}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -24,6 +24,7 @@ from ticksynth.logic import (
     Formula,
     Not,
     Or,
+    Truth,
     Until,
     evaluate,
 )
@@ -347,6 +348,7 @@ def induced_valuation(enc: Encoding, fragment: Fragment) -> tuple[int, ...]:
         ticks = fragment.count(k, j)
         window = node.lower <= ticks <= node.upper
         ok = window and sat[(right, j)]
-        ok = ok and all(sat[(left, pos)] for pos in range(k, j))
+        if not isinstance(table.entries[left], Truth):  # left out, as encoded
+            ok = ok and all(sat[(left, pos)] for pos in range(k, j))
         values[z_step] = int(ok)
     return tuple(values)

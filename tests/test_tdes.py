@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -260,7 +261,10 @@ def test_step_rejects_disabled_event(ring):
 def _as_reference(graph):
     """A built graph as the reference's (states, edges) sets."""
     states = [(s.activity, frozenset(s.timers)) for s in graph.states]
-    edges = {(states[i], ev, states[j]) for (i, ev), j in graph.transitions.items()}
+    edges = {
+        (states[i], ev, states[j])
+        for i, pairs in enumerate(graph.outgoing) for ev, j in pairs
+    }
     return set(states), edges
 
 
@@ -288,7 +292,7 @@ def _document(system: UntimedDes) -> dict:
 def test_ring_reachable_graph_matches_reference(ring, ring_tdes, ring_doc):
     ref_states, ref_edges = reference_reachable_graph(ring_doc)
     assert ring_tdes.n == len(ref_states) == 28
-    assert len(ring_tdes.transitions) == len(ref_edges) == 44
+    assert sum(map(len, ring_tdes.outgoing)) == len(ref_edges) == 44
     assert _as_reference(ring_tdes) == (ref_states, ref_edges)
 
 
@@ -303,11 +307,11 @@ def test_random_reachable_graphs_match_reference():
         graph = build_tdes(system, state_cap=5000)
         assert _as_reference(graph) == reference_reachable_graph(doc), trial
         blocked_ticks += sum(
-            (i, TICK) not in graph.transitions for i in range(graph.n)
+            TICK not in dict(pairs) for pairs in graph.outgoing
         )
         prospective_edges += sum(
             ev != TICK and system.timing[ev].kind == PROSPECTIVE
-            for _, ev in graph.transitions
+            for pairs in graph.outgoing for ev, _ in pairs
         )
     assert blocked_ticks >= 100 and prospective_edges >= 100
 
@@ -339,26 +343,23 @@ def test_explored_prefix_matches_full_graph():
             assert graph.states == full.states[:n]
             assert all(graph.index[s] == i for i, s in enumerate(graph.states))
             assert graph.outgoing == full.outgoing[:last[d] + 1]
-            assert graph.transitions == {
-                (i, ev): j for (i, ev), j in full.transitions.items()
-                if i <= last[d]
-            }
 
 
 def test_build_numbering_is_deterministic(ring):
     first = build_tdes(ring)
     second = build_tdes(ring)
     assert first.states == second.states
-    assert first.transitions == second.transitions
+    assert first.outgoing == second.outgoing
 
 
-def test_outgoing_lists_each_state_edges_by_event(ring_tdes):
+def test_outgoing_lists_each_state_edges_by_event(ring, ring_tdes):
     outgoing = ring_tdes.outgoing
     assert len(outgoing) == ring_tdes.n
-    assert sum(map(len, outgoing)) == len(ring_tdes.transitions)
+    assert sum(map(len, outgoing)) == 44
+    states = ring_tdes.states
     for i, pairs in enumerate(outgoing):
         assert list(pairs) == sorted(pairs)
-        assert all(ring_tdes.transitions[(i, ev)] == j for ev, j in pairs)
+        assert all(step(ring, states[i], ev) == states[j] for ev, j in pairs)
     assert outgoing[0] == (("move12", 1), ("move14", 2), (TICK, 0))
 
 
@@ -374,7 +375,7 @@ def test_single_state_system_gets_tick_self_loop():
     )
     graph = build_tdes(system)
     assert graph.n == 1
-    assert graph.transitions == {(0, TICK): 0}
+    assert graph.outgoing == [((TICK, 0),)]
 
 
 def test_state_cap_aborts_construction(ring):
@@ -558,6 +559,12 @@ def test_dot_exports(ring, ring_tdes, route_a):
     overlay = tdes_to_dot(ring_tdes, highlight=route_a)
     assert "color=red" in overlay
     assert overlay != plain
+    # edges by state index, then event: any change of order changes these
+    for text, digest in (
+        (plain, "4b03d7adda59a0592460e8a84bb1e4521de86bac5f0b72780be51a0202ab5504"),
+        (overlay, "c12c872b1f91b58c88f25df1e0e017d13fb1f854f407def5055691c271bc5c31"),
+    ):
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # A DOT quoted string: no bare quote, backslash or newline inside.
