@@ -130,10 +130,15 @@ def _result_payload(result: synth.SynthesisResult) -> dict:
 
 def _run_request(
     args: argparse.Namespace,
-    search: Callable[[synth.SynthesisRequest], synth.SynthesisResult],
+    search: Callable[
+        [synth.SynthesisRequest, tdes.TimedDes | None], synth.SynthesisResult
+    ],
 ) -> int:
     """Run ``search`` on the request the arguments describe and print the
-    result; ``dot`` (``synth`` only) overlays the run on the timed graph."""
+    result.  ``dot`` (``synth`` only) overlays the run on the timed graph:
+    the whole graph is built first, so a graph over the cap fails before
+    the search, and the search runs on that graph instead of exploring
+    its own."""
     system = tdes.load_system(args.system)
     request = synth.SynthesisRequest(
         system=system,
@@ -142,9 +147,10 @@ def _run_request(
         horizon_max=args.hmax,
         state_cap=args.state_cap,
     )
+    graph = None
     if args.format == "dot":  # over the cap, fail before the search
         graph = tdes.build_tdes(system, args.state_cap)
-    result = search(request)
+    result = search(request, graph)
     if args.format == "json":
         print(json.dumps(_result_payload(result), indent=2, sort_keys=True))
     elif args.format == "dot":
@@ -218,9 +224,10 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    # oracle has no dot format, so it is never handed a graph
     return _run_request(
         args,
-        lambda request: synth.oracle_synthesize(request, budget=args.budget),
+        lambda request, _: synth.oracle_synthesize(request, budget=args.budget),
     )
 
 

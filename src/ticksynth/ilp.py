@@ -20,6 +20,21 @@ rows whose minimum activity its lower bound (positive coefficient) or its
 upper bound (negative coefficient) enters; a move touches only the
 matching list.
 
+A solve never searches the same refuted residual problem twice.  After a
+conflict-free propagation every variable below the branching variable
+``v`` is fixed, so what is left to solve is given by the bounds of ``v``
+and above and the slacks of the rows that mix fixed and unfixed
+variables: rows wholly below ``v`` are satisfied, and rows wholly at or
+above it are fixed by the bounds.  The key of a node is those bounds and
+the slack of every row from the first whose last variable is ``v`` or
+above (the extra rows keep the key exact, only hit less often).  A key is
+recorded when its frame is exhausted, and a node whose key was recorded
+counts as a conflict.  Only refuted subtrees are skipped, so a hit cannot
+change the returned assignment, the lexicographically least feasible
+point; it only lowers ``nodes``.  Keys live inside one solve, since a
+grown model's closing rows change between horizons, and one solve stores
+at most ``CACHE_BYTES`` of them; past that it still looks keys up.
+
 There is no objective function: the engine answers feasibility only, and
 every returned assignment is re-checked by an independent verifier pass
 before being handed back.
@@ -27,10 +42,16 @@ before being handed back.
 
 from __future__ import annotations
 
+import sys
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable
+
+
+# Most bytes of refuted-subproblem keys one solve stores (see ``solve``).
+CACHE_BYTES = 4 << 20
 
 
 class ModelError(ValueError):
@@ -116,6 +137,9 @@ class IlpModel:
         self._slack: list[int] = []
         self._cap: list[int] = []
         self._tight: list[int] = []
+        # per row, the highest last variable of the rows up to it, so the
+        # first row whose last variable is v or above is bisect_left(., v)
+        self._reach: list[int] = []
 
     @property
     def num_variables(self) -> int:
@@ -176,6 +200,7 @@ class IlpModel:
                     del watch[var][-2:]
                 self._slack.pop()
                 self._cap.pop()
+                self._reach.pop()
                 if self._tight and self._tight[-1] == len(self._rows):
                     self._tight.pop()
 
@@ -196,6 +221,9 @@ class IlpModel:
             cap = max(cap, abs(coef) * (upper[var] - lower[var]))
         self._slack.append(rhs - activity)
         self._cap.append(cap)
+        reach = self._reach
+        last = variables[-1] if variables else -1
+        reach.append(reach[-1] if reach and reach[-1] > last else last)
         if rhs - activity < cap:
             self._tight.append(row)
 
@@ -342,13 +370,36 @@ def solve(model: IlpModel) -> SolveResult:
     that value and loop.  Values are tried in ascending order, so
     identical models yield identical assignments.  ``nodes`` counts value
     decisions.
+
+    A node whose residual problem this solve has already refuted (see the
+    module docstring for its key) pushes no frame and counts as a
+    conflict.  The key of a frame is recorded when the frame is
+    exhausted, once the undo has restored the box and slacks of its push,
+    and is computed for a lookup only when its variable has recorded
+    keys.  Keys are bytes when every value fits, tuples otherwise; once
+    their sizes reach ``CACHE_BYTES``, no more are stored.  The verdict
+    and the assignment are those of the search without the cache.
     """
     propagator = _Propagator(model)
     lo, hi, trail = propagator.lo, propagator.hi, propagator.trail
+    slack = propagator.slack
     move, propagate, undo = propagator.move, propagator.propagate, propagator.undo
     n = len(lo)
     nodes = var = 0
     stack: list[list[int]] = []  # frames: [variable, next value, trail mark]
+    refuted: dict[int, set[bytes | tuple[int, ...]]] = {}
+    room = CACHE_BYTES
+    reach = model._reach
+
+    def residual_key(v: int) -> bytes | tuple[int, ...]:
+        values = lo[v:]
+        values += hi[v:]
+        values += slack[bisect_left(reach, v) :]
+        try:
+            return bytes(values)
+        except ValueError:  # a value outside 0..255
+            return tuple(values)
+
     while True:
         if not propagate():
             while var < n and lo[var] == hi[var]:
@@ -362,13 +413,18 @@ def solve(model: IlpModel) -> SolveResult:
                         + "; ".join(problems)
                     )
                 return SolveResult(True, assignment, nodes)
-            stack.append([var, lo[var], len(trail)])
+            if var not in refuted or residual_key(var) not in refuted[var]:
+                stack.append([var, lo[var], len(trail)])
         while stack:
             var, value, mark = stack[-1]
             undo(mark)
             if value <= hi[var]:
                 break
             stack.pop()
+            if room > 0 and stack:  # after the bottom frame, nothing looks up
+                key = residual_key(var)
+                refuted.setdefault(var, set()).add(key)
+                room -= sys.getsizeof(key)
         if not stack:
             return SolveResult(False, None, nodes)
         stack[-1][1] = value + 1

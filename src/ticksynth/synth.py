@@ -74,18 +74,26 @@ class SynthesisResult:
     statistics: SynthStats
 
 
-def synthesize(request: SynthesisRequest) -> SynthesisResult:
+def synthesize(
+    request: SynthesisRequest, graph: TimedDes | None = None
+) -> SynthesisResult:
     """Smallest horizon in range whose encoding admits a certified run.
 
     Horizons are tried in ascending order, the encoding of the previous
     horizon grown in place by one step, so the reported horizon is
     minimal.  Only the timed states the horizons reach are explored, and
-    ``state_cap`` bounds those.  Every returned fragment has been
-    certified by :func:`~ticksynth.encode.decode`, which raises
+    ``state_cap`` bounds those.  ``graph``, when given, is the request
+    system's timed graph, explored as far as it is, with its own cap; the
+    search explores it further on demand instead of starting a graph of
+    its own.  Every returned fragment has been certified by
+    :func:`~ticksynth.encode.decode`, which raises
     :class:`~ticksynth.encode.DecodeError` for a run that fails.
     """
     start = time.perf_counter()
-    graph = TimedDes(request.system, request.state_cap)
+    if graph is None:
+        graph = TimedDes(request.system, request.state_cap)
+    elif graph.untimed is not request.system:
+        raise ValueError("the graph is not the request's system's")
     total_nodes = 0
     variables = constraints = 0
     enc = None

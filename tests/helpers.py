@@ -255,15 +255,89 @@ def random_model(rng: random.Random, n_vars: int) -> IlpModel:
     return model
 
 
-def reference_propagate(
+def random_symmetric_model(rng: random.Random) -> IlpModel:
+    """Random all-binary model whose first variables are interchangeable.
+
+    The prefix variables enter every row only through their sum ``P``,
+    each row with one coefficient for all of them, so prefixes with equal
+    sums pose the same residual problem on the suffix.  Most models also
+    get a core that propagation cannot refute: three pairs ``>= 1`` and
+    ``x + y + z - P <= r`` for r in -2..0.  The search refutes the sum
+    ``P = 1 - r`` once per prefix with that sum, which are the repeats the
+    solver's cache of refuted subproblems skips.
+    """
+    prefix, suffix = rng.randint(2, 4), rng.randint(3, 6)
+    model = IlpModel()
+    for v in range(prefix):
+        model.add_var(f"p{v}", 0, 1)
+    for v in range(suffix):
+        model.add_var(f"s{v}", 0, 1)
+    rest = range(prefix, prefix + suffix)
+    witness = [rng.randint(0, 1) for _ in range(prefix + suffix)]
+    for _ in range(rng.randint(0, 4)):
+        support = rng.sample(rest, rng.randint(1, min(suffix, 4)))
+        terms = [(rng.choice([-2, -1, 1, 2]), v) for v in support]
+        if rng.random() < 0.6:
+            coef = rng.choice([-2, -1, 1, 2])
+            terms += [(coef, v) for v in range(prefix)]
+        anchor = sum(c * witness[v] for c, v in terms)
+        model.add(terms, rng.choice(["<=", ">="]), anchor + rng.randint(-1, 2))
+    if rng.random() < 0.7:
+        x, y, z = rng.sample(rest, 3)
+        for a, b in ((x, y), (x, z), (y, z)):
+            model.add([(1, a), (1, b)], ">=", 1)
+        core = [(1, x), (1, y), (1, z)] + [(-1, v) for v in range(prefix)]
+        model.add(core, "<=", rng.randint(-2, 0))
+    return model
+
+
+def reference_search(
     model: IlpModel,
+) -> tuple[bool, tuple[int, ...] | None, int]:
+    """The solver's search without its cache: depth-first in index order,
+    values ascending, with :func:`reference_propagate` at every node.
+
+    Bounds propagation has one fixpoint whatever order it pops rows in, so
+    this visits the nodes an uncached ``solve`` visits.  Returns
+    ``(feasible, assignment, nodes)``; ``nodes`` counts value decisions.
+    """
+    nodes = 0
+
+    def dfs(lo: list[int], hi: list[int]) -> tuple[int, ...] | None:
+        nonlocal nodes
+        box = reference_propagate(model, (lo, hi))
+        if box is None:
+            return None
+        lo, hi = box
+        var = next(
+            (v for v in range(model.num_variables) if lo[v] < hi[v]), None
+        )
+        if var is None:
+            return tuple(lo)
+        for value in range(lo[var], hi[var] + 1):
+            nodes += 1
+            point = dfs(
+                lo[:var] + [value] + lo[var + 1 :],
+                hi[:var] + [value] + hi[var + 1 :],
+            )
+            if point is not None:
+                return point
+        return None
+
+    point = dfs(list(model.lower), list(model.upper))
+    return point is not None, point, nodes
+
+
+def reference_propagate(
+    model: IlpModel, box: tuple[list[int], list[int]] | None = None
 ) -> tuple[list[int], list[int]] | None:
     """Bounds propagation to fixpoint by full recomputation.
 
     Rows are rebuilt from the public constraint list.  Every popped row's
     minimum activity is recomputed from scratch, and every row a moved
-    variable occurs in is requeued.  Returns the tightened box, or
-    ``None`` when some row's minimum activity exceeds its right-hand side.
+    variable occurs in is requeued.  Starts from ``box`` (the declared
+    bounds when omitted) and returns the tightened box, or ``None`` when
+    some row's minimum activity exceeds its right-hand side.
     """
     rows = []
     for constraint in model.constraints:
@@ -279,7 +353,8 @@ def reference_propagate(
     for row, (terms, _) in enumerate(rows):
         for _, var in terms:
             occurs[var].append(row)
-    lo, hi = list(model.lower), list(model.upper)
+    lo, hi = (model.lower, model.upper) if box is None else box
+    lo, hi = list(lo), list(hi)
     queue = deque(range(len(rows)))
     queued = set(queue)
     while queue:

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import time
 
+from ticksynth import tdes
 from ticksynth.cli import run
 from ticksynth.logic import MAX_DEPTH
 from ticksynth.tdes import fixture_path
@@ -67,6 +69,31 @@ def test_synth_dot_overlay(capsys):
     assert code == 0
     assert out.startswith("digraph timed")
     assert "color=red" in out and "style=dashed" in out
+
+
+def test_synth_dot_explores_the_timed_graph_once(capsys, monkeypatch):
+    # the overlay's whole graph is the one the search runs on: the request
+    # fires build_tdes's steps plus one per event of the certifying replay
+    calls = []
+    real_step = tdes.step
+
+    def counted_step(*args):
+        calls.append(args)
+        return real_step(*args)
+
+    monkeypatch.setattr(tdes, "step", counted_step)
+    tdes.build_tdes(tdes.load_system(RING))
+    assert len(calls) == 476
+    calls.clear()
+    assert run([
+        "synth", "--system", RING, "--formula", AVOID_UNTIL,
+        "--hmax", "7", "--format", "dot",
+    ]) == 0
+    assert len(calls) == 476 + 7  # 789 when the search explored its own
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "eaa9b1081166c6e3eb055188e96e84c280bca8c9c08e777d9e264700427014db"
+    )
 
 
 def test_check_route_fixtures(capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ticksynth import ilp
 from ticksynth.ilp import (
     IlpModel,
     LinearConstraint,
@@ -17,7 +18,9 @@ from helpers import (
     brute_force_feasible,
     enumerate_feasible,
     random_model,
+    random_symmetric_model,
     reference_propagate,
+    reference_search,
 )
 
 
@@ -75,6 +78,7 @@ def test_truncate_restores_rows_and_watch_lists():
         assert model._slack == fresh._slack
         assert model._cap == fresh._cap
         assert model._tight == fresh._tight
+        assert model._reach == fresh._reach
 
 
 def test_truncate_rejects_a_negative_count():
@@ -197,6 +201,53 @@ def test_verdicts_match_enumeration_on_integer_domains():
             assert check_assignment(model, got.assignment) == []
             feasible += 1
     assert feasible >= 60  # the least-point comparison must be exercised
+
+
+def test_cache_skips_a_refuted_residual_problem(monkeypatch):
+    # propagation cannot refute the core on x, y, z, so each branch that
+    # reaches x searches it; a=0,b=1 and a=1,b=0 leave a+b+x <= 2 the same
+    # slack, so the second poses the residual problem the first refuted
+    model = IlpModel()
+    a, b, x, y, z = (model.add_var(name, 0, 1) for name in "abxyz")
+    model.add([(1, a), (1, b), (1, x)], "<=", 2)
+    for u, v in ((x, y), (x, z), (y, z)):
+        model.add([(1, u), (1, v)], ">=", 1)
+    model.add([(1, x), (1, y), (1, z)], "<=", 1)
+    assert solve(model) == SolveResult(False, None, 10)
+    monkeypatch.setattr(ilp, "CACHE_BYTES", 0)  # store no key
+    assert solve(model) == SolveResult(False, None, 12)
+    assert reference_search(model) == (False, None, 12)
+
+
+def _solve_symmetric_models() -> tuple[int, int]:
+    """Solve 300 models with interchangeable prefixes, checking each
+    against enumeration and the uncached reference search; returns the
+    solves that took fewer nodes than the reference, and the total nodes."""
+    rng = random.Random(2010)
+    hits = total = 0
+    for trial in range(300):
+        model = random_symmetric_model(rng)
+        got = solve(model)
+        feasible, assignment, nodes = reference_search(model)
+        assert (got.feasible, got.assignment) == (feasible, assignment), (
+            f"trial {trial}: {dump(model)}"
+        )
+        assert got.assignment == next(iter(enumerate_feasible(model)), None)
+        assert got.nodes <= nodes
+        hits += got.nodes < nodes
+        total += got.nodes
+    return hits, total
+
+
+def test_cache_hits_keep_the_least_point(monkeypatch):
+    # only refuted subtrees are skipped, so the least point is still found
+    hits, nodes = _solve_symmetric_models()
+    assert hits >= 50
+    monkeypatch.setattr(ilp, "CACHE_BYTES", 1)  # room for one key
+    capped_hits, capped_nodes = _solve_symmetric_models()
+    assert capped_hits >= 50 and capped_nodes > nodes
+    monkeypatch.setattr(ilp, "CACHE_BYTES", 0)  # the plain search
+    assert _solve_symmetric_models()[0] == 0
 
 
 def test_verdicts_match_enumeration_on_random_models():

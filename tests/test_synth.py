@@ -28,6 +28,17 @@ def test_avoid_until_minimal_horizon_every_mode(ring, phi_avoid_until):
         )
 
 
+def test_search_runs_on_a_given_graph(ring, phi_avoid_until):
+    request = SynthesisRequest(ring, phi_avoid_until, 5, 15)
+    graph = build_tdes(ring)
+    given, own = synthesize(request, graph), synthesize(request)
+    assert (given.fragment, given.horizon) == (own.fragment, own.horizon)
+    assert given.statistics.nodes == own.statistics.nodes
+    other = SynthesisRequest(random_system(random.Random(3)), Truth(), 1, 2)
+    with pytest.raises(ValueError):
+        synthesize(other, graph)
+
+
 def test_two_goal_formula_feasible_exactly_from_eleven(ring, phi_two_goals):
     found = synthesize(
         SynthesisRequest(ring, phi_two_goals, 11, 11)
