@@ -35,9 +35,10 @@ branches in the order the variables are created, step by step.
 
 Until windows only range over positions inside the horizon: satisfaction
 is never assumed beyond the last encoded step, matching the finite-trace
-semantics of the evaluator.  Decoding reads a satisfying assignment back
-into a run and certifies it against the formula with the direct
-evaluator; a run that fails certification is never returned.
+semantics of the evaluator.  Decoding reads the events of the chosen
+edges off a satisfying assignment; the run is the replay of those events
+on the system, certified against the formula with the direct evaluator,
+and a run that fails certification is never returned.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .logic import (
     evaluate,
     subformulas,
 )
-from .tdes import TICK, Fragment, TimedDes, fragment_errors
+from .tdes import TICK, Fragment, FragmentError, TimedDes, replay_events
 
 
 class DecodeError(RuntimeError):
@@ -335,33 +336,23 @@ def build_encoding(
 def decode(enc: Encoding, assignment: tuple[int, ...]) -> Fragment:
     """Read a satisfying assignment back into a certified run.
 
-    The chosen transitions name the events.  The decoded run must replay
-    on the system and satisfy the formula under the direct evaluator;
-    otherwise :class:`DecodeError` is raised.
+    Each step's chosen edge names an event, and the run is the replay of
+    those events from the initial state.  A step that selects no unique
+    edge, events that do not replay, or a run the direct evaluator
+    rejects raise :class:`DecodeError`.
     """
-    graph = enc.tdes
-    system = graph.untimed
-    path = []
-    for k, state in enumerate(enc.w):
-        chosen = [i for i, v in state.items() if assignment[v] == 1]
-        if len(chosen) != 1:
-            raise DecodeError(f"state vector at step {k} is not one-hot")
-        path.append(chosen[0])
-
+    system = enc.tdes.untimed
     events = []
     for k in range(1, enc.horizon + 1):
         pairs = zip(enc.edges[k], enc.x[k])
-        picked = [edge for edge, var in pairs if assignment[var] == 1]
+        picked = [ev for (_, ev, _), var in pairs if assignment[var] == 1]
         if len(picked) != 1:
             raise DecodeError(f"step {k} does not select a unique edge")
-        events.append(picked[0][1])
-
-    fragment = Fragment(
-        tuple(graph.states[i] for i in path), tuple(events)
-    )
-    problems = fragment_errors(system, fragment)
-    if problems:
-        raise DecodeError("decoded run does not replay: " + problems[0])
+        events.append(picked[0])
+    try:
+        fragment = replay_events(system, events)
+    except FragmentError as exc:
+        raise DecodeError(f"decoded run does not replay: {exc}") from exc
     if not evaluate(fragment, enc.formula, 0, system.labeling, system.atoms):
         raise DecodeError("decoded run fails certification against the formula")
     return fragment

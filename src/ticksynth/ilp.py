@@ -125,8 +125,9 @@ class IlpModel:
         self.lower: Sequence[int] = _ReadOnly(self._lower)
         self.upper: Sequence[int] = _ReadOnly(self._upper)
         self.constraints: list[LinearConstraint] = []
-        # normalized rows: (vars, coefs, rhs) meaning sum(coef*var) <= rhs
-        self._rows: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
+        # normalized rows (vars, coefs), meaning sum(coef*var) <= rhs; the
+        # rhs lives on only in the declared slack
+        self._rows: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         # watch lists, flat (row, |coef|) pairs: the rows whose minimum
         # activity a variable's lower bound (coef > 0) or upper bound
         # (coef < 0) enters
@@ -194,7 +195,7 @@ class IlpModel:
         while len(self.constraints) > count:
             removed = self.constraints.pop()
             for _ in range(2 if removed.comparator == "=" else 1):
-                variables, coefs, _ = self._rows.pop()
+                variables, coefs = self._rows.pop()
                 for var, coef in zip(variables, coefs):
                     watch = self._watch_lo if coef > 0 else self._watch_hi
                     del watch[var][-2:]
@@ -208,7 +209,7 @@ class IlpModel:
         self, variables: tuple[int, ...], coefs: tuple[int, ...], rhs: int
     ) -> None:
         row = len(self._rows)
-        self._rows.append((variables, coefs, rhs))
+        self._rows.append((variables, coefs))
         lower, upper = self._lower, self._upper
         activity = cap = 0
         for var, coef in zip(variables, coefs):
@@ -284,7 +285,7 @@ class _Propagator:
                 while queue:  # leave no stale flags behind
                     queued[queue.popleft()] = 0
                 return True
-            variables, coefs, _ = rows[row]
+            variables, coefs = rows[row]
             for var, coef in zip(variables, coefs):
                 if coef > 0:
                     if coef * (hi[var] - lo[var]) > room:

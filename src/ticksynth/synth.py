@@ -94,30 +94,26 @@ def synthesize(
         graph = TimedDes(request.system, request.state_cap)
     elif graph.untimed is not request.system:
         raise ValueError("the graph is not the request's system's")
-    total_nodes = 0
-    variables = constraints = 0
-    enc = None
+    nodes = 0
+    enc = fragment = None
     for horizon in range(request.horizon_min, request.horizon_max + 1):
         enc = build_encoding(graph, request.formula, horizon, enc)
         result = solve(enc.model)
-        total_nodes += result.nodes
-        variables = enc.model.num_variables
-        constraints = enc.model.num_constraints
+        nodes += result.nodes
         if result.feasible:
             fragment = decode(enc, result.assignment)
-            stats = SynthStats(
-                variables,
-                constraints,
-                total_nodes,
-                time.perf_counter() - start,
-            )
-            return SynthesisResult(
-                True, fragment, horizon, request.horizon_max, stats
-            )
+            break
+    model = enc.model
     stats = SynthStats(
-        variables, constraints, total_nodes, time.perf_counter() - start
+        model.num_variables,
+        model.num_constraints,
+        nodes,
+        time.perf_counter() - start,
     )
-    return SynthesisResult(False, None, None, request.horizon_max, stats)
+    found = fragment is not None
+    return SynthesisResult(
+        found, fragment, horizon if found else None, request.horizon_max, stats
+    )
 
 
 def enumerate_fragments(graph: TimedDes, horizon: int) -> Iterator[Fragment]:

@@ -63,10 +63,11 @@ class FragmentError(ValueError):
 class EventTiming:
     """Occurrence bounds for one event, measured in ticks.
 
-    ``upper`` must be ``None`` for remote events (no upper bound) and an
-    integer for prospective ones.  Value-level invariants (nonnegative
-    bounds, lower <= upper) are checked by :class:`UntimedDes`, which
-    reports every problem of a system at once.
+    ``lower`` must be an ``int`` (a ``bool`` is not one), and ``upper``
+    ``None`` for remote events (no upper bound) and an ``int`` for
+    prospective ones.  Value-level invariants (nonnegative bounds, lower
+    <= upper) are checked by :class:`UntimedDes`, which reports every
+    problem of a system at once.
     """
 
     kind: str
@@ -74,12 +75,16 @@ class EventTiming:
     upper: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (PROSPECTIVE, REMOTE):
-            raise ValueError(f"unknown timing kind {self.kind!r}")
-        if self.kind == PROSPECTIVE and self.upper is None:
-            raise ValueError("prospective timing requires an upper bound")
-        if self.kind == REMOTE and self.upper is not None:
-            raise ValueError("remote timing must not carry an upper bound")
+        if type(self.lower) is not int:
+            raise ValueError("'lower' must be an integer")
+        if self.kind == PROSPECTIVE:
+            if type(self.upper) is not int:
+                raise ValueError("prospective event needs integer 'upper'")
+        elif self.kind == REMOTE:
+            if self.upper is not None:
+                raise ValueError("remote event must omit 'upper'")
+        else:
+            raise ValueError(f"unknown kind {self.kind!r}")
 
     @property
     def timer_limit(self) -> int:
@@ -405,26 +410,14 @@ def system_from_json(data: object) -> UntimedDes:
         name = entry["name"]
         if not isinstance(name, str):
             raise SystemFormatError(f"events[{pos}]: 'name' must be a string")
-        kind = entry["kind"]
         if name in events:
             raise SystemFormatError(f"events[{pos}]: duplicate event {name!r}")
-        lower = entry.get("lower", 0)
-        upper = entry.get("upper")
-        if not isinstance(lower, int) or isinstance(lower, bool):
-            raise SystemFormatError(f"events[{pos}]: 'lower' must be an integer")
-        if kind == PROSPECTIVE:
-            if not isinstance(upper, int) or isinstance(upper, bool):
-                raise SystemFormatError(
-                    f"events[{pos}]: prospective event needs integer 'upper'"
-                )
-        elif kind == REMOTE:
-            if upper is not None:
-                raise SystemFormatError(
-                    f"events[{pos}]: remote event must omit 'upper'"
-                )
-        else:
-            raise SystemFormatError(f"events[{pos}]: unknown kind {kind!r}")
-        events[name] = EventTiming(kind, lower, upper)
+        try:
+            events[name] = EventTiming(
+                entry["kind"], entry.get("lower", 0), entry.get("upper")
+            )
+        except ValueError as exc:
+            raise SystemFormatError(f"events[{pos}]: {exc}") from exc
 
     transitions: dict[tuple[str, str], str] = {}
     for pos, entry in enumerate(data["transitions"]):
@@ -490,10 +483,10 @@ def load_system(path: str | Path) -> UntimedDes:
 def fragment_from_json(data: object, system: UntimedDes) -> Fragment:
     """Read a fragment document: alternating states and events.
 
-    States are objects ``{"activity": ..., "timers": {...}}``.  Timers may
-    be omitted, in which case the run is reconstructed by replaying the
-    events from the initial state; provided activities (and timers, where
-    present) are checked against the replay.
+    States are objects ``{"activity": ..., "timers": {...}}``, timer
+    values integers.  Timers may be omitted, in which case the run is
+    reconstructed by replaying the events from the initial state; provided
+    activities (and timers, where present) are checked against the replay.
     """
     if not isinstance(data, dict) or "states" not in data or "events" not in data:
         raise FragmentError("fragment document needs 'states' and 'events'")
@@ -521,6 +514,11 @@ def fragment_from_json(data: object, system: UntimedDes) -> Fragment:
         timers = entry.get("timers")
         if timers is not None and not isinstance(timers, dict):
             raise FragmentError(f"states[{pos}]: 'timers' must be an object")
+        for ev, value in (timers or {}).items():
+            if type(value) is not int:
+                raise FragmentError(
+                    f"states[{pos}]: timer {ev!r} must be an integer"
+                )
         activities.append(entry["activity"])
         timer_maps.append(timers)
 

@@ -409,9 +409,16 @@ def test_label_value_number_exits_two(tmp_path, capsys, ring_doc):
 def test_event_list_shapes_exit_two(tmp_path, capsys, ring_doc):
     assert _synth_on_document(tmp_path, {**ring_doc, "events": 7}) == 2
     assert "'events' must be a list" in capsys.readouterr().err
-    events = [{**ring_doc["events"][0], "name": ["move12"]}]
-    assert _synth_on_document(tmp_path, {**ring_doc, "events": events}) == 2
-    assert "events[0]: 'name' must be a string" in capsys.readouterr().err
+    for change, message in (
+        ({"name": ["move12"]}, "'name' must be a string"),
+        ({"lower": True}, "'lower' must be an integer"),
+        ({"kind": "prospective"}, "prospective event needs integer 'upper'"),
+        ({"upper": 3}, "remote event must omit 'upper'"),
+        ({"kind": "sometimes"}, "unknown kind 'sometimes'"),
+    ):
+        events = [{**ring_doc["events"][0], **change}] + ring_doc["events"][1:]
+        assert _synth_on_document(tmp_path, {**ring_doc, "events": events}) == 2
+        assert f"events[0]: {message}" in capsys.readouterr().err
 
 
 def _check_on_fragment(tmp_path, doc):
@@ -446,3 +453,16 @@ def test_fragment_timers_number_exits_two(tmp_path, capsys):
     doc["states"][0]["timers"] = 7
     assert _check_on_fragment(tmp_path, doc) == 2
     assert "states[0]: 'timers' must be an object" in capsys.readouterr().err
+
+
+def test_fragment_timers_must_be_integers(tmp_path, capsys):
+    # false, true and 2.0 compare equal to the replayed 0, 1 and 2
+    start = tdes.initial_state(tdes.load_system(RING)).timer_map()
+    assert (start["move12"], start["reach14"], start["reach12"]) == (0, 1, 2)
+    for event, bad in (("move12", False), ("reach14", True), ("reach12", 2.0)):
+        doc = _route_a_doc()
+        doc["states"][0]["timers"] = {**start, event: bad}
+        assert _check_on_fragment(tmp_path, doc) == 2
+        assert f"states[0]: timer {event!r} must be an integer" in (
+            capsys.readouterr().err
+        )

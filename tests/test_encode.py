@@ -526,13 +526,26 @@ def test_exact_decode_produces_certified_runs():
 
 
 def test_decode_rejects_corrupted_assignment(ring_tdes, phi_avoid_until):
+    # decode reads the edge selectors x[k]; a second selected edge at
+    # step 1 leaves the step without a unique event
     enc = build_encoding(ring_tdes, phi_avoid_until, 7)
     result = solve(enc.model)
     assert result.feasible
     values = list(result.assignment)
-    flipped = enc.w[1][0], enc.w[1][1]
-    values[flipped[0]], values[flipped[1]] = 1, 1
-    with pytest.raises(DecodeError):
+    for var in enc.x[1]:
+        values[var] = 1
+    with pytest.raises(DecodeError, match="step 1 does not select a unique"):
+        decode(enc, tuple(values))
+    # the last step selects an edge leaving the initial state, where the
+    # run is not: 'move12' is not enabled where the run stands at step 6
+    values = list(result.assignment)
+    assert decode(enc, tuple(values)).states[6] != ring_tdes.states[0]
+    for var in enc.x[7]:
+        values[var] = 0
+    values[enc.x[7][enc.edges[7].index((0, "move12", 1))]] = 1
+    with pytest.raises(DecodeError, match=(
+        "decoded run does not replay: event 'move12' at step 7 is not enabled"
+    )):
         decode(enc, tuple(values))
 
 

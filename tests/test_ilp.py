@@ -206,17 +206,28 @@ def test_verdicts_match_enumeration_on_integer_domains():
 def test_cache_skips_a_refuted_residual_problem(monkeypatch):
     # propagation cannot refute the core on x, y, z, so each branch that
     # reaches x searches it; a=0,b=1 and a=1,b=0 leave a+b+x <= 2 the same
-    # slack, so the second poses the residual problem the first refuted
-    model = IlpModel()
-    a, b, x, y, z = (model.add_var(name, 0, 1) for name in "abxyz")
-    model.add([(1, a), (1, b), (1, x)], "<=", 2)
-    for u, v in ((x, y), (x, z), (y, z)):
-        model.add([(1, u), (1, v)], ">=", 1)
-    model.add([(1, x), (1, y), (1, z)], "<=", 1)
-    assert solve(model) == SolveResult(False, None, 10)
+    # slack, so the second poses the residual problem the first refuted.
+    # Keys are tuples, not bytes, once that row is scaled by 300 (a slack
+    # above 255) or a variable no row reads keeps its lower bound -1.  (A
+    # lower bound of -1 on x would not do: propagation lifts it to 0.)
+    def model_of(scale: int, spare: bool) -> IlpModel:
+        model = IlpModel()
+        a, b, x, y, z = (model.add_var(name, 0, 1) for name in "abxyz")
+        if spare:
+            model.add_var("w", -1, 1)
+        model.add([(scale, a), (scale, b), (scale, x)], "<=", 2 * scale)
+        for u, v in ((x, y), (x, z), (y, z)):
+            model.add([(1, u), (1, v)], ">=", 1)
+        model.add([(1, x), (1, y), (1, z)], "<=", 1)
+        return model
+
+    models = [model_of(1, False), model_of(300, False), model_of(1, True)]
+    for model in models:
+        assert solve(model) == SolveResult(False, None, 10)
     monkeypatch.setattr(ilp, "CACHE_BYTES", 0)  # store no key
-    assert solve(model) == SolveResult(False, None, 12)
-    assert reference_search(model) == (False, None, 12)
+    for model in models:
+        assert solve(model) == SolveResult(False, None, 12)
+        assert reference_search(model) == (False, None, 12)
 
 
 def _solve_symmetric_models() -> tuple[int, int]:

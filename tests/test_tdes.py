@@ -149,6 +149,12 @@ def test_event_timing_constructor_shape_checks():
         EventTiming(PROSPECTIVE, 1)
     with pytest.raises(ValueError):
         EventTiming(REMOTE, 1, 5)
+    with pytest.raises(ValueError):
+        EventTiming(PROSPECTIVE, 0, "3")
+    with pytest.raises(ValueError):
+        EventTiming(PROSPECTIVE, True, 3)
+    with pytest.raises(ValueError):
+        EventTiming(REMOTE, 1.5)
 
 
 # --- initial state ------------------------------------------------------------
