@@ -7,33 +7,35 @@ depth-first branch and bound in one decide–propagate–backtrack loop:
 integer bounds propagation runs to a fixpoint after every decision, the
 unfixed variable of lowest index is branched next, candidate values are
 tried in ascending order (0 before 1 for binaries), and backtracking
-undoes the trail of bound moves to the deepest frame with a value left.
-The search is completely deterministic.
+restores the deepest frame with a value left from that frame's residual
+key (below).  The search is completely deterministic.
 
 Propagation is incremental and activity based, and ``solve`` and
 ``propagate_bounds`` share it.  Declared bounds are fixed at ``add_var``,
 so each row's declared slack (right-hand side minus minimum activity at
 the declared bounds) and cap are computed once, when the row is added; a
 solve starts from a copy of them.  The slack is updated on every bound
-move and restored on backtracking.  A variable's watch lists name the
-rows whose minimum activity its lower bound (positive coefficient) or its
-upper bound (negative coefficient) enters; a move touches only the
-matching list.
+move.  A variable's watch lists name the rows whose minimum activity its
+lower bound (positive coefficient) or its upper bound (negative
+coefficient) enters; a move touches only the matching list.
 
-A solve never searches the same refuted residual problem twice.  After a
-conflict-free propagation every variable below the branching variable
-``v`` is fixed, so what is left to solve is given by the bounds of ``v``
-and above and the slacks of the rows that mix fixed and unfixed
+After a conflict-free propagation every variable below the branching
+variable ``v`` is fixed, so what is left to solve is given by the bounds
+of ``v`` and above and the slacks of the rows that mix fixed and unfixed
 variables: rows wholly below ``v`` are satisfied, and rows wholly at or
-above it are fixed by the bounds.  The key of a node is those bounds and
-the slack of every row from the first whose last variable is ``v`` or
-above (the extra rows keep the key exact, only hit less often).  A key is
-recorded when its frame is exhausted, and a node whose key was recorded
-counts as a conflict.  Only refuted subtrees are skipped, so a hit cannot
-change the returned assignment, the lexicographically least feasible
-point; it only lowers ``nodes``.  Keys live inside one solve, since a
-grown model's closing rows change between horizons, and one solve stores
-at most ``CACHE_BYTES`` of them; past that it still looks keys up.
+above it are fixed by the bounds.  The residual key of a node is those
+bounds and the slack of every row from the first whose last variable is
+``v`` or above (the extra rows keep the key exact, only hit less often).
+It is also all of the state the node's subtree can change, so one key
+serves twice: as the state its frame restores before each value it
+tries, and as the cache key of a refuted residual problem.  A solve never
+searches the same refuted residual problem twice.  A key is recorded
+when its frame is exhausted, and a node whose key was recorded counts as
+a conflict.  Only refuted subtrees are skipped, so a hit cannot change
+the returned assignment, the lexicographically least feasible point; it
+only lowers ``nodes``.  Keys live inside one solve, since a grown model's
+closing rows change between horizons, and one solve stores at most
+``CACHE_BYTES`` of them; past that it still looks keys up.
 
 There is no objective function: the engine answers feasibility only, and
 every returned assignment is re-checked by an independent verifier pass
@@ -230,11 +232,13 @@ class IlpModel:
 
 
 class _Propagator:
-    """The box, row slacks and undo trail of one solve.
+    """The box and row slacks of one solve.
 
-    A row is queued only when its slack falls below its cap, ``max |coef|
-    * declared span``: with more slack it can neither fail nor tighten a
-    bound.  Tightenings never exclude an integer point of the row.
+    On backtracking, ``solve`` restores them from a frame's residual key,
+    the same key it records refuted subproblems under.  A row is queued
+    only when its slack falls below its cap, ``max |coef| * declared
+    span``: with more slack it can neither fail nor tighten a bound.
+    Tightenings never exclude an integer point of the row.
     """
 
     def __init__(self, model: IlpModel) -> None:
@@ -249,19 +253,15 @@ class _Propagator:
         self.queued = bytearray(len(self.rows))
         for row in model._tight:
             self.queued[row] = 1
-        # (variable, is-upper, previous value) per bound move
-        self.trail: list[tuple[int, bool, int]] = []
 
     def move(self, var: int, is_upper: bool, value: int) -> None:
         """Tighten one bound of ``var`` and queue the rows it may affect."""
         if is_upper:
             step = self.hi[var] - value
-            self.trail.append((var, True, self.hi[var]))
             self.hi[var] = value
             watch = self.watch_hi[var]
         else:
             step = value - self.lo[var]
-            self.trail.append((var, False, self.lo[var]))
             self.lo[var] = value
             watch = self.watch_lo[var]
         slack, cap, queued = self.slack, self.cap, self.queued
@@ -293,22 +293,6 @@ class _Propagator:
                 elif -coef * (hi[var] - lo[var]) > room:
                     move(var, False, hi[var] - room // -coef)
         return False
-
-    def undo(self, mark: int) -> None:
-        """Restore the bounds and slacks from before trail position ``mark``."""
-        trail, lo, hi, slack = self.trail, self.lo, self.hi, self.slack
-        while len(trail) > mark:
-            var, is_upper, previous = trail.pop()
-            if is_upper:
-                step = previous - hi[var]
-                hi[var] = previous
-                pairs = iter(self.watch_hi[var])
-            else:
-                step = lo[var] - previous
-                lo[var] = previous
-                pairs = iter(self.watch_lo[var])
-            for row, weight in zip(pairs, pairs):
-                slack[row] += weight * step
 
 
 def propagate_bounds(
@@ -366,40 +350,33 @@ def solve(model: IlpModel) -> SolveResult:
 
     One loop: propagate (the root first, then each decision); if there is
     no conflict, push a frame for the unfixed variable of lowest index,
-    or return the assignment once every variable is fixed.  Then undo to
-    the deepest frame whose variable still has a value left, fix it to
-    that value and loop.  Values are tried in ascending order, so
-    identical models yield identical assignments.  ``nodes`` counts value
-    decisions.
+    or return the assignment once every variable is fixed.  Then take
+    the deepest frame whose variable still has a value left, restore its
+    state, fix the variable to that value and loop.  Values are tried in
+    ascending order, so identical models yield identical assignments.
+    ``nodes`` counts value decisions.
 
-    A node whose residual problem this solve has already refuted (see the
-    module docstring for its key) pushes no frame and counts as a
-    conflict.  The key of a frame is recorded when the frame is
-    exhausted, once the undo has restored the box and slacks of its push,
-    and is computed for a lookup only when its variable has recorded
-    keys.  Keys are bytes when every value fits, tuples otherwise; once
-    their sizes reach ``CACHE_BYTES``, no more are stored.  The verdict
-    and the assignment are those of the search without the cache.
+    A frame is ``[variable, next value, first keyed row, key]``, its key
+    (see the module docstring) built once, at the push.  Every variable
+    below the frame's and every row before its first keyed row are out
+    of its subtree's reach, so three slice assignments from the key
+    restore the frame's state.  A node whose key this solve has already
+    refuted pushes no frame and counts as a conflict; an exhausted frame
+    is popped without a restore and its key recorded.  Keys are bytes
+    when every value fits, tuples otherwise; once their sizes reach
+    ``CACHE_BYTES``, no more are stored, but frames still build theirs.
+    The verdict and the assignment are those of the search without the
+    cache.
     """
     propagator = _Propagator(model)
-    lo, hi, trail = propagator.lo, propagator.hi, propagator.trail
-    slack = propagator.slack
-    move, propagate, undo = propagator.move, propagator.propagate, propagator.undo
+    lo, hi, slack = propagator.lo, propagator.hi, propagator.slack
+    move, propagate = propagator.move, propagator.propagate
     n = len(lo)
     nodes = var = 0
-    stack: list[list[int]] = []  # frames: [variable, next value, trail mark]
+    stack: list[list] = []  # frames: [variable, next value, first row, key]
     refuted: dict[int, set[bytes | tuple[int, ...]]] = {}
     room = CACHE_BYTES
     reach = model._reach
-
-    def residual_key(v: int) -> bytes | tuple[int, ...]:
-        values = lo[v:]
-        values += hi[v:]
-        values += slack[bisect_left(reach, v) :]
-        try:
-            return bytes(values)
-        except ValueError:  # a value outside 0..255
-            return tuple(values)
 
     while True:
         if not propagate():
@@ -414,16 +391,26 @@ def solve(model: IlpModel) -> SolveResult:
                         + "; ".join(problems)
                     )
                 return SolveResult(True, assignment, nodes)
-            if var not in refuted or residual_key(var) not in refuted[var]:
-                stack.append([var, lo[var], len(trail)])
+            first = bisect_left(reach, var)
+            values = lo[var:]
+            values += hi[var:]
+            values += slack[first:]
+            try:
+                key = bytes(values)
+            except ValueError:  # a value outside 0..255
+                key = tuple(values)
+            if var not in refuted or key not in refuted[var]:
+                stack.append([var, lo[var], first, key])
         while stack:
-            var, value, mark = stack[-1]
-            undo(mark)
-            if value <= hi[var]:
+            var, value, first, key = stack[-1]
+            width = n - var
+            if value <= key[width]:  # the frame's upper bound of var
+                lo[var:] = key[:width]
+                hi[var:] = key[width : 2 * width]
+                slack[first:] = key[2 * width :]
                 break
             stack.pop()
             if room > 0 and stack:  # after the bottom frame, nothing looks up
-                key = residual_key(var)
                 refuted.setdefault(var, set()).add(key)
                 room -= sys.getsizeof(key)
         if not stack:

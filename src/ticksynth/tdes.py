@@ -147,6 +147,9 @@ class UntimedDes:
             if ev not in self.events:
                 error(f"timing entry for undeclared event {ev!r}")
                 continue
+            if not isinstance(tim, EventTiming):
+                error(f"timing of event {ev!r} is {tim!r}, not an EventTiming")
+                continue
             if tim.lower < 0:
                 error(f"event {ev!r} has a negative lower bound")
             if tim.kind == PROSPECTIVE and tim.upper < tim.lower:

@@ -142,6 +142,15 @@ def test_construction_lists_every_problem():
     assert len(messages) == 2
 
 
+def test_construction_rejects_timing_that_is_not_event_timing():
+    # a tuple has no bounds to check, so it is one problem and no crash
+    with pytest.raises(InvalidSystemError) as err:
+        UntimedDes({"a"}, {"go"}, {("a", "go"): "a"}, "a", set(), {}, {"go": (1, 2)})
+    assert str(err.value) == (
+        "invalid system: timing of event 'go' is (1, 2), not an EventTiming"
+    )
+
+
 def test_event_timing_constructor_shape_checks():
     with pytest.raises(ValueError):
         EventTiming("sometimes", 1, 2)
