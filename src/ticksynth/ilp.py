@@ -11,13 +11,20 @@ restores the deepest frame with a value left from that frame's residual
 key (below).  The search is completely deterministic.
 
 Propagation is incremental and activity based, and ``solve`` and
-``propagate_bounds`` share it.  Declared bounds are fixed at ``add_var``,
-so each row's declared slack (right-hand side minus minimum activity at
-the declared bounds) and cap are computed once, when the row is added; a
-solve starts from a copy of them.  The slack is updated on every bound
-move.  A variable's watch lists name the rows whose minimum activity its
-lower bound (positive coefficient) or its upper bound (negative
-coefficient) enters; a move touches only the matching list.
+``propagate_bounds`` share it.  Every constraint is stored as one or two
+rows ``sum(coef * var) <= rhs`` of the form ``(pos, neg, unit)``: ``pos``
+holds the positive terms and ``neg`` the negative ones, negated, as
+tuples of ``(var, weight)`` pairs.  A unit row, one whose coefficients
+are all ±1 over variables declared ``[0, 1]`` (the selector, one-hot and
+logic rows), stores tuples of bare variables instead.  An ``=``
+constraint's second row is its mirror ``(neg, pos, unit)``, sharing both
+tuples.  Declared bounds are fixed at ``add_var``, so each row's declared
+slack (right-hand side minus minimum activity at the declared bounds) and
+cap are computed once, when the row is added; a solve starts from a copy
+of them.  The slack is updated on every bound move.  A variable's watch
+lists name the rows whose minimum activity its lower bound (a ``pos``
+term) or its upper bound (a ``neg`` term) enters; a move touches only the
+matching list.
 
 After a conflict-free propagation every variable below the branching
 variable ``v`` is fixed, so what is left to solve is given by the bounds
@@ -109,7 +116,7 @@ class SolveResult:
 class IlpModel:
     """Mutable model builder.
 
-    Equality constraints are stored as the <=/>= pair internally; the
+    Equality constraints are stored as a row and its mirror; the
     user-level constraint list keeps the original form for dumps and for
     the verifier.  A finished model is never mutated by :func:`solve`, so
     independent solves of the same model may run concurrently.
@@ -127,9 +134,9 @@ class IlpModel:
         self.lower: Sequence[int] = _ReadOnly(self._lower)
         self.upper: Sequence[int] = _ReadOnly(self._upper)
         self.constraints: list[LinearConstraint] = []
-        # normalized rows (vars, coefs), meaning sum(coef*var) <= rhs; the
-        # rhs lives on only in the declared slack
-        self._rows: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        # rows (pos, neg, unit), each meaning sum(coef*var) <= rhs (see the
+        # module docstring); the rhs lives on only in the declared slack
+        self._rows: list[tuple[tuple, tuple, bool]] = []
         # watch lists, flat (row, |coef|) pairs: the rows whose minimum
         # activity a variable's lower bound (coef > 0) or upper bound
         # (coef < 0) enters
@@ -153,6 +160,11 @@ class IlpModel:
         return len(self.constraints)
 
     def add_var(self, name: str, lo: int, hi: int) -> int:
+        for bound in (lo, hi):
+            if not isinstance(bound, int) or isinstance(bound, bool):
+                raise ModelError(
+                    f"variable {name!r}: bound {bound!r} is not an integer"
+                )
         if lo > hi:
             raise ModelError(f"variable {name!r}: bounds [{lo}, {hi}] are empty")
         self.names.append(name)
@@ -163,22 +175,58 @@ class IlpModel:
         return len(self.names) - 1
 
     def add_constraint(self, constraint: LinearConstraint) -> None:
+        """Store ``constraint`` as one row, or as a row and its mirror.
+
+        A ``>=`` row is stored negated.  An ``=`` row's mirror is ``(neg,
+        pos, unit)``: its slack is the maximum activity minus the
+        right-hand side, and it shares the row's cap and last variable.
+        """
         for _, var in constraint.terms:
             if not 0 <= var < len(self.names):
                 raise ModelError(f"constraint references unknown variable {var}")
         self.constraints.append(constraint)
+        sign = -1 if constraint.comparator == ">=" else 1
         merged: dict[int, int] = {}
         for coef, var in constraint.terms:
-            merged[var] = merged.get(var, 0) + coef
-        items = sorted((var, coef) for var, coef in merged.items() if coef != 0)
-        variables = tuple(var for var, _ in items)
-        coefs = tuple(coef for _, coef in items)
-        if constraint.comparator in ("<=", "="):
-            self._push_row(variables, coefs, constraint.rhs)
-        if constraint.comparator in (">=", "="):
-            self._push_row(
-                variables, tuple(-c for c in coefs), -constraint.rhs
-            )
+            merged[var] = merged.get(var, 0) + sign * coef
+        row = len(self._rows)
+        equal = constraint.comparator == "="
+        lower, upper = self._lower, self._upper
+        watch_lo, watch_hi = self._watch_lo, self._watch_hi
+        pos: list = []  # (var, weight) pairs
+        neg: list = []
+        least = most = cap = 0  # minimum and maximum activity
+        last = -1
+        unit = True
+        for var, coef in sorted(merged.items()):
+            lo, hi = lower[var], upper[var]
+            if coef > 0:
+                pos.append((var, coef))
+                least += coef * lo
+                most += coef * hi
+                watch_lo[var] += (row, coef)
+                if equal:
+                    watch_hi[var] += (row + 1, coef)
+            elif coef < 0:
+                coef = -coef
+                neg.append((var, coef))
+                least -= coef * hi
+                most -= coef * lo
+                watch_hi[var] += (row, coef)
+                if equal:
+                    watch_lo[var] += (row + 1, coef)
+            else:
+                continue
+            cap = max(cap, coef * (hi - lo))
+            unit = unit and coef == 1 and lo == 0 and hi == 1
+            last = var
+        if unit:  # bare variables
+            pos, neg = [var for var, _ in pos], [var for var, _ in neg]
+        terms = tuple(pos), tuple(neg), unit
+        rhs = sign * constraint.rhs
+        self._push_row(terms, rhs - least, cap, last)
+        if equal:
+            self._push_row((terms[1], terms[0], unit), most - rhs, cap, last)
 
     def add(
         self, terms: Iterable[tuple[int, int]], comparator: str, rhs: int
@@ -197,38 +245,27 @@ class IlpModel:
         while len(self.constraints) > count:
             removed = self.constraints.pop()
             for _ in range(2 if removed.comparator == "=" else 1):
-                variables, coefs = self._rows.pop()
-                for var, coef in zip(variables, coefs):
-                    watch = self._watch_lo if coef > 0 else self._watch_hi
-                    del watch[var][-2:]
+                pos, neg, unit = self._rows.pop()
+                if not unit:
+                    pos, neg = [v for v, _ in pos], [v for v, _ in neg]
+                for var in pos:
+                    del self._watch_lo[var][-2:]
+                for var in neg:
+                    del self._watch_hi[var][-2:]
                 self._slack.pop()
                 self._cap.pop()
                 self._reach.pop()
                 if self._tight and self._tight[-1] == len(self._rows):
                     self._tight.pop()
 
-    def _push_row(
-        self, variables: tuple[int, ...], coefs: tuple[int, ...], rhs: int
-    ) -> None:
-        row = len(self._rows)
-        self._rows.append((variables, coefs))
-        lower, upper = self._lower, self._upper
-        activity = cap = 0
-        for var, coef in zip(variables, coefs):
-            if coef > 0:
-                activity += coef * lower[var]
-                self._watch_lo[var] += (row, coef)
-            else:
-                activity += coef * upper[var]
-                self._watch_hi[var] += (row, -coef)
-            cap = max(cap, abs(coef) * (upper[var] - lower[var]))
-        self._slack.append(rhs - activity)
+    def _push_row(self, terms: tuple, slack: int, cap: int, last: int) -> None:
+        if slack < cap:
+            self._tight.append(len(self._rows))
+        self._rows.append(terms)
+        self._slack.append(slack)
         self._cap.append(cap)
         reach = self._reach
-        last = variables[-1] if variables else -1
         reach.append(reach[-1] if reach and reach[-1] > last else last)
-        if rhs - activity < cap:
-            self._tight.append(row)
 
 
 class _Propagator:
@@ -239,6 +276,12 @@ class _Propagator:
     only when its slack falls below its cap, ``max |coef| * declared
     span``: with more slack it can neither fail nor tighten a bound.
     Tightenings never exclude an integer point of the row.
+
+    A unit row's cap is 1, and a slack only falls while the queue runs
+    (restores happen with the queue empty), so a unit row is popped only
+    at slack 0, or below it in conflict.  At slack 0 every free ``pos``
+    variable is fixed to 0 and every free ``neg`` variable to 1, which is
+    what the general rule gives, without its arithmetic.
     """
 
     def __init__(self, model: IlpModel) -> None:
@@ -285,13 +328,21 @@ class _Propagator:
                 while queue:  # leave no stale flags behind
                     queued[queue.popleft()] = 0
                 return True
-            variables, coefs = rows[row]
-            for var, coef in zip(variables, coefs):
-                if coef > 0:
-                    if coef * (hi[var] - lo[var]) > room:
-                        move(var, True, lo[var] + room // coef)
-                elif -coef * (hi[var] - lo[var]) > room:
-                    move(var, False, hi[var] - room // -coef)
+            pos, neg, unit = rows[row]
+            if unit:  # room is 0: every free term is forced to its bound
+                for var in pos:
+                    if lo[var] != hi[var]:
+                        move(var, True, 0)
+                for var in neg:
+                    if lo[var] != hi[var]:
+                        move(var, False, 1)
+                continue
+            for var, weight in pos:
+                if weight * (hi[var] - lo[var]) > room:
+                    move(var, True, lo[var] + room // weight)
+            for var, weight in neg:
+                if weight * (hi[var] - lo[var]) > room:
+                    move(var, False, hi[var] - room // weight)
         return False
 
 
@@ -352,7 +403,8 @@ def solve(model: IlpModel) -> SolveResult:
     no conflict, push a frame for the unfixed variable of lowest index,
     or return the assignment once every variable is fixed.  Then take
     the deepest frame whose variable still has a value left, restore its
-    state, fix the variable to that value and loop.  Values are tried in
+    state (a frame pushed in this pass holds it already), fix the
+    variable to that value and loop.  Values are tried in
     ascending order, so identical models yield identical assignments.
     ``nodes`` counts value decisions.
 
@@ -379,6 +431,7 @@ def solve(model: IlpModel) -> SolveResult:
     reach = model._reach
 
     while True:
+        pushed = False
         if not propagate():
             while var < n and lo[var] == hi[var]:
                 var += 1
@@ -401,13 +454,15 @@ def solve(model: IlpModel) -> SolveResult:
                 key = tuple(values)
             if var not in refuted or key not in refuted[var]:
                 stack.append([var, lo[var], first, key])
+                pushed = True
         while stack:
             var, value, first, key = stack[-1]
             width = n - var
             if value <= key[width]:  # the frame's upper bound of var
-                lo[var:] = key[:width]
-                hi[var:] = key[width : 2 * width]
-                slack[first:] = key[2 * width :]
+                if not pushed:
+                    lo[var:] = key[:width]
+                    hi[var:] = key[width : 2 * width]
+                    slack[first:] = key[2 * width :]
                 break
             stack.pop()
             if room > 0 and stack:  # after the bottom frame, nothing looks up

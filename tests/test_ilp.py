@@ -37,6 +37,15 @@ def test_add_var_rejects_empty_bounds():
         model.add_var("x", 2, 1)
 
 
+def test_add_var_rejects_bounds_that_are_not_integers():
+    # a float bound once reached the solver and failed in key building
+    for lo, hi in ((0.5, 2), (0, 2.0), (False, 1), (0, True), ("0", 1)):
+        model = IlpModel()
+        with pytest.raises(ModelError):
+            model.add_var("x", lo, hi)
+        assert model.num_variables == 0
+
+
 def test_add_constraint_rejects_unknown_variable():
     model = IlpModel()
     model.add_var("x", 0, 1)
@@ -320,6 +329,45 @@ def test_propagation_matches_full_recompute_reference():
             tightened += 1
     # both outcomes must be exercised for the comparison to mean anything
     assert conflicts >= 20 and tightened >= 20
+
+
+def test_unit_rows_propagate_like_the_reference(monkeypatch):
+    # Rows of ±1 coefficients over binaries take the unit fast path; the
+    # same rows over a variable declared [1, 1], [0, 0], [0, 2], or with
+    # a span of 1 off 0, do not.
+    rng = random.Random(1903)
+    rows = {True: 0, False: 0}
+    tightened = conflicts = 0  # in models of unit rows only
+    for trial in range(400):
+        model = IlpModel()
+        n = rng.randint(2, 7)
+        for v in range(n):
+            model.add_var(f"b{v}", 0, 1)
+        if rng.random() < 0.5:
+            others = [(1, 1), (0, 0), (0, 2), (-1, 0), (1, 2)]
+            for lo, hi in rng.sample(others, rng.randint(1, 3)):
+                model.add_var(f"o{model.num_variables}", lo, hi)
+        for _ in range(rng.randint(1, n + 2)):
+            support = rng.sample(
+                range(model.num_variables), rng.randint(1, min(4, n))
+            )
+            terms = [(rng.choice([-1, 1]), v) for v in support]
+            model.add(terms, rng.choice(["<=", ">=", "="]), rng.randint(-1, 2))
+        box = propagate_bounds(model)
+        assert box == reference_propagate(model), f"trial {trial}: {dump(model)}"
+        for _, _, unit in model._rows:
+            rows[unit] += 1
+        if all(unit for _, _, unit in model._rows):
+            conflicts += box is None
+            tightened += box not in (None, (list(model.lower), list(model.upper)))
+        with monkeypatch.context() as patch:
+            patch.setattr(ilp, "CACHE_BYTES", 0)
+            plain = solve(model)
+        assert (plain.feasible, plain.assignment, plain.nodes) == (
+            reference_search(model)
+        ), f"trial {trial}: {dump(model)}"
+    assert min(rows.values()) >= 300, rows
+    assert tightened >= 20 and conflicts >= 20
 
 
 def test_verifier_reports_violations():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -12,9 +13,9 @@ from ticksynth.synth import (
     oracle_synthesize,
     synthesize,
 )
-from ticksynth.tdes import StateCapError, build_tdes
+from ticksynth.tdes import StateCapError, TimedDes, build_tdes
 
-from helpers import random_formula, random_system
+from helpers import random_formula, random_model, random_system
 
 
 def test_avoid_until_minimal_horizon_every_mode(ring, phi_avoid_until):
@@ -79,6 +80,40 @@ def test_search_effort_per_horizon_is_pinned(
             seen.append(result.nodes)
             assert result.feasible == (horizon == 4 + len(nodes))
         assert seen == nodes
+
+
+def test_search_on_seeded_models_is_pinned():
+    """Verdict, assignment and nodes of 1,500 grown encodings and 800
+    random models, as digests: a change to propagation, branching or the
+    cache that alters any search fails here."""
+
+    def digest(results: list) -> str:
+        return hashlib.sha256(repr(results).encode()).hexdigest()
+
+    systems, formulas = random.Random(77), random.Random(78)
+    grown = []
+    for _ in range(300):
+        system = random_system(systems)
+        phi = random_formula(formulas, sorted(system.atoms), 5)
+        graph, enc = TimedDes(system), None
+        for horizon in range(1, 6):
+            enc = build_encoding(graph, phi, horizon, enc)
+            result = solve(enc.model)
+            grown.append((result.feasible, result.assignment, result.nodes))
+    assert sum(nodes for _, _, nodes in grown) == 1183
+    assert sum(feasible for feasible, _, _ in grown) == 587
+    assert digest(grown) == (
+        "cccd62eb90d260b151402fcec66e22056368b8066dce4d15d51a4ad0972d4d15"
+    )
+    rng = random.Random(800)
+    plain = []
+    for _ in range(800):
+        result = solve(random_model(rng, rng.randint(1, 14)))
+        plain.append((result.feasible, result.assignment, result.nodes))
+    assert sum(nodes for _, _, nodes in plain) == 1203
+    assert digest(plain) == (
+        "7ff470c5f79f22fed835d44d4a3a2a1d0961cf7bf0e7dfdf2bc9f64d8d59c162"
+    )
 
 
 def test_state_cap_bounds_only_the_states_the_horizons_reach(
