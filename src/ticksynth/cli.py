@@ -201,25 +201,23 @@ def _cmd_build(args: argparse.Namespace) -> int:
         print(tdes.untimed_to_dot(system), end="")
         return 0
     graph = tdes.build_tdes(system, args.state_cap)
-    events = [ev for pairs in graph.outgoing for ev, _ in pairs]
-    tick_edges = events.count(tdes.TICK)
     if args.format == "dot":
         print(tdes.tdes_to_dot(graph), end="")
-    elif args.format == "json":
-        payload = {
-            "activity_states": len(system.states),
-            "events": len(system.events),
-            "timed_states": graph.n,
-            "timed_transitions": len(events),
-            "tick_transitions": tick_edges,
-        }
+        return 0
+    events = [ev for pairs in graph.outgoing for ev, _ in pairs]
+    counts = {
+        "activity states": len(system.states),
+        "events": len(system.events),
+        "timed states": graph.n,
+        "timed transitions": len(events),
+        "tick transitions": events.count(tdes.TICK),
+    }
+    if args.format == "json":
+        payload = {name.replace(" ", "_"): n for name, n in counts.items()}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(f"activity states: {len(system.states)}")
-        print(f"events: {len(system.events)}")
-        print(f"timed states: {graph.n}")
-        print(f"timed transitions: {len(events)}")
-        print(f"tick transitions: {tick_edges}")
+        for name, n in counts.items():
+            print(f"{name}: {n}")
     return 0
 
 

@@ -318,7 +318,7 @@ def build_encoding(
     enc = _start(graph, formula) if previous is None else previous
     if enc.tdes is not graph or enc.formula is not formula:
         raise ValueError("the previous encoding has another graph or formula")
-    if horizon < 1:
+    if type(horizon) is not int or horizon < 1:
         raise ValueError("horizon must be at least 1")
     if horizon < enc.horizon:
         raise ValueError(

@@ -83,11 +83,11 @@ class LinearConstraint:
         if self.comparator not in ("<=", ">=", "="):
             raise ModelError(f"unknown comparator {self.comparator!r}")
         for coef, var in self.terms:
-            if not isinstance(coef, int) or isinstance(coef, bool):
+            if type(coef) is not int:
                 raise ModelError(f"coefficient {coef!r} is not an integer")
-            if not isinstance(var, int) or isinstance(var, bool):
+            if type(var) is not int:
                 raise ModelError(f"variable index {var!r} is not an integer")
-        if not isinstance(self.rhs, int) or isinstance(self.rhs, bool):
+        if type(self.rhs) is not int:
             raise ModelError(f"right-hand side {self.rhs!r} is not an integer")
 
 
@@ -161,7 +161,7 @@ class IlpModel:
 
     def add_var(self, name: str, lo: int, hi: int) -> int:
         for bound in (lo, hi):
-            if not isinstance(bound, int) or isinstance(bound, bool):
+            if type(bound) is not int:
                 raise ModelError(
                     f"variable {name!r}: bound {bound!r} is not an integer"
                 )
@@ -181,14 +181,13 @@ class IlpModel:
         pos, unit)``: its slack is the maximum activity minus the
         right-hand side, and it shares the row's cap and last variable.
         """
-        for _, var in constraint.terms:
-            if not 0 <= var < len(self.names):
-                raise ModelError(f"constraint references unknown variable {var}")
-        self.constraints.append(constraint)
         sign = -1 if constraint.comparator == ">=" else 1
         merged: dict[int, int] = {}
         for coef, var in constraint.terms:
+            if not 0 <= var < len(self.names):
+                raise ModelError(f"constraint references unknown variable {var}")
             merged[var] = merged.get(var, 0) + sign * coef
+        self.constraints.append(constraint)
         row = len(self._rows)
         equal = constraint.comparator == "="
         lower, upper = self._lower, self._upper

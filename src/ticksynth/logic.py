@@ -83,7 +83,7 @@ class Until(Formula):
     upper: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.lower, int) and isinstance(self.upper, int)):
+        if type(self.lower) is not int or type(self.upper) is not int:
             raise ValueError("until bounds must be integers")
         if self.lower < 0 or self.lower > self.upper:
             raise ValueError(

@@ -41,10 +41,10 @@ class SynthesisRequest:
     state_cap: int = DEFAULT_STATE_CAP
 
     def __post_init__(self) -> None:
-        if not 1 <= self.horizon_min <= self.horizon_max:
+        low, high = self.horizon_min, self.horizon_max
+        if not (type(low) is int and type(high) is int and 1 <= low <= high):
             raise ValueError(
-                f"horizon range {self.horizon_min}..{self.horizon_max} "
-                "must satisfy 1 <= min <= max"
+                f"horizon range {low}..{high} must satisfy 1 <= min <= max"
             )
 
 
@@ -117,24 +117,28 @@ def synthesize(
 
 
 def enumerate_fragments(graph: TimedDes, horizon: int) -> Iterator[Fragment]:
-    """All runs of exactly ``horizon`` steps, in lexicographic event order."""
-    path = [0]
-    events: list[str] = []
+    """All runs of exactly ``horizon`` steps, in lexicographic event order.
 
-    def walk(depth: int) -> Iterator[Fragment]:
-        if depth == horizon:
+    The depth-first walk keeps its own stack of edge iterators, so no
+    horizon runs into the interpreter's recursion limit.
+    """
+    run: list[tuple[str, int]] = []  # a virtual edge into state 0, then the run
+    stack = [iter([("", 0)])]
+    while stack:
+        for edge in stack[-1]:
+            run.append(edge)
+            if len(run) <= horizon:
+                stack.append(iter(graph.outgoing[edge[1]]))
+                break
             yield Fragment(
-                tuple(graph.states[i] for i in path), tuple(events)
+                tuple(graph.states[j] for _, j in run),
+                tuple(ev for ev, _ in run[1:]),
             )
-            return
-        for ev, j in graph.outgoing[path[-1]]:
-            path.append(j)
-            events.append(ev)
-            yield from walk(depth + 1)
-            path.pop()
-            events.pop()
-
-    yield from walk(0)
+            run.pop()
+        else:
+            stack.pop()
+            if run:
+                run.pop()
 
 
 def oracle_synthesize(

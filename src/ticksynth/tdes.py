@@ -265,7 +265,7 @@ class TimedDes:
     def __init__(
         self, untimed: UntimedDes, state_cap: int = DEFAULT_STATE_CAP
     ) -> None:
-        if state_cap < 1:
+        if type(state_cap) is not int or state_cap < 1:
             raise ValueError(f"state cap must be at least 1, got {state_cap}")
         start = initial_state(untimed)
         self.untimed = untimed
@@ -507,8 +507,6 @@ def fragment_from_json(data: object, system: UntimedDes) -> Fragment:
         if not isinstance(ev, str):
             raise FragmentError(f"events[{pos}] must be an event name")
 
-    activities = []
-    timer_maps: list[dict[str, int] | None] = []
     for pos, entry in enumerate(raw_states):
         if not isinstance(entry, dict) or "activity" not in entry:
             raise FragmentError(f"states[{pos}] needs 'activity'")
@@ -522,29 +520,16 @@ def fragment_from_json(data: object, system: UntimedDes) -> Fragment:
                 raise FragmentError(
                     f"states[{pos}]: timer {ev!r} must be an integer"
                 )
-        activities.append(entry["activity"])
-        timer_maps.append(timers)
 
     replay = replay_events(system, raw_events)
-    order = system.event_order()
-    for pos, state in enumerate(replay.states):
-        if state.activity != activities[pos]:
+    for pos, (entry, state) in enumerate(zip(raw_states, replay.states)):
+        timers = entry.get("timers")
+        if entry["activity"] != state.activity or (
+            timers is not None and timers != state.timer_map()
+        ):
             raise FragmentError(
-                f"states[{pos}]: activity {activities[pos]!r} does not match "
-                f"replayed activity {state.activity!r}"
-            )
-        timers = timer_maps[pos]
-        if timers is None:
-            continue
-        if set(timers) != set(order):
-            raise FragmentError(
-                f"states[{pos}]: timers must cover exactly the declared events"
-            )
-        wanted = tuple((ev, timers[ev]) for ev in order)
-        if wanted != state.timers:
-            raise FragmentError(
-                f"states[{pos}]: timers {dict(wanted)} do not match replay "
-                f"{state.timer_map()}"
+                f"states[{pos}] does not match the replayed state: activity "
+                f"{state.activity!r}, timers {state.timer_map()}"
             )
     return replay
 

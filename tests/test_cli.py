@@ -152,6 +152,11 @@ def test_build_statistics(capsys):
     assert out["timed_states"] == 28
     assert out["timed_transitions"] == 44
     assert out["tick_transitions"] == 28
+    assert run(["build", "--system", RING]) == 0
+    assert capsys.readouterr().out == (
+        "activity states: 12\nevents: 16\ntimed states: 28\n"
+        "timed transitions: 44\ntick transitions: 28\n"
+    )
 
 
 def test_build_dot_outputs(capsys):

@@ -153,6 +153,9 @@ def test_until_constructor_rejects_bad_bounds():
         Until(TRUE, Atom("a"), 3, 1)
     with pytest.raises(ValueError):
         Until(TRUE, Atom("a"), -1, 1)
+    # True == 1, yet format_formula would print U[True,2], which parse rejects
+    with pytest.raises(ValueError):
+        Until(TRUE, Atom("a"), True, 2)
 
 
 # --- printing ------------------------------------------------------------------

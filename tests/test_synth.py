@@ -13,7 +13,13 @@ from ticksynth.synth import (
     oracle_synthesize,
     synthesize,
 )
-from ticksynth.tdes import StateCapError, TimedDes, build_tdes
+from ticksynth.tdes import (
+    TICK,
+    StateCapError,
+    TimedDes,
+    UntimedDes,
+    build_tdes,
+)
 
 from helpers import random_formula, random_model, random_system
 
@@ -173,6 +179,9 @@ def test_request_validation(ring, phi_two_goals):
         SynthesisRequest(ring, phi_two_goals, 0, 3)
     with pytest.raises(ValueError):
         SynthesisRequest(ring, phi_two_goals, 4, 3)
+    for low, high in ((1.5, 5), (True, 3)):
+        with pytest.raises(ValueError):
+            SynthesisRequest(ring, phi_two_goals, low, high)
 
 
 def test_stats_are_populated(ring, phi_avoid_until):
@@ -220,6 +229,17 @@ def test_oracle_returns_lex_first_satisfying_run(ring, ring_tdes, phi_avoid_unti
         if evaluate(frag, phi_avoid_until, 0, ring.labeling, ring.atoms)
     ]
     assert result.fragment.events == min(satisfying)
+
+
+def test_oracle_enumerates_runs_deeper_than_the_recursion_limit():
+    # one state, no events: the only run of each horizon ticks throughout,
+    # so the budget (branching 1) never stops the enumeration
+    system = UntimedDes({"s"}, set(), {}, "s", {"p"}, {"s": {"p"}}, {})
+    request = SynthesisRequest(system, Atom("p"), 3000, 3000)
+    for search in (oracle_synthesize, synthesize):
+        result = search(request)
+        assert result.horizon == 3000
+        assert result.fragment.events == (TICK,) * 3000
 
 
 def test_oracle_budget_guard(ring, phi_two_goals):

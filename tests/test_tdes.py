@@ -397,8 +397,9 @@ def test_state_cap_aborts_construction(ring):
     with pytest.raises(StateCapError):
         build_tdes(ring, state_cap=5)
     # the initial state alone needs a cap of 1
-    with pytest.raises(ValueError, match="state cap must be at least 1"):
-        TimedDes(ring, 0)
+    for cap in (0, 2.5):
+        with pytest.raises(ValueError, match="state cap must be at least 1"):
+            TimedDes(ring, cap)
     assert TimedDes(ring, 1).n == 1
 
 
@@ -539,25 +540,36 @@ def test_fragment_json_reconstructs_missing_timers(ring):
     assert frag.states[1].timer("reach14") == 1
 
 
+# each stored state is compared with its replay as a whole
+MISMATCH = r"states\[1\] does not match the replayed state"
+
+
 def test_fragment_json_rejects_wrong_activity(ring):
-    doc = {
-        "states": [{"activity": "p1"}, {"activity": "p2"}],
-        "events": ["move14"],
-    }
-    with pytest.raises(FragmentError):
-        fragment_from_json(doc, ring)
+    replayed = replay_events(ring, ["move14"]).states[1].timer_map()
+    for second in (
+        {"activity": "p2"},
+        {"activity": "p2", "timers": replayed},
+    ):
+        doc = {"states": [{"activity": "p1"}, second], "events": ["move14"]}
+        with pytest.raises(FragmentError, match=MISMATCH):
+            fragment_from_json(doc, ring)
 
 
 def test_fragment_json_rejects_wrong_timer(ring):
-    doc = {
-        "states": [
-            {"activity": "p1"},
-            {"activity": "p14", "timers": {ev: 9 for ev in ring.event_order()}},
-        ],
-        "events": ["move14"],
-    }
-    with pytest.raises(FragmentError):
-        fragment_from_json(doc, ring)
+    replayed = replay_events(ring, ["move14"]).states[1].timer_map()
+    missing = dict(replayed)
+    del missing["reach14"]
+    for timers in (
+        {ev: 9 for ev in ring.event_order()},
+        missing,
+        {**replayed, "reach99": 0},
+    ):
+        doc = {
+            "states": [{"activity": "p1"}, {"activity": "p14", "timers": timers}],
+            "events": ["move14"],
+        }
+        with pytest.raises(FragmentError, match=MISMATCH):
+            fragment_from_json(doc, ring)
 
 
 def test_replay_events_rejects_disabled(ring):
