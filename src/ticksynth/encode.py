@@ -44,7 +44,6 @@ and a run that fails certification is never returned.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .ilp import IlpModel
@@ -68,7 +67,6 @@ class DecodeError(RuntimeError):
     """An assignment does not decode to a run that replays and certifies."""
 
 
-@dataclass(eq=False)
 class Encoding:
     """Model plus the registry mapping variables back to run structure.
 
@@ -77,25 +75,30 @@ class Encoding:
     event) order and ``x[k]`` their selectors.  An ``x[k]`` or ``w[k]``
     entry may be the variable of a state of ``w[k-1]`` or ``w[k]``
     (see :func:`_encode_step`), so one variable may serve several steps.
-    ``everywhere`` holds the slots demanded at every position.  ``closing`` is the number of
-    constraints before the closing rows.
+    ``everywhere`` holds the slots demanded at every position.
+    ``closing`` is the number of constraints before the closing rows.
     """
 
-    model: IlpModel
-    tdes: TimedDes
-    formula: Formula
-    table: SubformulaTable
-    everywhere: frozenset[int]
-    horizon: int
-    w: list[dict[int, int]] = field(default_factory=list)
-    ze: list[int | None] = field(default_factory=lambda: [None])
-    c: list[int | None] = field(default_factory=lambda: [None])
-    zphi: dict[tuple[int, int], int] = field(default_factory=dict)
-    zc: dict[tuple[int, int, int], tuple[int, int]] = field(default_factory=dict)
-    zu: dict[tuple[int, int, int], int] = field(default_factory=dict)
-    edges: list[list[tuple[int, str, int]]] = field(default_factory=lambda: [[]])
-    x: list[list[int]] = field(default_factory=lambda: [[]])
-    closing: int = 0
+    def __init__(
+        self,
+        model: IlpModel,
+        tdes: TimedDes,
+        formula: Formula,
+        table: SubformulaTable,
+        everywhere: frozenset[int],
+        horizon: int,
+    ) -> None:
+        self.model, self.tdes, self.formula = model, tdes, formula
+        self.table, self.everywhere, self.horizon = table, everywhere, horizon
+        self.w: list[dict[int, int]] = []
+        self.ze: list[int | None] = [None]
+        self.c: list[int | None] = [None]
+        self.zphi: dict[tuple[int, int], int] = {}
+        self.zc: dict[tuple[int, int, int], tuple[int, int]] = {}
+        self.zu: dict[tuple[int, int, int], int] = {}
+        self.edges: list[list[tuple[int, str, int]]] = [[]]
+        self.x: list[list[int]] = [[]]
+        self.closing = 0
 
 
 def _start(graph: TimedDes, formula: Formula) -> Encoding:
@@ -318,7 +321,9 @@ def build_encoding(
     enc = _start(graph, formula) if previous is None else previous
     if enc.tdes is not graph or enc.formula is not formula:
         raise ValueError("the previous encoding has another graph or formula")
-    if type(horizon) is not int or horizon < 1:
+    if type(horizon) is not int:
+        raise ValueError(f"horizon must be an integer, got {horizon!r}")
+    if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if horizon < enc.horizon:
         raise ValueError(

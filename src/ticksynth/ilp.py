@@ -53,10 +53,9 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 # Most bytes of refuted-subproblem keys one solve stores (see ``solve``).
@@ -67,28 +66,28 @@ class ModelError(ValueError):
     """A variable or constraint was declared inconsistently."""
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(namedtuple("LinearConstraint", "terms comparator rhs")):
     """``sum(coef * var) comparator rhs`` with integer data.
 
     ``terms`` pairs are (coefficient, variable index); the comparator is
     one of ``<=``, ``>=``, ``=``.
     """
 
-    terms: tuple[tuple[int, int], ...]
-    comparator: str
-    rhs: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.comparator not in ("<=", ">=", "="):
-            raise ModelError(f"unknown comparator {self.comparator!r}")
-        for coef, var in self.terms:
+    def __new__(
+        cls, terms: tuple[tuple[int, int], ...], comparator: str, rhs: int
+    ) -> LinearConstraint:
+        if comparator not in ("<=", ">=", "="):
+            raise ModelError(f"unknown comparator {comparator!r}")
+        for coef, var in terms:
             if type(coef) is not int:
                 raise ModelError(f"coefficient {coef!r} is not an integer")
             if type(var) is not int:
                 raise ModelError(f"variable index {var!r} is not an integer")
-        if type(self.rhs) is not int:
-            raise ModelError(f"right-hand side {self.rhs!r} is not an integer")
+        if type(rhs) is not int:
+            raise ModelError(f"right-hand side {rhs!r} is not an integer")
+        return super().__new__(cls, terms, comparator, rhs)
 
 
 class _ReadOnly(Sequence):
@@ -104,8 +103,7 @@ class _ReadOnly(Sequence):
         return len(self._items)
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Outcome of a solve: infeasibility is a value, not an error."""
 
     feasible: bool

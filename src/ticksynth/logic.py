@@ -22,9 +22,9 @@ to an activity labeling, with the tick-count windows measured through
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Collection, Mapping
 
+from .record import Record
 from .tdes import Fragment
 
 
@@ -40,56 +40,57 @@ class UnknownAtomError(ValueError):
     """A formula mentions an atom outside the system's alphabet."""
 
 
-class Formula:
-    """Base class for formula nodes; all nodes are immutable."""
+class Formula(Record):
+    """Base class for formula nodes; all nodes are immutable and compare
+    and hash by kind and fields, so ``And(a, b) != Or(a, b)``."""
 
     __slots__ = ()
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return hash((type(self), self._values()))
+
+
 class Truth(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    operand: Formula
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Until(Formula):
     """``left U[lower,upper] right`` with tick-count bounds."""
 
-    left: Formula
-    right: Formula
-    lower: int
-    upper: int
+    __slots__ = ("left", "right", "lower", "upper")
 
-    def __post_init__(self) -> None:
-        if type(self.lower) is not int or type(self.upper) is not int:
+    def __init__(
+        self, left: Formula, right: Formula, lower: int, upper: int
+    ) -> None:
+        if type(lower) is not int or type(upper) is not int:
             raise ValueError("until bounds must be integers")
-        if self.lower < 0 or self.lower > self.upper:
+        if lower < 0 or lower > upper:
             raise ValueError(
-                f"until bounds [{self.lower},{self.upper}] must satisfy "
+                f"until bounds [{lower},{upper}] must satisfy "
                 "0 <= lower <= upper"
             )
+        super().__init__(left, right, lower, upper)
 
 
 TRUE = Truth()
@@ -333,17 +334,14 @@ def format_formula(node: Formula) -> str:
     return _fmt(node, 0)
 
 
-@dataclass(frozen=True, eq=False)
-class SubformulaTable:
+class SubformulaTable(Record):
     """Distinct subformulas in bottom-up order, root last.
 
     Structurally equal subtrees share one entry, so each entry's children
-    indices point at earlier entries.
+    indices point at earlier entries; ``root`` is the root's index.
     """
 
-    entries: tuple[Formula, ...]
-    children: tuple[tuple[int, ...], ...]
-    root: int
+    __slots__ = ("entries", "children", "root")
 
     def __len__(self) -> int:
         return len(self.entries)

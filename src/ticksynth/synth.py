@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .encode import build_encoding, decode
 from .ilp import solve
@@ -32,6 +32,7 @@ class OracleBudgetError(RuntimeError):
     """Enumeration would exceed the configured work budget."""
 
 
+# The package's one dataclass: perfbench/run.py reads its fields.
 @dataclass(frozen=True)
 class SynthesisRequest:
     system: UntimedDes
@@ -48,8 +49,7 @@ class SynthesisRequest:
             )
 
 
-@dataclass(frozen=True)
-class SynthStats:
+class SynthStats(NamedTuple):
     """Size of the decisive model plus total search effort.
 
     ``variables`` and ``constraints`` are the size of the grown model at
@@ -65,8 +65,7 @@ class SynthStats:
     wall_time: float
 
 
-@dataclass(frozen=True)
-class SynthesisResult:
+class SynthesisResult(NamedTuple):
     found: bool
     fragment: Fragment | None
     horizon: int | None

@@ -24,10 +24,12 @@ export.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar
+
+from .record import Record
 
 TICK = "tick"
 
@@ -59,8 +61,7 @@ class FragmentError(ValueError):
     """A fragment document or fragment replay is invalid."""
 
 
-@dataclass(frozen=True)
-class EventTiming:
+class EventTiming(namedtuple("EventTiming", "kind lower upper")):
     """Occurrence bounds for one event, measured in ticks.
 
     ``lower`` must be an ``int`` (a ``bool`` is not one), and ``upper``
@@ -70,21 +71,22 @@ class EventTiming:
     problem of a system at once.
     """
 
-    kind: str
-    lower: int
-    upper: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if type(self.lower) is not int:
+    def __new__(
+        cls, kind: str, lower: int, upper: int | None = None
+    ) -> EventTiming:
+        if type(lower) is not int:
             raise ValueError("'lower' must be an integer")
-        if self.kind == PROSPECTIVE:
-            if type(self.upper) is not int:
+        if kind == PROSPECTIVE:
+            if type(upper) is not int:
                 raise ValueError("prospective event needs integer 'upper'")
-        elif self.kind == REMOTE:
-            if self.upper is not None:
+        elif kind == REMOTE:
+            if upper is not None:
                 raise ValueError("remote event must omit 'upper'")
         else:
-            raise ValueError(f"unknown kind {self.kind!r}")
+            raise ValueError(f"unknown kind {kind!r}")
+        return super().__new__(cls, kind, lower, upper)
 
     @property
     def timer_limit(self) -> int:
@@ -92,8 +94,7 @@ class EventTiming:
         return self.upper if self.kind == PROSPECTIVE else self.lower
 
 
-@dataclass(frozen=True, eq=False)
-class UntimedDes:
+class UntimedDes(Record):
     """Untimed activity automaton with per-event timing bounds.
 
     ``transitions`` is a partial function from (state, event) pairs to
@@ -103,25 +104,30 @@ class UntimedDes:
     :class:`InvalidSystemError` listing each violation.
     """
 
-    states: frozenset[str]
-    events: frozenset[str]
-    transitions: Mapping[tuple[str, str], str]
-    initial: str
-    atoms: frozenset[str]
-    labeling: Mapping[str, frozenset[str]]
-    timing: Mapping[str, EventTiming]
+    __slots__ = (
+        "states", "events", "transitions", "initial", "atoms", "labeling",
+        "timing",
+    )
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "states", frozenset(self.states))
-        object.__setattr__(self, "events", frozenset(self.events))
-        object.__setattr__(self, "transitions", dict(self.transitions))
-        object.__setattr__(self, "atoms", frozenset(self.atoms))
-        object.__setattr__(
-            self,
-            "labeling",
-            {s: frozenset(aps) for s, aps in dict(self.labeling).items()},
+    def __init__(
+        self,
+        states: Iterable[str],
+        events: Iterable[str],
+        transitions: Mapping[tuple[str, str], str],
+        initial: str,
+        atoms: Iterable[str],
+        labeling: Mapping[str, Iterable[str]],
+        timing: Mapping[str, EventTiming],
+    ) -> None:
+        super().__init__(
+            frozenset(states),
+            frozenset(events),
+            dict(transitions),
+            initial,
+            frozenset(atoms),
+            {s: frozenset(aps) for s, aps in dict(labeling).items()},
+            dict(timing),
         )
-        object.__setattr__(self, "timing", dict(self.timing))
         problems: list[str] = []
         error = problems.append
         if TICK in self.events:
@@ -170,8 +176,7 @@ class UntimedDes:
         return tuple(sorted(self.events))
 
 
-@dataclass(frozen=True)
-class TimedState:
+class TimedState(NamedTuple):
     """One state of the timed system: an activity plus all event timers.
 
     Timers are stored as a tuple of (event, value) pairs sorted by event
@@ -265,7 +270,9 @@ class TimedDes:
     def __init__(
         self, untimed: UntimedDes, state_cap: int = DEFAULT_STATE_CAP
     ) -> None:
-        if type(state_cap) is not int or state_cap < 1:
+        if type(state_cap) is not int:
+            raise ValueError(f"state cap must be an integer, got {state_cap!r}")
+        if state_cap < 1:
             raise ValueError(f"state cap must be at least 1, got {state_cap}")
         start = initial_state(untimed)
         self.untimed = untimed
@@ -317,8 +324,7 @@ def build_tdes(system: UntimedDes, state_cap: int = DEFAULT_STATE_CAP) -> TimedD
     return graph
 
 
-@dataclass(frozen=True)
-class Fragment:
+class Fragment(namedtuple("Fragment", "states events")):
     """Finite alternating run: states s(0)..s(H), events e(1)..e(H).
 
     The structural requirement here is only that lengths line up; whether
@@ -326,15 +332,17 @@ class Fragment:
     :func:`fragment_errors`.
     """
 
-    states: tuple[TimedState, ...]
-    events: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.states) != len(self.events) + 1:
+    def __new__(
+        cls, states: tuple[TimedState, ...], events: tuple[str, ...]
+    ) -> Fragment:
+        if len(states) != len(events) + 1:
             raise FragmentError(
-                f"{len(self.states)} states do not alternate with "
-                f"{len(self.events)} events"
+                f"{len(states)} states do not alternate with "
+                f"{len(events)} events"
             )
+        return super().__new__(cls, states, events)
 
     @property
     def horizon(self) -> int:

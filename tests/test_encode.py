@@ -329,8 +329,10 @@ def test_encoding_grows_only_forward(ring_tdes, phi_two_goals):
         build_encoding(ring_tdes, phi_two_goals, 2, enc)
     with pytest.raises(ValueError):
         build_encoding(ring_tdes, parse("F[1,5] ap2"), 4, enc)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="horizon must be an integer, got 2.5"):
         build_encoding(ring_tdes, phi_two_goals, 2.5)
+    with pytest.raises(ValueError, match="horizon must be at least 1"):
+        build_encoding(ring_tdes, phi_two_goals, 0)
 
 
 # sha256 of ``dump(model)``.  The solver branches in variable index

@@ -1,6 +1,8 @@
-"""The package stays standard-library only."""
+"""The package stays standard-library only, with one dataclass."""
 
 import ast
+import dataclasses
+import importlib
 import sys
 from pathlib import Path
 
@@ -55,3 +57,23 @@ def test_package_modules_use_every_name_they_import():
             if name not in used
         ]
     assert unused == []
+
+
+def test_synthesis_request_is_the_only_dataclass():
+    """Generating a dataclass's methods runs ``exec`` at import time, once
+    per method; for the value types that was a large share of importing
+    the package.  ``SynthesisRequest`` stays one because the benchmark's
+    ``exact_request`` (``perfbench/run.py``) reads its
+    ``dataclasses.fields``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "ticksynth" if path.stem == "__init__" else f"ticksynth.{path.stem}"
+        module = importlib.import_module(name)
+        found += [
+            f"{name}.{attr}"
+            for attr, value in vars(module).items()
+            if isinstance(value, type)
+            and dataclasses.is_dataclass(value)
+            and value.__module__ == name
+        ]
+    assert found == ["ticksynth.synth.SynthesisRequest"]

@@ -397,9 +397,10 @@ def test_state_cap_aborts_construction(ring):
     with pytest.raises(StateCapError):
         build_tdes(ring, state_cap=5)
     # the initial state alone needs a cap of 1
-    for cap in (0, 2.5):
-        with pytest.raises(ValueError, match="state cap must be at least 1"):
-            TimedDes(ring, cap)
+    with pytest.raises(ValueError, match="state cap must be at least 1, got 0"):
+        TimedDes(ring, 0)
+    with pytest.raises(ValueError, match="state cap must be an integer, got 2.5"):
+        TimedDes(ring, 2.5)
     assert TimedDes(ring, 1).n == 1
 
 
