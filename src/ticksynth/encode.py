@@ -14,15 +14,17 @@ of window k..j the two-term expression ``c[j] - c[k]``.  Formula
 satisfaction introduces one binary per (subformula, position), with
 until windows handled through big-M threshold indicators on that count.
 An until whose left operand is ``true`` (every ``F[m,n]``) leaves that
-operand out of its window conjunctions.
+operand out of its window conjunctions.  A subformula with no until
+below it is tied by one row to the states of ``w[k]``, as bounded model
+checking translates a state formula, and its operands get no binaries.
 
 Only what the pinned root can see is encoded.  ``w[k]`` covers the
 states reachable in exactly k steps, and step k covers the edges leaving
 the states of ``w[k-1]``; step k explores those states in the timed
 graph before it reads their edges.  The root is demanded at position 0,
-and so are the Boolean operands of a node demanded there only; operands
-of an until, or of a node demanded everywhere, are demanded everywhere,
-except an until's constant-true left operand, which no window reads.
+and so are the operands of a node demanded there only; operands of an
+until, or of a node demanded everywhere, are demanded everywhere, except
+an until's constant-true left operand, which no window reads.
 Only demanded positions get satisfaction binaries, and an until demanded
 at 0 only keeps the windows anchored at 0.
 
@@ -75,8 +77,11 @@ class Encoding:
     event) order and ``x[k]`` their selectors.  An ``x[k]`` or ``w[k]``
     entry may be the variable of a state of ``w[k-1]`` or ``w[k]``
     (see :func:`_encode_step`), so one variable may serve several steps.
-    ``everywhere`` holds the slots demanded at every position.
-    ``closing`` is the number of constraints before the closing rows.
+    ``holds[slot]`` is the set of activities where a propositional slot
+    (no until below it) holds, else ``None``.  ``demanded`` holds the
+    slots demanded at position 0, ``everywhere`` those demanded at every
+    position.  ``closing`` is the number of constraints before the
+    closing rows.
     """
 
     def __init__(
@@ -85,11 +90,14 @@ class Encoding:
         tdes: TimedDes,
         formula: Formula,
         table: SubformulaTable,
+        holds: tuple[frozenset[str] | None, ...],
+        demanded: frozenset[int],
         everywhere: frozenset[int],
         horizon: int,
     ) -> None:
         self.model, self.tdes, self.formula = model, tdes, formula
-        self.table, self.everywhere, self.horizon = table, everywhere, horizon
+        self.table, self.holds, self.horizon = table, holds, horizon
+        self.demanded, self.everywhere = demanded, everywhere
         self.w: list[dict[int, int]] = []
         self.ze: list[int | None] = [None]
         self.c: list[int | None] = [None]
@@ -105,18 +113,46 @@ def _start(graph: TimedDes, formula: Formula) -> Encoding:
     """The horizon-0 model: the initial state (state 0) pinned by its
     bounds, and the formula's position-0 binaries, the root pinned true."""
     table = subformulas(formula)
+    system = graph.untimed
     for node in table.entries:
-        if isinstance(node, Atom) and node.name not in graph.untimed.atoms:
+        if isinstance(node, Atom) and node.name not in system.atoms:
             raise UnknownAtomError(f"atom {node.name!r} is not declared")
-    everywhere: set[int] = set()  # children precede parents in the table
+    # Labels depend only on the activity, so each slot with no until
+    # below it is evaluated once, as the set of activities where it holds.
+    holds: list[frozenset[str] | None] = []
+    for node, kids in zip(table.entries, table.children):
+        below = [holds[kid] for kid in kids]
+        if isinstance(node, Until) or None in below:
+            holds.append(None)
+        elif isinstance(node, Truth):
+            holds.append(system.states)
+        elif isinstance(node, Atom):
+            holds.append(frozenset(
+                a for a in system.states if node.name in system.label(a)
+            ))
+        elif isinstance(node, Not):
+            holds.append(system.states - below[0])
+        elif isinstance(node, And):
+            holds.append(below[0] & below[1])
+        elif isinstance(node, Or):
+            holds.append(below[0] | below[1])
+        else:
+            raise TypeError(f"not a formula node: {node!r}")
+    demanded, everywhere = {table.root}, set()  # parents follow children
     for slot in reversed(range(len(table))):
+        if slot not in demanded or holds[slot] is not None:
+            continue  # a propositional slot's row reads the states only
         node, kids = table.entries[slot], table.children[slot]
+        demanded.update(kids)
         if isinstance(node, Until) and isinstance(table.entries[kids[0]], Truth):
             kids = kids[1:]  # the windows leave a constant-true left out
         if slot in everywhere or isinstance(node, Until):
             everywhere.update(kids)
     model = IlpModel()
-    enc = Encoding(model, graph, formula, table, frozenset(everywhere), horizon=0)
+    enc = Encoding(
+        model, graph, formula, table, tuple(holds),
+        frozenset(demanded), frozenset(everywhere), horizon=0,
+    )
     enc.w.append({0: model.add_var("w[0][0]", 1, 1)})
     model.add([(1, enc.w[0][0])], "=", 1)
     _encode_position(enc, 0)
@@ -227,29 +263,30 @@ def _encode_position(enc: Encoding, k: int) -> None:
     """Satisfaction binaries of every subformula demanded at position k,
     and every until window that ends there.
 
-    Walks the subformula table bottom-up so shared subtrees are encoded
-    once and every operand exists before its rows.
+    A propositional slot is one row over the states of ``w[k]``:
+    ``z - sum(satisfying) = 0`` if at most half of them satisfy it, else
+    ``z + sum(others) = 1``, so a slot that holds in all or none is a
+    constant.  Walks the subformula table bottom-up so shared subtrees
+    are encoded once and every operand exists before its rows.
     """
     graph, model, table, zphi = enc.tdes, enc.model, enc.table, enc.zphi
     for slot, node in enumerate(table.entries):
         # An until demanded at 0 only still gets its window ending at k.
-        demanded = k == 0 or slot in enc.everywhere
+        demanded = slot in (enc.everywhere if k else enc.demanded)
         if not (demanded or isinstance(node, Until)):
             continue
         kids = table.children[slot]
         if demanded:
             z = zphi[(slot, k)] = model.add_var(f"z{slot}[{k}]", 0, 1)
-        if isinstance(node, Truth):
-            model.add([(1, z)], "=", 1)
-        elif isinstance(node, Atom):
-            # Both sides are 0/1 under the one-hot rows, so the paired
-            # threshold inequalities collapse to an equality.
-            terms = [(1, z)]
-            terms += [
-                (-1, v) for i, v in enc.w[k].items()
-                if node.name in graph.label(i)
-            ]
-            model.add(terms, "=", 0)
+        sat = enc.holds[slot]
+        if sat is not None:
+            satisfying, others = [], []
+            for i, v in enc.w[k].items():
+                (satisfying if graph.states[i].activity in sat else others).append(v)
+            if len(satisfying) <= len(others):
+                model.add([(1, z)] + [(-1, v) for v in satisfying], "=", 0)
+            else:
+                model.add([(1, z)] + [(1, v) for v in others], "=", 1)
         elif isinstance(node, Not):
             model.add([(1, z), (1, zphi[(kids[0], k)])], "=", 1)
         elif isinstance(node, And):
@@ -259,7 +296,7 @@ def _encode_position(enc: Encoding, k: int) -> None:
             for op in operands:
                 model.add([(1, z), (-1, op)], ">=", 0)
             model.add([(1, z)] + [(-1, op) for op in operands], "<=", 0)
-        elif isinstance(node, Until):
+        else:  # Until
             # An always-true left operand adds nothing to a window's
             # conjunction, so its satisfaction binaries are left out.
             constant_left = isinstance(table.entries[kids[0]], Truth)
@@ -284,8 +321,6 @@ def _encode_position(enc: Encoding, k: int) -> None:
                 enc.zu[(slot, a, k)] = z_step
                 _and_rows(model, z_step, operands)
                 model.add([(1, zphi[(slot, a)]), (-1, z_step)], ">=", 0)
-        else:
-            raise TypeError(f"not a formula node: {node!r}")
 
 
 def _close(enc: Encoding) -> None:

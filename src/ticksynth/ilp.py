@@ -57,6 +57,8 @@ from collections import deque, namedtuple
 from collections.abc import Sequence
 from typing import Iterable, NamedTuple
 
+from .record import Checked
+
 
 # Most bytes of refuted-subproblem keys one solve stores (see ``solve``).
 CACHE_BYTES = 4 << 20
@@ -66,7 +68,9 @@ class ModelError(ValueError):
     """A variable or constraint was declared inconsistently."""
 
 
-class LinearConstraint(namedtuple("LinearConstraint", "terms comparator rhs")):
+class LinearConstraint(
+    Checked, namedtuple("LinearConstraint", "terms comparator rhs")
+):
     """``sum(coef * var) comparator rhs`` with integer data.
 
     ``terms`` pairs are (coefficient, variable index); the comparator is

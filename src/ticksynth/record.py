@@ -35,3 +35,16 @@ class Record:
 
     def __reduce__(self) -> tuple:
         return type(self), self._values()
+
+
+class Checked:
+    """Mixin put before the ``collections.namedtuple`` base of a class
+    that validates in ``__new__``.  The inherited ``_make``, which
+    ``_replace`` calls, would build the tuple directly; this one calls the
+    class, so neither can make a value the constructor refuses."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)

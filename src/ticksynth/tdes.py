@@ -29,7 +29,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar
 
-from .record import Record
+from .record import Checked, Record
 
 TICK = "tick"
 
@@ -61,7 +61,7 @@ class FragmentError(ValueError):
     """A fragment document or fragment replay is invalid."""
 
 
-class EventTiming(namedtuple("EventTiming", "kind lower upper")):
+class EventTiming(Checked, namedtuple("EventTiming", "kind lower upper")):
     """Occurrence bounds for one event, measured in ticks.
 
     ``lower`` must be an ``int`` (a ``bool`` is not one), and ``upper``
@@ -324,7 +324,7 @@ def build_tdes(system: UntimedDes, state_cap: int = DEFAULT_STATE_CAP) -> TimedD
     return graph
 
 
-class Fragment(namedtuple("Fragment", "states events")):
+class Fragment(Checked, namedtuple("Fragment", "states events")):
     """Finite alternating run: states s(0)..s(H), events e(1)..e(H).
 
     The structural requirement here is only that lengths line up; whether

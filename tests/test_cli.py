@@ -196,7 +196,10 @@ def test_dump_ilp_contains_registry_names(capsys):
     ])
     out = capsys.readouterr().out
     assert code == 0
-    assert "w[0][0]" in out and "ze[1]" in out and "z0[0]" in out
+    assert "w[0][0]" in out and "ze[1]" in out and "z1[0]" in out
+    # slot 0 is `ap2`, the operand of the propositional slot 1, `!ap2`,
+    # which reads the states directly: the atom gets no binary
+    assert "z0[" not in out
 
 
 def test_formula_file_input(tmp_path, capsys):

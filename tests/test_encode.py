@@ -285,14 +285,20 @@ def test_window_bound_above_horizon_is_handled():
 # --- formula rows -------------------------------------------------------------------
 
 def test_atom_row_pinned_by_initial_state(ring_tdes):
-    # `a | !a` holds on every run, so its root pin leaves the atom free
-    # of everything but the initial state
-    for name, expected in (("ap1", 1), ("ap2", 0)):
-        enc = build_encoding(ring_tdes, Or(Atom(name), Not(Atom(name))), 1)
-        box = propagate_bounds(enc.model)
-        lo, hi = box
+    # `(...) | F[0,0] true` holds on every run, so its root pin leaves the
+    # propositional operand free of everything but its row over w[0],
+    # which holds the initial state only: the row reads `z = 1` where
+    # that state satisfies the operand and `z = 0` where it does not
+    cases = (
+        ("ap1", 1), ("ap2", 0), ("!ap1", 0), ("ap1 & !ap2", 1), ("ap2 | !ap1", 0)
+    )
+    for text, expected in cases:
+        enc = build_encoding(ring_tdes, parse(f"({text}) | F[0,0] true"), 1)
+        lo, hi = propagate_bounds(enc.model)
         slot = enc.table.children[enc.table.root][0]
         assert lo[enc.zphi[(slot, 0)]] == hi[enc.zphi[(slot, 0)]] == expected
+        # the slots before it are its operands, which get no binaries
+        assert all(s >= slot for s, _ in enc.zphi), text
 
 
 def test_negation_rows_complement():
@@ -342,7 +348,7 @@ GOLDEN_MODELS = {
     ("F[1,5] ap2 & F[1,5] ap4", 11):
         "4466ccf929c9798efd11e8c0efa111ee24fe1faefac6b851a231c09f33b52dcf",
     ("!ap2 U[3,5] ap3", 7):
-        "3d925831817f9369d1246977a1c1efeae5d28ed419a60efcfd1711861ba1a032",
+        "c59410cd5886a03f409611313f05d1232881a5bfb5ed6492949f27623e621f36",
 }
 
 

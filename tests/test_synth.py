@@ -1,11 +1,13 @@
 import hashlib
 import random
+import runpy
+from pathlib import Path
 
 import pytest
 
 from ticksynth.encode import build_encoding
 from ticksynth.ilp import solve
-from ticksynth.logic import Atom, Not, Truth, evaluate
+from ticksynth.logic import TRUE, And, Atom, Not, Or, Truth, Until, evaluate, parse
 from ticksynth.synth import (
     OracleBudgetError,
     SynthesisRequest,
@@ -19,6 +21,7 @@ from ticksynth.tdes import (
     TimedDes,
     UntimedDes,
     build_tdes,
+    system_from_json,
 )
 
 from helpers import random_formula, random_model, random_system
@@ -106,10 +109,10 @@ def test_search_on_seeded_models_is_pinned():
             enc = build_encoding(graph, phi, horizon, enc)
             result = solve(enc.model)
             grown.append((result.feasible, result.assignment, result.nodes))
-    assert sum(nodes for _, _, nodes in grown) == 1183
+    assert sum(nodes for _, _, nodes in grown) == 1151
     assert sum(feasible for feasible, _, _ in grown) == 587
     assert digest(grown) == (
-        "cccd62eb90d260b151402fcec66e22056368b8066dce4d15d51a4ad0972d4d15"
+        "6124ac2a09e384f787cb9fa57f23c17ff89f819e82cc570242dc56878d234a68"
     )
     rng = random.Random(800)
     plain = []
@@ -138,7 +141,7 @@ def test_decisive_model_size_is_pinned(ring, phi_two_goals, phi_avoid_until):
     """Variables and constraints of the model that decided the search.
     Growing the model a step per horizon must leave them as a fresh
     build at the decisive horizon has them."""
-    for phi, size in ((phi_two_goals, (355, 413)), (phi_avoid_until, (154, 196))):
+    for phi, size in ((phi_two_goals, (355, 413)), (phi_avoid_until, (146, 188))):
         stats = synthesize(SynthesisRequest(ring, phi, 5, 15)).statistics
         assert (stats.variables, stats.constraints) == size
 
@@ -269,3 +272,99 @@ def test_exact_synthesis_agrees_with_oracle():
                 solved.fragment, phi, 0, system.labeling, system.atoms
             )
         trials += 1
+
+
+def random_state_formula(rng, atoms, depth):
+    """Random until-free formula: atoms, `true`, `false`, tautologies
+    and contradictions under `!`, `&` and `|`."""
+    if depth == 0 or rng.random() < 0.25:
+        atom = Atom(rng.choice(atoms))
+        return rng.choice(
+            (atom, atom, TRUE, Not(TRUE), Or(atom, Not(atom)), And(atom, Not(atom)))
+        )
+    pick = rng.random()
+    if pick < 0.3:
+        return Not(random_state_formula(rng, atoms, depth - 1))
+    kind = And if pick < 0.65 else Or
+    return kind(
+        random_state_formula(rng, atoms, depth - 1),
+        random_state_formula(rng, atoms, depth - 1),
+    )
+
+
+def random_formula_over_state_formulas(rng, atoms, horizon, depth=2):
+    """`!`, `&`, `|` and untils whose leaves are until-free formulas."""
+    if depth == 0 or rng.random() < 0.2:
+        return random_state_formula(rng, atoms, 3)
+    pick = rng.random()
+    if pick < 0.15:
+        return Not(random_formula_over_state_formulas(rng, atoms, horizon, depth - 1))
+    operands = [
+        random_formula_over_state_formulas(rng, atoms, horizon, depth - 1)
+        for _ in range(2)
+    ]
+    if pick < 0.4:
+        return rng.choice((And, Or))(*operands)
+    low = rng.randint(0, horizon)
+    return Until(*operands, low, rng.randint(low, horizon))
+
+
+def test_state_formula_rows_agree_with_oracle():
+    """Each until-free subformula is one row over a layer's states, in
+    one of two forms; a form that reads the wrong states or the wrong
+    constant changes some verdict here.  Some atoms label every activity
+    or none, so slots also hold on all or none of a layer."""
+    rng = random.Random(41)
+    trials = 0
+    while trials < 60:
+        system = random_system(rng, max_states=5)
+        labeling = {s: set(system.label(s)) for s in system.states}
+        for atom in sorted(system.atoms):
+            pick = rng.random()
+            if pick < 0.25:
+                for labels in labeling.values():
+                    labels.add(atom)
+            elif pick < 0.5:
+                for labels in labeling.values():
+                    labels.discard(atom)
+        system = UntimedDes(
+            system.states, system.events, system.transitions, system.initial,
+            system.atoms, labeling, system.timing,
+        )
+        graph = build_tdes(system, state_cap=3000)
+        horizon = rng.randint(1, 5)
+        if max(map(len, graph.outgoing)) ** horizon > 200_000:
+            continue
+        phi = random_formula_over_state_formulas(
+            rng, sorted(system.atoms), horizon
+        )
+        request = SynthesisRequest(system, phi, 1, horizon)
+        solved, reference = synthesize(request), oracle_synthesize(request)
+        assert (solved.found, solved.horizon) == (
+            reference.found, reference.horizon
+        ), trials
+        if solved.found:
+            assert evaluate(
+                solved.fragment, phi, 0, system.labeling, system.atoms
+            )
+        trials += 1
+
+
+def plant_doc(k):
+    """The benchmark's k-machine plant, read from ``perfbench/``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    return runpy.run_path(str(path))["plant_doc"](k)
+
+
+def test_plant4_short_horizons_are_refuted_at_the_root():
+    """No state of w[3] or w[4] carries all four busy atoms.  The
+    conjunction is one row over each layer, so propagation alone
+    refutes those horizons."""
+    system = system_from_json(plant_doc(4))
+    phi = parse("F[0,3] (busy0 & busy1 & busy2 & busy3)")
+    graph, enc = TimedDes(system), None
+    for horizon in range(1, 5):
+        enc = build_encoding(graph, phi, horizon, enc)
+        if horizon >= 3:
+            result = solve(enc.model)
+            assert (result.feasible, result.nodes) == (False, 0), horizon

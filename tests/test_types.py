@@ -182,6 +182,34 @@ def test_construction_validates_keyword_fields():
     assert Atom(name="a") == Atom("a")
 
 
+def test_event_timing_make_and_replace_validate():
+    timing = EventTiming(REMOTE, 1)
+    with pytest.raises(ValueError, match="unknown kind"):
+        timing._replace(kind="sometimes")
+    with pytest.raises(ValueError, match="must omit 'upper'"):
+        EventTiming._make((REMOTE, 1, 2))
+    assert timing._replace(lower=2) == EventTiming(REMOTE, 2)
+
+
+def test_fragment_make_and_replace_validate():
+    state = TimedState("s", ())
+    fragment = Fragment((state,), ())
+    with pytest.raises(FragmentError, match="do not alternate"):
+        fragment._replace(events=("tick",))
+    with pytest.raises(FragmentError, match="do not alternate"):
+        Fragment._make(((), ()))
+    assert type(Fragment._make(fragment)) is Fragment
+
+
+def test_linear_constraint_make_and_replace_validate():
+    row = LinearConstraint(((1, 0),), "<=", 1)
+    with pytest.raises(ModelError, match="not an integer"):
+        LinearConstraint._make((((1.5, 0),), "<=", 1))
+    with pytest.raises(ModelError, match="unknown comparator"):
+        row._replace(comparator="<")
+    assert row._replace(rhs=2) == LinearConstraint(((1, 0),), "<=", 2)
+
+
 def test_copies_and_pickles_are_equal_values():
     for value, _ in values():
         for twin in (copy.copy(value), pickle.loads(pickle.dumps(value))):
