@@ -10,11 +10,11 @@ state.  The tick indicator
 ``ze[k]`` is the sum of the step's tick selectors, so it is exact by
 construction.  Prefix tick counters ``c[k]`` (the integer
 ``ze[1] + ... + ze[k]``, with ``c[0] = 0`` left out) make the tick count
-of window k..j the two-term expression ``c[j] - c[k]``.  Formula
-satisfaction introduces one binary per (subformula, position), with
-until windows handled through big-M threshold indicators on that count.
-An until whose left operand is ``true`` (every ``F[m,n]``) leaves that
-operand out of its window conjunctions.  A subformula with no until
+of window k..j the two-term expression ``c[j] - c[k]``, in ``0..j-k``.
+Formula satisfaction introduces one binary per (subformula, position).
+An until window gets a big-M indicator on its count only for a bound the
+count can break, shared by every until with that bound, and a window
+left with one operand is that operand.  A subformula with no until
 below it is tied by one row to the states of ``w[k]``, as bounded model
 checking translates a state formula, and its operands get no binaries.
 
@@ -23,8 +23,8 @@ states reachable in exactly k steps, and step k covers the edges leaving
 the states of ``w[k-1]``; step k explores those states in the timed
 graph before it reads their edges.  The root is demanded at position 0,
 and so are the operands of a node demanded there only; operands of an
-until, or of a node demanded everywhere, are demanded everywhere, except
-an until's constant-true left operand, which no window reads.
+until, or of a node demanded everywhere, are demanded everywhere, but
+an until's constant-true left operand, which no window reads, is not.
 Only demanded positions get satisfaction binaries, and an until demanded
 at 0 only keeps the windows anchored at 0.
 
@@ -80,8 +80,9 @@ class Encoding:
     ``holds[slot]`` is the set of activities where a propositional slot
     (no until below it) holds, else ``None``.  ``demanded`` holds the
     slots demanded at position 0, ``everywhere`` those demanded at every
-    position.  ``closing`` is the number of constraints before the
-    closing rows.
+    position.  ``zc[(a, j, at_most, bound)]`` is a threshold indicator of
+    window a..j, ``zu[(slot, a, j)]`` an until's window.  ``closing`` is
+    the number of constraints before the closing rows.
     """
 
     def __init__(
@@ -102,7 +103,7 @@ class Encoding:
         self.ze: list[int | None] = [None]
         self.c: list[int | None] = [None]
         self.zphi: dict[tuple[int, int], int] = {}
-        self.zc: dict[tuple[int, int, int], tuple[int, int]] = {}
+        self.zc: dict[tuple[int, int, bool, int], int] = {}
         self.zu: dict[tuple[int, int, int], int] = {}
         self.edges: list[list[tuple[int, str, int]]] = [[]]
         self.x: list[list[int]] = [[]]
@@ -143,9 +144,9 @@ def _start(graph: TimedDes, formula: Formula) -> Encoding:
         if slot not in demanded or holds[slot] is not None:
             continue  # a propositional slot's row reads the states only
         node, kids = table.entries[slot], table.children[slot]
-        demanded.update(kids)
         if isinstance(node, Until) and isinstance(table.entries[kids[0]], Truth):
             kids = kids[1:]  # the windows leave a constant-true left out
+        demanded.update(kids)
         if slot in everywhere or isinstance(node, Until):
             everywhere.update(kids)
     model = IlpModel()
@@ -227,30 +228,41 @@ def _encode_step(enc: Encoding, k: int) -> None:
 def add_counter_threshold(
     model: IlpModel,
     plus: Sequence[int],
-    lower: int,
-    upper: int,
+    bound: int,
     big_m: int,
     tag: str = "",
     *,
     minus: Sequence[int] = (),
-) -> tuple[int, int]:
-    """Indicator pair for ``lower <= counter`` and ``counter <= upper``.
+    at_most: bool = False,
+) -> int:
+    """Indicator ``cge`` of ``counter >= bound``, or ``cle`` of
+    ``counter <= bound`` with ``at_most``.
 
     ``counter`` is the sum of ``plus`` minus the sum of ``minus``:
     a sum of tick binaries, or a prefix-counter difference ``c[j] - c[k]``.
-    With ``big_m > upper`` and ``big_m >= counter_max + 1``, where the
-    counter takes values in ``0..counter_max`` on every feasible point,
-    the four rows force the indicators to the exact threshold truth
-    values; strict bounds are shifted by one since everything is integral.
+    With ``0 <= bound <= counter_max`` and ``big_m > counter_max``, where
+    the counter lies in ``0..counter_max`` on every feasible point, the
+    two rows force the indicator to its truth value; the strict side is
+    shifted by one since everything is integral.
     """
-    z_at_least = model.add_var(f"cge{tag}", 0, 1)
-    z_at_most = model.add_var(f"cle{tag}", 0, 1)
-    unit = [(1, v) for v in plus] + [(-1, v) for v in minus]
-    model.add(unit + [(-big_m, z_at_least)], "<=", lower - 1)
-    model.add(unit + [(-big_m, z_at_least)], ">=", lower - big_m)
-    model.add(unit + [(big_m, z_at_most)], ">=", upper + 1)
-    model.add(unit + [(big_m, z_at_most)], "<=", upper + big_m)
-    return z_at_least, z_at_most
+    if at_most:  # counter <= bound  iff  -counter >= -bound
+        plus, minus, bound = minus, plus, -bound
+    z = model.add_var(("cle" if at_most else "cge") + tag, 0, 1)
+    unit = [(1, v) for v in plus] + [(-1, v) for v in minus] + [(-big_m, z)]
+    model.add(unit, "<=", bound - 1)
+    model.add(unit, ">=", bound - big_m)
+    return z
+
+
+def _threshold(enc: Encoding, a: int, k: int, bound: int, at_most: bool) -> int:
+    """The indicator ``zc[(a, k, at_most, bound)]``, built on first use."""
+    key = (a, k, at_most, bound)
+    if key not in enc.zc:
+        enc.zc[key] = add_counter_threshold(
+            enc.model, [enc.c[k]], bound, k - a + 1, f"{bound}[{a},{k}]",
+            minus=[enc.c[a]] if a else [], at_most=at_most,
+        )
+    return enc.zc[key]
 
 
 def _and_rows(model: IlpModel, z: int, operands: Sequence[int]) -> None:
@@ -301,25 +313,24 @@ def _encode_position(enc: Encoding, k: int) -> None:
             # conjunction, so its satisfaction binaries are left out.
             constant_left = isinstance(table.entries[kids[0]], Truth)
             for a in range(k + 1 if slot in enc.everywhere else 1):
-                # Window a..k counts c[k] - c[a] ticks, at most k - a;
-                # c[0] = 0 and an empty window have no terms.  This big-M
-                # holds for every horizon that contains the window.
-                z_ge, z_le = add_counter_threshold(
-                    model,
-                    [enc.c[k]] if k > a else [],
-                    node.lower,
-                    node.upper,
-                    max(k - a, node.upper) + 1,
-                    tag=f"{slot}[{a},{k}]",
-                    minus=[enc.c[a]] if 0 < a < k else [],
-                )
-                enc.zc[(slot, a, k)] = (z_ge, z_le)
-                operands = [z_ge, z_le, zphi[(kids[1], k)]]
+                # Window a..k counts 0..k - a ticks: it gets the thresholds
+                # it can break, and nothing if it cannot reach node.lower.
+                if node.lower > k - a:
+                    continue
+                operands = []
+                if node.lower > 0:
+                    operands.append(_threshold(enc, a, k, node.lower, False))
+                if node.upper < k - a:
+                    operands.append(_threshold(enc, a, k, node.upper, True))
+                operands.append(zphi[(kids[1], k)])
                 if not constant_left:
                     operands += [zphi[(kids[0], pos)] for pos in range(a, k)]
-                z_step = model.add_var(f"u{slot}[{a},{k}]", 0, 1)
+                if len(operands) == 1:  # the window is its right operand
+                    z_step = operands[0]
+                else:
+                    z_step = model.add_var(f"u{slot}[{a},{k}]", 0, 1)
+                    _and_rows(model, z_step, operands)
                 enc.zu[(slot, a, k)] = z_step
-                _and_rows(model, z_step, operands)
                 model.add([(1, zphi[(slot, a)]), (-1, z_step)], ">=", 0)
 
 
@@ -331,10 +342,9 @@ def _close(enc: Encoding) -> None:
         if not isinstance(node, Until):
             continue
         for a in range(horizon + 1 if slot in enc.everywhere else 1):
-            windows = [enc.zu[(slot, a, j)] for j in range(a, horizon + 1)]
-            model.add(
-                [(1, enc.zphi[(slot, a)])] + [(-1, u) for u in windows], "<=", 0
-            )
+            ends = range(a + node.lower, horizon + 1)
+            terms = [(-1, enc.zu[(slot, a, j)]) for j in ends]
+            model.add([(1, enc.zphi[(slot, a)])] + terms, "<=", 0)
 
 
 def build_encoding(

@@ -412,11 +412,9 @@ def induced_valuation(enc: Encoding, fragment: Fragment) -> tuple[int, ...]:
             fragment, table.entries[slot], k, system.labeling, system.atoms
         )
         values[var] = int(sat[(slot, k)])
-    for (slot, k, j), (z_ge, z_le) in enc.zc.items():
-        node = table.entries[slot]
+    for (k, j, at_most, bound), var in enc.zc.items():
         ticks = fragment.count(k, j)
-        values[z_ge] = int(ticks >= node.lower)
-        values[z_le] = int(ticks <= node.upper)
+        values[var] = int(ticks <= bound if at_most else ticks >= bound)
     for (slot, k, j), z_step in enc.zu.items():
         node = table.entries[slot]
         left, right = table.children[slot]

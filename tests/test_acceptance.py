@@ -261,29 +261,29 @@ def test_criterion_9_threshold_truth_table():
     cases = 0
     for horizon in range(1, 13):
         big_m = horizon + 1
-        for m in range(horizon + 1):
-            for n in range(m, horizon + 1):
-                for count in range(horizon + 1):
+        for bound in range(horizon + 1):
+            for count in range(horizon + 1):
+                for at_most in (False, True):
                     model = IlpModel()
                     bits = [
                         model.add_var(f"t{i}", 0, 1) for i in range(horizon)
                     ]
                     for i, bit in enumerate(bits):
                         model.add([(1, bit)], "=", 1 if i < count else 0)
-                    add_counter_threshold(model, bits, m, n, big_m)
+                    add_counter_threshold(
+                        model, bits, bound, big_m, at_most=at_most
+                    )
                     fixed = tuple(1 if i < count else 0 for i in range(horizon))
-                    expected = (int(count >= m), int(count <= n))
-                    for ge in (0, 1):
-                        for le in (0, 1):
-                            candidate = fixed + (ge, le)
-                            ok = check_assignment(model, candidate) == []
-                            assert ok == ((ge, le) == expected), (
-                                horizon, m, n, count, ge, le
-                            )
+                    expected = int(count <= bound if at_most else count >= bound)
+                    for value in (0, 1):
+                        ok = check_assignment(model, fixed + (value,)) == []
+                        assert ok == (value == expected), (
+                            horizon, bound, count, at_most, value
+                        )
                     cases += 1
     report(
         9,
         "PASS",
-        f"{cases} (count, m, n, horizon) combinations force the unique "
-        "indicator pair",
+        f"{cases} (count, bound, side, horizon) combinations force the "
+        "unique indicator",
     )

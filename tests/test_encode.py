@@ -169,17 +169,18 @@ def test_root_demands_only_position_zero(ring_tdes, phi_two_goals):
     ]
     assert len(untils) == 2
     for slot in untils:
-        # only the windows anchored at 0, one per end position
+        # only the windows anchored at 0, one per end position that can
+        # count the one tick `F[1,5]` needs
         windows = sorted((a, j) for (s, a, j) in enc.zu if s == slot)
-        assert windows == [(0, j) for j in range(horizon + 1)]
+        assert windows == [(0, j) for j in range(1, horizon + 1)]
     assert [k for (slot, k) in enc.zphi if slot == table.root] == [0]
-    # no window reads the goals' shared `true` left operand, so it is
-    # demanded at position 0 only as well
+    # no window reads the goals' shared `true` left operand, so it is not
+    # demanded and has no binary
     (truth,) = [
         slot for slot, node in enumerate(table.entries)
         if isinstance(node, Truth)
     ]
-    assert [k for (slot, k) in enc.zphi if slot == truth] == [0]
+    assert [k for (slot, k) in enc.zphi if slot == truth] == []
 
 
 def test_trajectory_pins_initial_state(ring_tdes):
@@ -240,39 +241,57 @@ def test_threshold_pair_for_fixed_count():
     bits = [model.add_var(f"t{i}", 0, 1) for i in range(4)]
     for i, bit in enumerate(bits):
         model.add([(1, bit)], "=", 1 if i < 2 else 0)  # count fixed to 2
-    z_ge, z_le = add_counter_threshold(model, bits, 1, 3, big_m=5)
+    z_ge = add_counter_threshold(model, bits, 1, big_m=5)
+    z_le = add_counter_threshold(model, bits, 3, big_m=5, at_most=True)
     result = solve(model)
     assert result.feasible
     assert result.assignment[z_ge] == 1
     assert result.assignment[z_le] == 1
+    assert [model.names[z] for z in (z_ge, z_le)] == ["cge", "cle"]
 
 
 @pytest.mark.parametrize("horizon", [1, 3, 6])
 def test_threshold_truth_table_small(horizon):
     big_m = horizon + 1
-    for m in range(horizon + 1):
-        for n in range(m, horizon + 1):
-            for count in range(horizon + 1):
-                model = IlpModel()
-                bits = [model.add_var(f"t{i}", 0, 1) for i in range(horizon)]
-                for i, bit in enumerate(bits):
-                    model.add([(1, bit)], "=", 1 if i < count else 0)
-                z_ge, z_le = add_counter_threshold(model, bits, m, n, big_m)
-                result = solve(model)
-                assert result.feasible
-                assert result.assignment[z_ge] == (1 if count >= m else 0)
-                assert result.assignment[z_le] == (1 if count <= n else 0)
+    for bound in range(horizon + 1):
+        for count in range(horizon + 1):
+            model = IlpModel()
+            bits = [model.add_var(f"t{i}", 0, 1) for i in range(horizon)]
+            for i, bit in enumerate(bits):
+                model.add([(1, bit)], "=", 1 if i < count else 0)
+            z_ge = add_counter_threshold(model, bits, bound, big_m)
+            z_le = add_counter_threshold(model, bits, bound, big_m, at_most=True)
+            result = solve(model)
+            assert result.feasible
+            assert result.assignment[z_ge] == (1 if count >= bound else 0)
+            assert result.assignment[z_le] == (1 if count <= bound else 0)
 
 
 def test_threshold_pair_for_empty_window():
-    # anchor equals witness: the counter expression has no terms at all
-    for m, n, expected_ge in ((0, 2, 1), (1, 2, 0)):
+    # a counter with no terms at all is 0
+    for bound, expected_ge in ((0, 1), (1, 0)):
         model = IlpModel()
-        z_ge, z_le = add_counter_threshold(model, [], m, n, big_m=4)
+        z_ge = add_counter_threshold(model, [], bound, big_m=4)
+        z_le = add_counter_threshold(model, [], bound, big_m=4, at_most=True)
         result = solve(model)
         assert result.feasible
         assert result.assignment[z_ge] == expected_ge
-        assert result.assignment[z_le] == 1  # zero ticks never exceed n
+        assert result.assignment[z_le] == 1  # zero ticks never exceed a bound
+
+
+def test_thresholds_over_a_counter_difference():
+    # c[j] - c[k] as ``plus`` minus ``minus``, with both counters fixed
+    for high, low, bound in ((5, 2, 3), (5, 3, 3), (4, 4, 1), (6, 0, 5)):
+        model = IlpModel()
+        ends = [model.add_var("cj", high, high), model.add_var("ck", low, low)]
+        z_ge = add_counter_threshold(model, ends[:1], bound, 7, minus=ends[1:])
+        z_le = add_counter_threshold(
+            model, ends[:1], bound, 7, minus=ends[1:], at_most=True
+        )
+        result = solve(model)
+        assert result.feasible
+        assert result.assignment[z_ge] == int(high - low >= bound)
+        assert result.assignment[z_le] == int(high - low <= bound)
 
 
 def test_window_bound_above_horizon_is_handled():
@@ -319,10 +338,77 @@ def test_root_pin_and_registry_names(ring_tdes):
     # states 0..6 are reachable in three steps, state 27 is not
     assert "w[3][6]" in text and "w[3][27]" not in text
     assert "ze[2]" in text
-    assert "cge" in text and "cle" in text
+    # windows 0..1 to 0..3 need a tick, and none can count more than 5
+    assert "cge1[0,1]" in text and "cge1[0,3]" in text
+    assert "cge1[0,0]" not in text and "cle" not in text
+    longer = build_encoding(ring_tdes, parse("F[1,5] ap2"), 6)
+    assert "cle5[0,6]" in dump(longer.model)
     # trivially satisfiable root
     trivial = build_encoding(ring_tdes, TRUE, 1)
     assert solve(trivial.model).feasible
+
+
+def window_operands(enc, slot):
+    """The operands of each window conjunction of the until at ``slot``,
+    read off its rows ``u - operand <= 0``."""
+    operands = {}
+    for (s, a, j), u in enc.zu.items():
+        if s == slot:
+            operands[(a, j)] = {
+                var
+                for row in enc.model.constraints
+                if row.comparator == "<=" and row.rhs == 0
+                and len(row.terms) == 2 and (1, u) in row.terms
+                for _, var in row.terms if var != u
+            }
+    return operands
+
+
+def test_window_thresholds_only_where_they_can_bind(ring_tdes):
+    # window 0..j of F[1,5] counts 0..j ticks: it needs one, and can
+    # exceed five only from length 6 on
+    enc = build_encoding(ring_tdes, parse("F[1,5] ap2"), 7)
+    assert (enc.table.root, 0, 0) not in enc.zu
+    assert set(enc.zc) == {(0, j, False, 1) for j in range(1, 8)} | {
+        (0, 6, True, 5), (0, 7, True, 5)
+    }
+    names = {enc.model.names[var] for var in enc.zc.values()}
+    assert {"cle5[0,6]", "cle5[0,7]", "cge1[0,1]"} <= names
+
+
+def test_goals_with_the_same_bounds_share_their_thresholds(ring_tdes):
+    enc = build_encoding(ring_tdes, parse("F[1,5] ap2 & F[1,5] ap4"), 7)
+    table = enc.table
+    untils = [s for s, node in enumerate(table.entries) if isinstance(node, Until)]
+    assert len(untils) == 2
+    # one cge per window 0..1 to 0..7, one cle on lengths 6 and 7
+    assert set(enc.zc) == {(0, j, False, 1) for j in range(1, 8)} | {
+        (0, 6, True, 5), (0, 7, True, 5)
+    }
+    first, second = (window_operands(enc, slot) for slot in untils)
+    assert sorted(first) == sorted(second) == [(0, j) for j in range(1, 8)]
+    for window in first:
+        thresholds = {
+            var for (a, j, _, _), var in enc.zc.items() if (a, j) == window
+        }
+        # each conjunction reads the window's thresholds and its goal
+        for slot, operands in zip(untils, (first, second)):
+            goal = enc.zphi[(table.children[slot][1], window[1])]
+            assert operands[window] == thresholds | {goal}
+
+
+def test_windows_of_a_bound_the_count_cannot_break_are_their_operand(ring_tdes):
+    # G[0,30] !ap4 is !(true U[0,30] !!ap4): no window of 8 positions
+    # can count more than 30 ticks, so each is its right operand
+    enc = build_encoding(ring_tdes, parse("G[0,30] !ap4"), 7)
+    table = enc.table
+    (slot,) = [s for s, node in enumerate(table.entries) if isinstance(node, Until)]
+    right = table.children[slot][1]
+    assert enc.zc == {}
+    assert sorted(enc.zu) == [(slot, 0, j) for j in range(8)]
+    for (_, _, j), u in enc.zu.items():
+        assert u == enc.zphi[(right, j)]
+    assert not any(name.startswith("u") for name in enc.model.names)
 
 
 def test_encoding_grows_only_forward(ring_tdes, phi_two_goals):
@@ -346,9 +432,9 @@ def test_encoding_grows_only_forward(ring_tdes, phi_two_goals):
 # order changes the digest.
 GOLDEN_MODELS = {
     ("F[1,5] ap2 & F[1,5] ap4", 11):
-        "4466ccf929c9798efd11e8c0efa111ee24fe1faefac6b851a231c09f33b52dcf",
+        "cbe70e7b6486676f1a60ace155b391a0ee51fde46082cbf1a1584997bc3e59e1",
     ("!ap2 U[3,5] ap3", 7):
-        "c59410cd5886a03f409611313f05d1232881a5bfb5ed6492949f27623e621f36",
+        "b49f195b46a658080786c6e965149922337b93255dcfc5df610e416ca8af7d9a",
 }
 
 
