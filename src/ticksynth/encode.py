@@ -45,7 +45,6 @@ and a run that fails certification is never returned.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Sequence
 
 from .ilp import IlpModel
@@ -185,10 +184,13 @@ def _encode_step(enc: Encoding, k: int) -> None:
     model, graph = enc.model, enc.tdes
     before = enc.w[k - 1]
     graph.explore(max(before))
-    edges = [(i, ev, j) for i in before for ev, j in graph.outgoing[i]]
+    edges, leaving, entering = [], {}, {}  # with edge counts per state
+    for i in before:
+        leaving[i] = len(graph.outgoing[i])
+        for ev, j in graph.outgoing[i]:
+            edges.append((i, ev, j))
+            entering[j] = entering.get(j, 0) + 1
     enc.edges.append(edges)
-    leaving = Counter(i for i, _, _ in edges)
-    entering = Counter(j for _, _, j in edges)
     copies = {
         j: before[i] for i, _, j in edges if leaving[i] == entering[j] == 1
     }

@@ -162,11 +162,11 @@ class IlpModel:
         return len(self.constraints)
 
     def add_var(self, name: str, lo: int, hi: int) -> int:
-        for bound in (lo, hi):
-            if type(bound) is not int:
-                raise ModelError(
-                    f"variable {name!r}: bound {bound!r} is not an integer"
-                )
+        if type(lo) is not int or type(hi) is not int:
+            bound = hi if type(lo) is int else lo
+            raise ModelError(
+                f"variable {name!r}: bound {bound!r} is not an integer"
+            )
         if lo > hi:
             raise ModelError(f"variable {name!r}: bounds [{lo}, {hi}] are empty")
         self.names.append(name)
@@ -182,6 +182,7 @@ class IlpModel:
         A ``>=`` row is stored negated.  An ``=`` row's mirror is ``(neg,
         pos, unit)``: its slack is the maximum activity minus the
         right-hand side, and it shares the row's cap and last variable.
+        Repeated terms are merged, then read once in variable order.
         """
         sign = -1 if constraint.comparator == ">=" else 1
         merged: dict[int, int] = {}
@@ -194,15 +195,16 @@ class IlpModel:
         equal = constraint.comparator == "="
         lower, upper = self._lower, self._upper
         watch_lo, watch_hi = self._watch_lo, self._watch_hi
-        pos: list = []  # (var, weight) pairs
+        pos: list = []  # variables, paired with weights unless unit
         neg: list = []
         least = most = cap = 0  # minimum and maximum activity
         last = -1
         unit = True
-        for var, coef in sorted(merged.items()):
+        for var in sorted(merged):
+            coef = merged[var]
             lo, hi = lower[var], upper[var]
             if coef > 0:
-                pos.append((var, coef))
+                pos.append(var)
                 least += coef * lo
                 most += coef * hi
                 watch_lo[var] += (row, coef)
@@ -210,7 +212,7 @@ class IlpModel:
                     watch_hi[var] += (row + 1, coef)
             elif coef < 0:
                 coef = -coef
-                neg.append((var, coef))
+                neg.append(var)
                 least -= coef * hi
                 most -= coef * lo
                 watch_hi[var] += (row, coef)
@@ -218,16 +220,26 @@ class IlpModel:
                     watch_lo[var] += (row + 1, coef)
             else:
                 continue
-            cap = max(cap, coef * (hi - lo))
+            if coef * (hi - lo) > cap:
+                cap = coef * (hi - lo)
             unit = unit and coef == 1 and lo == 0 and hi == 1
             last = var
-        if unit:  # bare variables
-            pos, neg = [var for var, _ in pos], [var for var, _ in neg]
-        terms = tuple(pos), tuple(neg), unit
+        if not unit:  # pair each variable with its weight
+            pos = [(var, merged[var]) for var in pos]
+            neg = [(var, -merged[var]) for var in neg]
+        pos, neg = tuple(pos), tuple(neg)
+        reach = self._reach
+        if reach and reach[-1] > last:
+            last = reach[-1]
         rhs = sign * constraint.rhs
-        self._push_row(terms, rhs - least, cap, last)
-        if equal:
-            self._push_row((terms[1], terms[0], unit), most - rhs, cap, last)
+        for slack in (rhs - least, most - rhs) if equal else (rhs - least,):
+            if slack < cap:
+                self._tight.append(len(self._rows))
+            self._rows.append((pos, neg, unit))
+            pos, neg = neg, pos  # the mirror of an = row
+            self._slack.append(slack)
+            self._cap.append(cap)
+            reach.append(last)
 
     def add(
         self, terms: Iterable[tuple[int, int]], comparator: str, rhs: int
@@ -258,15 +270,6 @@ class IlpModel:
                 self._reach.pop()
                 if self._tight and self._tight[-1] == len(self._rows):
                     self._tight.pop()
-
-    def _push_row(self, terms: tuple, slack: int, cap: int, last: int) -> None:
-        if slack < cap:
-            self._tight.append(len(self._rows))
-        self._rows.append(terms)
-        self._slack.append(slack)
-        self._cap.append(cap)
-        reach = self._reach
-        reach.append(reach[-1] if reach and reach[-1] > last else last)
 
 
 class _Propagator:

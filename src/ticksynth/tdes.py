@@ -94,14 +94,21 @@ class EventTiming(Checked, namedtuple("EventTiming", "kind lower upper")):
         return self.upper if self.kind == PROSPECTIVE else self.lower
 
 
-class UntimedDes(Record):
+class _Tabled(Record):
+    __slots__ = ("_tables",)  # not a field: repr and pickling skip it
+
+
+class UntimedDes(_Tabled):
     """Untimed activity automaton with per-event timing bounds.
 
     ``transitions`` is a partial function from (state, event) pairs to
     successor states.  ``labeling`` maps states to the atomic propositions
     that hold there; unlisted states carry the empty label set.
     Construction checks every structural invariant and raises
-    :class:`InvalidSystemError` listing each violation.
+    :class:`InvalidSystemError` listing each violation.  It then derives
+    the initial timers and, per activity, each timer's rule (``None``
+    where its event is undefined, else whether it is prospective) and the
+    events to try, ``tick`` included, in alphabet order.
     """
 
     __slots__ = (
@@ -165,12 +172,20 @@ class UntimedDes(Record):
                 )
         if problems:
             raise InvalidSystemError("invalid system: " + "; ".join(problems))
+        order = self.event_order()
+        rules = {state: [None] * len(order) for state in self.states}
+        tries = {state: [TICK] for state in self.states}
+        for state, ev in self.transitions:
+            rules[state][order.index(ev)] = self.timing[ev].kind == PROSPECTIVE
+            tries[state].append(ev)
+        object.__setattr__(self, "_tables", (
+            tuple((ev, self.timing[ev].timer_limit) for ev in order),
+            {state: tuple(rule) for state, rule in rules.items()},
+            {state: tuple(sorted(evs)) for state, evs in tries.items()},
+        ))
 
     def label(self, state: str) -> frozenset[str]:
         return self.labeling.get(state, frozenset())
-
-    def defined(self, state: str, event: str) -> bool:
-        return (state, event) in self.transitions
 
     def event_order(self) -> tuple[str, ...]:
         return tuple(sorted(self.events))
@@ -202,10 +217,7 @@ class TimedState(NamedTuple):
 
 def initial_state(system: UntimedDes) -> TimedState:
     """Initial timed state: every timer starts at its reset value."""
-    timers = tuple(
-        (ev, system.timing[ev].timer_limit) for ev in system.event_order()
-    )
-    return TimedState(system.initial, timers)
+    return TimedState(system.initial, system._tables[0])
 
 
 def step(
@@ -220,18 +232,19 @@ def step(
     must be defined at the activity, and its timer must sit inside the
     window left after the minimum delay (prospective) or at zero
     (remote).  It resets its own timer, keeps the timers of events
-    defined at the target and resets the rest.  Raises
-    :class:`UnknownEventError` for an undeclared event.
+    defined at the target and resets the rest, as the system's tables
+    say.  Raises :class:`UnknownEventError` for an undeclared event.
     """
+    resets, rules, _ = system._tables
     if event == TICK:
         items = []
-        for name, value in state.timers:
-            tim = system.timing[name]
-            if not system.defined(state.activity, name):
-                items.append((name, tim.timer_limit))
+        rule = rules[state.activity]
+        for (name, value), reset, prospective in zip(state.timers, resets, rule):
+            if prospective is None:
+                items.append(reset)
             elif value > 0:
                 items.append((name, value - 1))
-            elif tim.kind == PROSPECTIVE:
+            elif prospective:
                 return None
             else:
                 items.append((name, 0))
@@ -246,13 +259,10 @@ def step(
     window = tim.upper - tim.lower if tim.kind == PROSPECTIVE else 0
     if not 0 <= state.timer(event) <= window:
         return None
-    items = []
-    for name, value in state.timers:
-        if name != event and system.defined(target, name):
-            items.append((name, value))
-        else:
-            items.append((name, system.timing[name].timer_limit))
-    return TimedState(target, tuple(items))
+    return TimedState(target, tuple([
+        pair if rule is not None and pair[0] != event else reset
+        for pair, reset, rule in zip(state.timers, resets, rules[target])
+    ]))
 
 
 class TimedDes:
@@ -277,7 +287,6 @@ class TimedDes:
         start = initial_state(untimed)
         self.untimed = untimed
         self.state_cap = state_cap
-        self._alphabet = sorted(untimed.events | {TICK})
         self.states = [start]
         self.index = {start: 0}
         self.outgoing: list[tuple[tuple[str, int], ...]] = []
@@ -292,13 +301,15 @@ class TimedDes:
     def explore(self, through: int) -> None:
         """Expand every state up to index ``through`` (every state, if no
         state has that index) that is not expanded yet, in index order,
-        trying events in alphabet order.  Raises :class:`StateCapError`
-        once more than ``state_cap`` states are discovered.
+        trying its activity's events and ``tick`` in alphabet order.
+        Raises :class:`StateCapError` once more than ``state_cap`` states
+        are discovered.
         """
+        tries = self.untimed._tables[2]
         while len(self.outgoing) <= min(through, self.n - 1):
             i = len(self.outgoing)
             pairs = []
-            for ev in self._alphabet:
+            for ev in tries[self.states[i].activity]:
                 succ = step(self.untimed, self.states[i], ev)
                 if succ is None:
                     continue
@@ -390,6 +401,9 @@ def replay_events(system: UntimedDes, events: Iterable[str]) -> Fragment:
 def _names(value: object, what: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise SystemFormatError(f"{what} must be a list of names")
+    if len(set(value)) < len(value):
+        pos = next(p for p, name in enumerate(value) if name in value[:p])
+        raise SystemFormatError(f"{what}[{pos}]: duplicate name {value[pos]!r}")
     return value
 
 

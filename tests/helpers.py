@@ -56,8 +56,14 @@ WORKED_LABELS = {"a": {"a"}, "b": {"b"}}
 WORKED_ATOMS = {"a", "b"}
 
 
-def random_system(rng: random.Random, max_states: int = 5) -> UntimedDes:
-    """Small random untimed system with mixed timing kinds, always valid."""
+def random_system(
+    rng: random.Random, max_states: int = 5, density: float = 0.55
+) -> UntimedDes:
+    """Small random untimed system with mixed timing kinds, always valid.
+
+    Each (state, event) pair gets a transition with probability
+    ``density``; the default keeps every draw of the existing tests.
+    """
     n_states = rng.randint(2, max_states)
     states = [f"s{i}" for i in range(n_states)]
     n_events = rng.randint(1, 4)
@@ -72,7 +78,7 @@ def random_system(rng: random.Random, max_states: int = 5) -> UntimedDes:
     transitions = {}
     for src in states:
         for ev in events:
-            if rng.random() < 0.55:
+            if rng.random() < density:
                 transitions[(src, ev)] = rng.choice(states)
     if not transitions:  # keep at least one non-tick edge around
         transitions[(states[0], events[0])] = states[-1]

@@ -73,7 +73,8 @@ def test_synth_dot_overlay(capsys):
 
 def test_synth_dot_explores_the_timed_graph_once(capsys, monkeypatch):
     # the overlay's whole graph is the one the search runs on: the request
-    # fires build_tdes's steps plus one per event of the certifying replay
+    # fires build_tdes's steps plus one per event of the certifying replay.
+    # Exploring a state tries tick and each event defined at its activity.
     calls = []
     real_step = tdes.step
 
@@ -81,15 +82,19 @@ def test_synth_dot_explores_the_timed_graph_once(capsys, monkeypatch):
         calls.append(args)
         return real_step(*args)
 
+    system = tdes.load_system(RING)
+    graph = tdes.build_tdes(system)
+    defined = [src for src, _ in system.transitions]
+    tries = sum(1 + defined.count(state.activity) for state in graph.states)
     monkeypatch.setattr(tdes, "step", counted_step)
-    tdes.build_tdes(tdes.load_system(RING))
-    assert len(calls) == 476
+    tdes.build_tdes(system)
+    assert len(calls) == tries
     calls.clear()
     assert run([
         "synth", "--system", RING, "--formula", AVOID_UNTIL,
         "--hmax", "7", "--format", "dot",
     ]) == 0
-    assert len(calls) == 476 + 7  # 789 when the search explored its own
+    assert len(calls) == tries + 7  # more if the search explored its own graph
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == (
         "eaa9b1081166c6e3eb055188e96e84c280bca8c9c08e777d9e264700427014db"
@@ -334,6 +339,20 @@ def test_invalid_system_exits_two(tmp_path, capsys, ring_doc):
         err = capsys.readouterr().err
         assert f"{path}: invalid system: " in err
         assert "-> 'nowhere': target is not a declared state" in err
+
+
+def test_duplicate_names_exit_two(tmp_path, capsys, ring_doc):
+    for key, edit in (
+        ("states", lambda doc: doc["states"].append("p1")),
+        ("atoms", lambda doc: doc["atoms"].append("ap4")),
+        ("labels", lambda doc: doc["labels"]["p3"].append("ap3")),
+    ):
+        doc = json.loads(json.dumps(ring_doc))
+        edit(doc)
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(["build", "--system", str(path)]) == 2, key
+        assert "duplicate name" in capsys.readouterr().err, key
 
 
 def test_state_cap_flag(capsys):

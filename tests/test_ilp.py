@@ -180,6 +180,48 @@ def test_duplicate_terms_are_merged():
     model.add([(1, x), (1, x)], ">=", 2)
     result = solve(model)
     assert result.feasible and result.assignment == (1,)
+    # rows whose terms merge: to nothing, around a zero coefficient, or
+    # into repeats under each comparator; each merged row, and every
+    # feasible one at once, must propagate and solve as the unmerged
+    # reference and enumeration do, and store and watch its support only
+    x, y, z = 0, 1, 2
+
+    def model_with(rows):
+        model = IlpModel()
+        for name, lo, hi in (("x", 0, 3), ("y", 0, 1), ("z", -2, 2)):
+            model.add_var(name, lo, hi)
+        for terms, comparator, rhs in rows:
+            model.add(terms, comparator, rhs)
+        return model
+
+    rows = [  # with the support of the merged row
+        ([(1, x), (-1, x), (1, y)], ">=", 1, {y}),  # x - x cancels
+        ([(1, y), (2, z), (-1, y)], "<=", 2, {z}),  # a unit term cancels
+        ([(0, x), (2, y), (1, z)], "<=", 3, {y, z}),  # a zero coefficient
+        ([(1, y), (1, z), (1, y)], ">=", 3, {y, z}),  # repeats under >=
+        ([(1, x), (1, y), (1, x), (-1, z)], "=", 4, {x, y, z}),  # under =
+        ([(1, y), (-1, z), (1, z)], "=", 1, {y}),  # leaves a unit row
+        ([(1, x), (-1, x)], "=", 0, set()),  # no terms left: 0 = 0
+        ([(3, y), (-3, y)], ">=", 0, set()),
+        ([(1, x), (-1, x)], "<=", -1, set()),  # no terms left: 0 <= -1
+        ([(2, z), (-1, z), (-1, z)], "=", 1, set()),
+    ]
+    for case in [[row] for row in rows] + [rows[:8]]:
+        model = model_with([row[:3] for row in case])
+        assert propagate_bounds(model) == reference_propagate(model), case
+        least = next(iter(enumerate_feasible(model)), None)
+        assert solve(model).assignment == least, case
+        assert (least is None) == (rows[8] in case or rows[9] in case)
+        if len(case) > 1:
+            assert least == (2, 1, 1)
+        if len(case) == 1:
+            pos, neg, unit = model._rows[0]
+            stored = {term if unit else term[0] for term in pos + neg}
+            watched = {
+                var for var in (x, y, z)
+                if model._watch_lo[var] or model._watch_hi[var]
+            }
+            assert stored == watched == case[0][3], case
 
 
 def test_verdicts_match_enumeration_on_integer_domains(monkeypatch):

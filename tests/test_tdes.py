@@ -273,9 +273,14 @@ def test_step_rejects_disabled_event(ring):
 
 # --- reachable construction ----------------------------------------------------
 
+def _as_reference_state(state):
+    """A timed state in the reference's form."""
+    return state.activity, frozenset(state.timers)
+
+
 def _as_reference(graph):
     """A built graph as the reference's (states, edges) sets."""
-    states = [(s.activity, frozenset(s.timers)) for s in graph.states]
+    states = [_as_reference_state(s) for s in graph.states]
     edges = {
         (states[i], ev, states[j])
         for i, pairs in enumerate(graph.outgoing) for ev, j in pairs
@@ -311,6 +316,33 @@ def test_ring_reachable_graph_matches_reference(ring, ring_tdes, ring_doc):
     assert _as_reference(ring_tdes) == (ref_states, ref_edges)
 
 
+def _matches_reference(graph) -> bool:
+    """The built graph has the reference's states and edges, numbered in
+    breadth-first discovery order with each state's edges in event order,
+    and ``outgoing`` lists exactly those edges."""
+    doc = _document(graph.untimed)
+    ref_states, ref_edges = reference_reachable_graph(doc)
+    if _as_reference(graph) != (ref_states, ref_edges):
+        return False
+    leaving = {}
+    for src, ev, dst in ref_edges:
+        leaving.setdefault(src, []).append((ev, dst))
+    order = [_as_reference_state(graph.states[0])]
+    index = {order[0]: 0}
+    outgoing = []
+    for state in order:  # grows while it is walked: a breadth-first search
+        pairs = sorted(leaving.get(state, []), key=lambda pair: pair[0])
+        for _, dst in pairs:
+            if dst not in index:
+                index[dst] = len(order)
+                order.append(dst)
+        outgoing.append(tuple((ev, index[dst]) for ev, dst in pairs))
+    return (
+        [_as_reference_state(s) for s in graph.states] == order
+        and graph.outgoing == outgoing
+    )
+
+
 def test_random_reachable_graphs_match_reference():
     # ring4's events are all remote; random systems mix in prospective
     # ones, so tick blocking and the prospective window are cross-checked
@@ -318,9 +350,8 @@ def test_random_reachable_graphs_match_reference():
     blocked_ticks = prospective_edges = 0
     for trial in range(120):
         system = random_system(rng)
-        doc = json.loads(json.dumps(_document(system)))
         graph = build_tdes(system, state_cap=5000)
-        assert _as_reference(graph) == reference_reachable_graph(doc), trial
+        assert _matches_reference(graph), trial
         blocked_ticks += sum(
             TICK not in dict(pairs) for pairs in graph.outgoing
         )
@@ -329,6 +360,21 @@ def test_random_reachable_graphs_match_reference():
             for pairs in graph.outgoing for ev, _ in pairs
         )
     assert blocked_ticks >= 100 and prospective_edges >= 100
+    # with few transitions, many activities define no event: their states
+    # only tick, and exploring one tries tick alone.  Events e1 and e3 are
+    # renamed z1 and z3, so tick sorts between the events.
+    rng = random.Random(2718)
+    tick_only = 0
+    for trial in range(120):
+        text = json.dumps(_document(random_system(rng, density=0.2)))
+        for odd in ("1", "3"):
+            text = text.replace(f'"e{odd}"', f'"z{odd}"')
+        system = system_from_json(json.loads(text))
+        graph = build_tdes(system, state_cap=5000)
+        assert _matches_reference(graph), f"sparse {trial}"
+        busy = {src for src, _ in system.transitions}
+        tick_only += sum(s.activity not in busy for s in graph.states)
+    assert tick_only >= 80
 
 
 def bfs_depths(graph):
@@ -342,7 +388,7 @@ def bfs_depths(graph):
 
 
 def test_explored_prefix_matches_full_graph():
-    # the 120 random systems of test_random_reachable_graphs_match_reference
+    # the first 120 systems of test_random_reachable_graphs_match_reference
     rng = random.Random(1994)
     for trial in range(120):
         system = random_system(rng)
@@ -429,7 +475,7 @@ def test_tick_disabled_whenever_prospective_expired():
             pending = any(
                 value == 0
                 and system.timing[name].kind == PROSPECTIVE
-                and system.defined(state.activity, name)
+                and (state.activity, name) in system.transitions
                 for name, value in state.timers
             )
             assert (step(system, state, TICK) is None) == pending
@@ -511,6 +557,22 @@ def test_system_json_rejects_duplicate_transition(ring_doc):
     doc["transitions"].append({"from": "p1", "event": "move12", "to": "p2"})
     with pytest.raises(SystemFormatError):
         system_from_json(doc)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["states"].append("p1"),
+     "'states'[12]: duplicate name 'p1'"),
+    (lambda doc: doc["atoms"].insert(2, "ap1"),
+     "'atoms'[2]: duplicate name 'ap1'"),
+    (lambda doc: doc["labels"]["p2"].append("ap2"),
+     "labels['p2'][1]: duplicate name 'ap2'"),
+], ids=["states", "atoms", "labels"])
+def test_system_json_rejects_duplicate_names(ring_doc, edit, message):
+    doc = json.loads(json.dumps(ring_doc))
+    edit(doc)
+    with pytest.raises(SystemFormatError) as err:
+        system_from_json(doc)
+    assert str(err.value) == message
 
 
 def test_system_json_requires_keys():
