@@ -22,9 +22,11 @@ tuples.  Declared bounds are fixed at ``add_var``, so each row's declared
 slack (right-hand side minus minimum activity at the declared bounds) and
 cap are computed once, when the row is added; a solve starts from a copy
 of them.  The slack is updated on every bound move.  A variable's watch
-lists name the rows whose minimum activity its lower bound (a ``pos``
-term) or its upper bound (a ``neg`` term) enters; a move touches only the
-matching list.
+stores name the rows whose minimum activity its lower bound (a ``pos``
+term) or its upper bound (a ``neg`` term) enters, two stores per bound:
+unit rows as bare row indices, every other row as ``(row, weight)``
+pairs.  A move walks only the matching bound's stores, and a unit row's
+entry needs neither its weight nor its cap, which are both 1.
 
 After a conflict-free propagation every variable below the branching
 variable ``v`` is fixed, so what is left to solve is given by the bounds
@@ -139,11 +141,15 @@ class IlpModel:
         # rows (pos, neg, unit), each meaning sum(coef*var) <= rhs (see the
         # module docstring); the rhs lives on only in the declared slack
         self._rows: list[tuple[tuple, tuple, bool]] = []
-        # watch lists, flat (row, |coef|) pairs: the rows whose minimum
-        # activity a variable's lower bound (coef > 0) or upper bound
-        # (coef < 0) enters
-        self._watch_lo: list[list[int]] = []
-        self._watch_hi: list[list[int]] = []
+        # watch stores: the rows whose minimum activity a variable's lower
+        # bound (coef > 0) or upper bound (coef < 0) enters, unit rows as
+        # bare row indices and all other rows as flat (row, |coef|) pairs;
+        # most variables enter no weighted row, so an empty pair store is
+        # the shared () until a row enters it
+        self._unit_lo: list[list[int]] = []
+        self._unit_hi: list[list[int]] = []
+        self._watch_lo: list[list[int] | tuple[()]] = []
+        self._watch_hi: list[list[int] | tuple[()]] = []
         # per row: slack and cap at the declared bounds; ascending rows
         # whose slack is below their cap (the rows a solve queues first)
         self._slack: list[int] = []
@@ -172,8 +178,10 @@ class IlpModel:
         self.names.append(name)
         self._lower.append(lo)
         self._upper.append(hi)
-        self._watch_lo.append([])
-        self._watch_hi.append([])
+        self._unit_lo.append([])
+        self._unit_hi.append([])
+        self._watch_lo.append(())
+        self._watch_hi.append(())
         return len(self.names) - 1
 
     def add_constraint(self, constraint: LinearConstraint) -> None:
@@ -194,7 +202,6 @@ class IlpModel:
         row = len(self._rows)
         equal = constraint.comparator == "="
         lower, upper = self._lower, self._upper
-        watch_lo, watch_hi = self._watch_lo, self._watch_hi
         pos: list = []  # variables, paired with weights unless unit
         neg: list = []
         least = most = cap = 0  # minimum and maximum activity
@@ -207,17 +214,11 @@ class IlpModel:
                 pos.append(var)
                 least += coef * lo
                 most += coef * hi
-                watch_lo[var] += (row, coef)
-                if equal:
-                    watch_hi[var] += (row + 1, coef)
             elif coef < 0:
                 coef = -coef
                 neg.append(var)
                 least -= coef * hi
                 most -= coef * lo
-                watch_hi[var] += (row, coef)
-                if equal:
-                    watch_lo[var] += (row + 1, coef)
             else:
                 continue
             if coef * (hi - lo) > cap:
@@ -234,8 +235,21 @@ class IlpModel:
         rhs = sign * constraint.rhs
         for slack in (rhs - least, most - rhs) if equal else (rhs - least,):
             if slack < cap:
-                self._tight.append(len(self._rows))
+                self._tight.append(row)
+            if unit:
+                for var in pos:
+                    self._unit_lo[var].append(row)
+                for var in neg:
+                    self._unit_hi[var].append(row)
+            else:
+                for var, weight in pos:
+                    self._watch_lo[var] = self._watch_lo[var] or []
+                    self._watch_lo[var] += (row, weight)
+                for var, weight in neg:
+                    self._watch_hi[var] = self._watch_hi[var] or []
+                    self._watch_hi[var] += (row, weight)
             self._rows.append((pos, neg, unit))
+            row += 1
             pos, neg = neg, pos  # the mirror of an = row
             self._slack.append(slack)
             self._cap.append(cap)
@@ -250,8 +264,8 @@ class IlpModel:
         """Drop every constraint after the first ``count``.
 
         Rows are removed newest first, so each one's watch entries are the
-        tails of its variables' watch lists, and its slack, cap and tight
-        entry are the tails of theirs.
+        tails of its variables' lists in the store it went into, and its
+        slack, cap and tight entry are the tails of theirs.
         """
         if count < 0:
             raise ModelError(f"cannot keep {count} constraints")
@@ -259,12 +273,16 @@ class IlpModel:
             removed = self.constraints.pop()
             for _ in range(2 if removed.comparator == "=" else 1):
                 pos, neg, unit = self._rows.pop()
-                if not unit:
-                    pos, neg = [v for v, _ in pos], [v for v, _ in neg]
-                for var in pos:
-                    del self._watch_lo[var][-2:]
-                for var in neg:
-                    del self._watch_hi[var][-2:]
+                if unit:
+                    for var in pos:
+                        self._unit_lo[var].pop()
+                    for var in neg:
+                        self._unit_hi[var].pop()
+                else:
+                    for var, _ in pos:
+                        self._watch_lo[var] = self._watch_lo[var][:-2] or ()
+                    for var, _ in neg:
+                        self._watch_hi[var] = self._watch_hi[var][:-2] or ()
                 self._slack.pop()
                 self._cap.pop()
                 self._reach.pop()
@@ -279,7 +297,10 @@ class _Propagator:
     the same key it records refuted subproblems under.  A row is queued
     only when its slack falls below its cap, ``max |coef| * declared
     span``: with more slack it can neither fail nor tighten a bound.
-    Tightenings never exclude an integer point of the row.
+    Tightenings never exclude an integer point of the row.  A move takes
+    its step off each unit row it watches and queues the row at slack 0
+    or below; it walks the pair store, with weights and caps, only when
+    that store is not empty.
 
     A unit row's cap is 1, and a slack only falls while the queue runs
     (restores happen with the queue empty), so a unit row is popped only
@@ -290,6 +311,8 @@ class _Propagator:
 
     def __init__(self, model: IlpModel) -> None:
         self.rows = model._rows
+        self.unit_lo = model._unit_lo
+        self.unit_hi = model._unit_hi
         self.watch_lo = model._watch_lo
         self.watch_hi = model._watch_hi
         self.lo = list(model._lower)
@@ -306,19 +329,27 @@ class _Propagator:
         if is_upper:
             step = self.hi[var] - value
             self.hi[var] = value
-            watch = self.watch_hi[var]
+            units, watch = self.unit_hi[var], self.watch_hi[var]
         else:
             step = value - self.lo[var]
             self.lo[var] = value
-            watch = self.watch_lo[var]
-        slack, cap, queued = self.slack, self.cap, self.queued
-        pairs = iter(watch)
-        for row, weight in zip(pairs, pairs):
-            room = slack[row] - weight * step
+            units, watch = self.unit_lo[var], self.watch_lo[var]
+        slack, queued = self.slack, self.queued
+        for row in units:  # a unit row's weight and cap are 1
+            room = slack[row] - step
             slack[row] = room
-            if room < cap[row] and not queued[row]:
+            if room <= 0 and not queued[row]:
                 queued[row] = 1
                 self.queue.append(row)
+        if watch:
+            cap = self.cap
+            pairs = iter(watch)
+            for row, weight in zip(pairs, pairs):
+                room = slack[row] - weight * step
+                slack[row] = room
+                if room < cap[row] and not queued[row]:
+                    queued[row] = 1
+                    self.queue.append(row)
 
     def propagate(self) -> bool:
         """Run the queue to a fixpoint; returns True on conflict."""
@@ -419,10 +450,12 @@ def solve(model: IlpModel) -> SolveResult:
     restore the frame's state.  A node whose key this solve has already
     refuted pushes no frame and counts as a conflict; an exhausted frame
     is popped without a restore and its key recorded.  Keys are bytes
-    when every value fits, tuples otherwise; once their sizes reach
-    ``CACHE_BYTES``, no more are stored, but frames still build theirs.
-    The verdict and the assignment are those of the search without the
-    cache.
+    when every value fits, tuples otherwise; the list is converted
+    through one ``bytearray``, which gives the same bytes and the same
+    ``ValueError`` as ``bytes`` of it, faster.  Once the keys' sizes
+    reach ``CACHE_BYTES``, no more are stored, but frames still build
+    theirs.  The verdict and the assignment are those of the search
+    without the cache.
     """
     propagator = _Propagator(model)
     lo, hi, slack = propagator.lo, propagator.hi, propagator.slack
@@ -453,7 +486,7 @@ def solve(model: IlpModel) -> SolveResult:
             values += hi[var:]
             values += slack[first:]
             try:
-                key = bytes(values)
+                key = bytes(bytearray(values))
             except ValueError:  # a value outside 0..255
                 key = tuple(values)
             if var not in refuted or key not in refuted[var]:

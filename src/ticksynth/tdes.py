@@ -108,7 +108,9 @@ class UntimedDes(_Tabled):
     :class:`InvalidSystemError` listing each violation.  It then derives
     the initial timers and, per activity, each timer's rule (``None``
     where its event is undefined, else whether it is prospective) and the
-    events to try, ``tick`` included, in alphabet order.
+    events to try, ``tick`` included, in alphabet order; and per defined
+    (activity, event) pair, the target, the event's window and its
+    timer's position.
     """
 
     __slots__ = (
@@ -175,13 +177,19 @@ class UntimedDes(_Tabled):
         order = self.event_order()
         rules = {state: [None] * len(order) for state in self.states}
         tries = {state: [TICK] for state in self.states}
-        for state, ev in self.transitions:
-            rules[state][order.index(ev)] = self.timing[ev].kind == PROSPECTIVE
+        fires = {}
+        for (state, ev), target in self.transitions.items():
+            tim, at = self.timing[ev], order.index(ev)
+            prospective = tim.kind == PROSPECTIVE
+            rules[state][at] = prospective
             tries[state].append(ev)
+            window = tim.upper - tim.lower if prospective else 0
+            fires[state, ev] = (target, window, at)
         object.__setattr__(self, "_tables", (
             tuple((ev, self.timing[ev].timer_limit) for ev in order),
             {state: tuple(rule) for state, rule in rules.items()},
             {state: tuple(sorted(evs)) for state, evs in tries.items()},
+            fires,
         ))
 
     def label(self, state: str) -> frozenset[str]:
@@ -235,7 +243,7 @@ def step(
     defined at the target and resets the rest, as the system's tables
     say.  Raises :class:`UnknownEventError` for an undeclared event.
     """
-    resets, rules, _ = system._tables
+    resets, rules, _, fires = system._tables
     if event == TICK:
         items = []
         rule = rules[state.activity]
@@ -252,17 +260,18 @@ def step(
 
     if event not in system.events:
         raise UnknownEventError(f"unknown event {event!r}")
-    target = system.transitions.get((state.activity, event))
-    if target is None:
+    firing = fires.get((state.activity, event))
+    if firing is None:
         return None
-    tim = system.timing[event]
-    window = tim.upper - tim.lower if tim.kind == PROSPECTIVE else 0
-    if not 0 <= state.timer(event) <= window:
+    target, window, at = firing
+    if not 0 <= state.timers[at][1] <= window:
         return None
-    return TimedState(target, tuple([
-        pair if rule is not None and pair[0] != event else reset
+    items = [
+        pair if rule is not None else reset
         for pair, reset, rule in zip(state.timers, resets, rules[target])
-    ]))
+    ]
+    items[at] = resets[at]
+    return TimedState(target, tuple(items))
 
 
 class TimedDes:
@@ -484,11 +493,21 @@ def _load_json(
     path: str | Path, read: Callable[[object], T], *errors: type
 ) -> T:
     """``read`` applied to the JSON document at ``path``.  A document that
-    does not decode raises ``errors[0]``, and any of ``errors`` that
-    ``read`` raises is raised again; each message starts with the path."""
+    does not decode, or has an object that repeats a key, raises
+    ``errors[0]``, and any of ``errors`` that ``read`` raises is raised
+    again; each message starts with the path."""
+
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise errors[0](f"{path}: JSON object repeats key {key!r}")
+            obj[key] = value
+        return obj
+
     text = Path(path).read_text(encoding="utf-8")
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise errors[0](f"{path}: {exc}") from exc
     except RecursionError as exc:

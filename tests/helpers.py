@@ -261,6 +261,27 @@ def random_model(rng: random.Random, n_vars: int) -> IlpModel:
     return model
 
 
+def random_unit_model(rng: random.Random) -> IlpModel:
+    """Random model of ±1 rows over binaries; in about half the draws the
+    rows also reach variables declared [1, 1], [0, 0], [0, 2], [-1, 0] or
+    [1, 2], which make a row that reads them no unit row."""
+    model = IlpModel()
+    n = rng.randint(2, 7)
+    for v in range(n):
+        model.add_var(f"b{v}", 0, 1)
+    if rng.random() < 0.5:
+        others = [(1, 1), (0, 0), (0, 2), (-1, 0), (1, 2)]
+        for lo, hi in rng.sample(others, rng.randint(1, 3)):
+            model.add_var(f"o{model.num_variables}", lo, hi)
+    for _ in range(rng.randint(1, n + 2)):
+        support = rng.sample(
+            range(model.num_variables), rng.randint(1, min(4, n))
+        )
+        terms = [(rng.choice([-1, 1]), v) for v in support]
+        model.add(terms, rng.choice(["<=", ">=", "="]), rng.randint(-1, 2))
+    return model
+
+
 def random_symmetric_model(rng: random.Random) -> IlpModel:
     """Random all-binary model whose first variables are interchangeable.
 

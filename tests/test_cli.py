@@ -355,6 +355,33 @@ def test_duplicate_names_exit_two(tmp_path, capsys, ring_doc):
         assert "duplicate name" in capsys.readouterr().err, key
 
 
+def test_repeated_object_keys_exit_two(tmp_path, capsys):
+    # a last-wins decoder would drop p2's first label list and answer
+    # "found: no" for F[1,5] ap2
+    system = tmp_path / "system.json"
+    text = fixture_path("ring4.json").read_text(encoding="utf-8")
+    system.write_text(
+        text.replace('"p2": ["ap2"]', '"p2": ["ap1"], "p2": ["ap2"]'),
+        encoding="utf-8",
+    )
+    route = tmp_path / "route.json"
+    text = fixture_path("ring4_route_a.json").read_text(encoding="utf-8")
+    route.write_text(
+        text.replace('"activity": "p4"', '"activity": "p2", "activity": "p4"'),
+        encoding="utf-8",
+    )
+    for args, path, key in (
+        (["build", "--system", str(system)], system, "p2"),
+        (["synth", "--system", str(system), "--formula", "F[1,5] ap2",
+          "--hmax", "8"], system, "p2"),
+        (["check", "--system", RING, "--fragment", str(route),
+          "--formula", "ap1"], route, "activity"),
+    ):
+        assert run(args) == 2, args
+        err = capsys.readouterr().err
+        assert f"error: {path}: JSON object repeats key {key!r}" in err
+
+
 def test_state_cap_flag(capsys):
     assert run(["build", "--system", RING, "--state-cap", "5"]) == 2
     assert "cap" in capsys.readouterr().err

@@ -19,6 +19,7 @@ from helpers import (
     enumerate_feasible,
     random_model,
     random_symmetric_model,
+    random_unit_model,
     reference_propagate,
     reference_search,
 )
@@ -82,12 +83,73 @@ def test_truncate_restores_rows_and_watch_lists():
         model.truncate(kept)
         assert model.constraints == fresh.constraints
         assert model._rows == fresh._rows
+        assert model._unit_lo == fresh._unit_lo
+        assert model._unit_hi == fresh._unit_hi
         assert model._watch_lo == fresh._watch_lo
         assert model._watch_hi == fresh._watch_hi
         assert model._slack == fresh._slack
         assert model._cap == fresh._cap
         assert model._tight == fresh._tight
         assert model._reach == fresh._reach
+
+
+def _watches(model: IlpModel) -> tuple[list[list[int]], ...]:
+    return (model._unit_lo, model._unit_hi, model._watch_lo, model._watch_hi)
+
+
+def _expected_watches(model: IlpModel) -> tuple[list[list[int]], ...]:
+    """The four watch stores, derived from the constraints alone: a
+    positive term of a stored row (a ``>=`` row is negated) is watched
+    by its variable's lower bound, a negative one by its upper bound,
+    and the other way round for an ``=`` row's mirror.  A unit row, all
+    coefficients ±1 over variables declared [0, 1], is watched by bare
+    row index, every other row by (row, |coef|) pairs; an empty pair
+    store is ``()``, so that it allocates nothing."""
+    n = model.num_variables
+    stores = tuple([[] for _ in range(n)] for _ in range(4))
+    unit_lo, unit_hi, watch_lo, watch_hi = stores
+    row = 0
+    for constraint in model.constraints:
+        sign = -1 if constraint.comparator == ">=" else 1
+        merged: dict[int, int] = {}
+        for coef, var in constraint.terms:
+            merged[var] = merged.get(var, 0) + sign * coef
+        support = sorted((var, coef) for var, coef in merged.items() if coef)
+        unit = all(
+            abs(coef) == 1 and (model.lower[var], model.upper[var]) == (0, 1)
+            for var, coef in support
+        )
+        for flip in (1, -1) if constraint.comparator == "=" else (1,):
+            for var, coef in support:
+                if unit:
+                    (unit_lo if flip * coef > 0 else unit_hi)[var].append(row)
+                else:
+                    (watch_lo if flip * coef > 0 else watch_hi)[var] += (
+                        row, abs(coef)
+                    )
+            row += 1
+    for watch in watch_lo, watch_hi:
+        watch[:] = [entries or () for entries in watch]
+    return stores
+
+
+def test_each_row_is_watched_by_exactly_its_support():
+    # models of mixed weights, and ±1 models over binaries with and
+    # without other domains, checked whole and after a truncation
+    rng = random.Random(2503)
+    units = pairs = 0
+    for trial in range(300):
+        if trial % 2:
+            model = random_unit_model(rng)
+        else:
+            model = random_model(rng, rng.randint(1, 10))
+        count = model.num_constraints
+        for kept in (count, rng.randint(0, count)):
+            model.truncate(kept)
+            assert _watches(model) == _expected_watches(model), dump(model)
+        units += sum(map(len, model._unit_lo + model._unit_hi))
+        pairs += sum(map(len, model._watch_lo + model._watch_hi)) // 2
+    assert units >= 300 and pairs >= 300, (units, pairs)
 
 
 def test_truncate_rejects_a_negative_count():
@@ -219,9 +281,12 @@ def test_duplicate_terms_are_merged():
             stored = {term if unit else term[0] for term in pos + neg}
             watched = {
                 var for var in (x, y, z)
-                if model._watch_lo[var] or model._watch_hi[var]
+                for watch in (model._unit_lo, model._unit_hi,
+                              model._watch_lo, model._watch_hi)
+                if watch[var]
             }
             assert stored == watched == case[0][3], case
+        assert _watches(model) == _expected_watches(model), case
 
 
 def test_verdicts_match_enumeration_on_integer_domains(monkeypatch):
@@ -381,20 +446,7 @@ def test_unit_rows_propagate_like_the_reference(monkeypatch):
     rows = {True: 0, False: 0}
     tightened = conflicts = 0  # in models of unit rows only
     for trial in range(400):
-        model = IlpModel()
-        n = rng.randint(2, 7)
-        for v in range(n):
-            model.add_var(f"b{v}", 0, 1)
-        if rng.random() < 0.5:
-            others = [(1, 1), (0, 0), (0, 2), (-1, 0), (1, 2)]
-            for lo, hi in rng.sample(others, rng.randint(1, 3)):
-                model.add_var(f"o{model.num_variables}", lo, hi)
-        for _ in range(rng.randint(1, n + 2)):
-            support = rng.sample(
-                range(model.num_variables), rng.randint(1, min(4, n))
-            )
-            terms = [(rng.choice([-1, 1]), v) for v in support]
-            model.add(terms, rng.choice(["<=", ">=", "="]), rng.randint(-1, 2))
+        model = random_unit_model(rng)
         box = propagate_bounds(model)
         assert box == reference_propagate(model), f"trial {trial}: {dump(model)}"
         for _, _, unit in model._rows:

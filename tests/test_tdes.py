@@ -27,6 +27,7 @@ from ticksynth.tdes import (
     fragment_from_json,
     fragment_to_json,
     initial_state,
+    load_fragment,
     load_system,
     replay_events,
     step,
@@ -586,6 +587,37 @@ def test_load_system_reports_path_on_bad_json(tmp_path):
     with pytest.raises(SystemFormatError) as err:
         load_system(path)
     assert "broken.json" in str(err.value)
+
+
+REPEATED_KEYS = [  # each repeat is loaded silently by a last-wins decoder
+    ("ring4.json", '"p2": ["ap2"]', '"p2": ["ap1"], "p2": ["ap2"]', "p2"),
+    ("ring4.json", '"name": "reach12", "kind": "remote", "lower": 2',
+     '"name": "reach12", "kind": "remote", "lower": 9, "lower": 2', "lower"),
+    ("ring4.json", '"event": "move12", "to": "p12"',
+     '"event": "move12", "to": "p14", "to": "p12"', "to"),
+    ("ring4_route_a.json", '{"activity": "p14"}',
+     '{"activity": "p2", "activity": "p14"}', "activity"),
+]
+
+
+@pytest.mark.parametrize(
+    "fixture, text, repeated, key", REPEATED_KEYS,
+    ids=["labels", "event", "transition", "fragment"],
+)
+def test_load_refuses_a_repeated_object_key(
+    ring, tmp_path, fixture, text, repeated, key
+):
+    source = fixture_path(fixture).read_text(encoding="utf-8")
+    assert text in source
+    path = tmp_path / fixture
+    path.write_text(source.replace(text, repeated, 1), encoding="utf-8")
+    if fixture == "ring4.json":
+        with pytest.raises(SystemFormatError) as err:
+            load_system(path)
+    else:
+        with pytest.raises(FragmentError) as err:
+            load_fragment(path, ring)
+    assert str(err.value) == f"{path}: JSON object repeats key {key!r}"
 
 
 def test_fragment_json_roundtrip_with_timers(ring, route_a):
