@@ -28,9 +28,9 @@ an until's constant-true left operand, which no window reads, is not.
 Only demanded positions get satisfaction binaries, and an until demanded
 at 0 only keeps the windows anchored at 0.
 
-One model serves a whole horizon range: :func:`build_encoding`, the only
-way to create or extend a model, grows an encoding in place by one step
-at a time.  Every row belongs to one step except the closing rows
+One model serves a whole horizon range: :func:`build_encoding` builds
+an :class:`Encoding` at horizon 0, or takes one, and grows it in place a
+step at a time.  Every row belongs to one step except the closing rows
 ``z[k] <= sum_j u[k,j]`` of each until, whose window list ends at the
 horizon; they are added last and replaced on every growth.  The solver
 branches in the order the variables are created, step by step.
@@ -54,7 +54,6 @@ from .logic import (
     Formula,
     Not,
     Or,
-    SubformulaTable,
     Truth,
     UnknownAtomError,
     Until,
@@ -84,21 +83,51 @@ class Encoding:
     the number of constraints before the closing rows.
     """
 
-    def __init__(
-        self,
-        model: IlpModel,
-        tdes: TimedDes,
-        formula: Formula,
-        table: SubformulaTable,
-        holds: tuple[frozenset[str] | None, ...],
-        demanded: frozenset[int],
-        everywhere: frozenset[int],
-        horizon: int,
-    ) -> None:
-        self.model, self.tdes, self.formula = model, tdes, formula
-        self.table, self.holds, self.horizon = table, holds, horizon
-        self.demanded, self.everywhere = demanded, everywhere
-        self.w: list[dict[int, int]] = []
+    def __init__(self, graph: TimedDes, formula: Formula) -> None:
+        """The horizon-0 model: the initial state (state 0) pinned by its
+        bounds, and the formula's position-0 binaries, the root pinned true."""
+        table = subformulas(formula)
+        system, entries = graph.untimed, table.entries
+        for node in entries:
+            if isinstance(node, Atom) and node.name not in system.atoms:
+                raise UnknownAtomError(f"atom {node.name!r} is not declared")
+        # Labels depend only on the activity, so each slot with no until
+        # below it is evaluated once, as the set of activities where it holds.
+        holds: list[frozenset[str] | None] = []
+        for node, kids in zip(entries, table.children):
+            below = [holds[kid] for kid in kids]
+            if isinstance(node, Until) or None in below:
+                holds.append(None)
+            elif isinstance(node, Truth):
+                holds.append(system.states)
+            elif isinstance(node, Atom):
+                holds.append(frozenset(
+                    a for a in system.states if node.name in system.label(a)
+                ))
+            elif isinstance(node, Not):
+                holds.append(system.states - below[0])
+            elif isinstance(node, And):
+                holds.append(below[0] & below[1])
+            elif isinstance(node, Or):
+                holds.append(below[0] | below[1])
+            else:
+                raise TypeError(f"not a formula node: {node!r}")
+        demanded, everywhere = {table.root}, set()  # parents follow children
+        for slot in reversed(range(len(table))):
+            if slot not in demanded or holds[slot] is not None:
+                continue  # a propositional slot's row reads the states only
+            node, kids = entries[slot], table.children[slot]
+            if isinstance(node, Until) and isinstance(entries[kids[0]], Truth):
+                kids = kids[1:]  # the windows leave a constant-true left out
+            demanded.update(kids)
+            if slot in everywhere or isinstance(node, Until):
+                everywhere.update(kids)
+        self.model = model = IlpModel()
+        self.tdes, self.formula, self.table = graph, formula, table
+        self.holds, self.horizon = tuple(holds), 0
+        self.demanded = frozenset(demanded)
+        self.everywhere = frozenset(everywhere)
+        self.w: list[dict[int, int]] = [{0: model.add_var("w[0][0]", 1, 1)}]
         self.ze: list[int | None] = [None]
         self.c: list[int | None] = [None]
         self.zphi: dict[tuple[int, int], int] = {}
@@ -106,59 +135,10 @@ class Encoding:
         self.zu: dict[tuple[int, int, int], int] = {}
         self.edges: list[list[tuple[int, str, int]]] = [[]]
         self.x: list[list[int]] = [[]]
-        self.closing = 0
-
-
-def _start(graph: TimedDes, formula: Formula) -> Encoding:
-    """The horizon-0 model: the initial state (state 0) pinned by its
-    bounds, and the formula's position-0 binaries, the root pinned true."""
-    table = subformulas(formula)
-    system = graph.untimed
-    for node in table.entries:
-        if isinstance(node, Atom) and node.name not in system.atoms:
-            raise UnknownAtomError(f"atom {node.name!r} is not declared")
-    # Labels depend only on the activity, so each slot with no until
-    # below it is evaluated once, as the set of activities where it holds.
-    holds: list[frozenset[str] | None] = []
-    for node, kids in zip(table.entries, table.children):
-        below = [holds[kid] for kid in kids]
-        if isinstance(node, Until) or None in below:
-            holds.append(None)
-        elif isinstance(node, Truth):
-            holds.append(system.states)
-        elif isinstance(node, Atom):
-            holds.append(frozenset(
-                a for a in system.states if node.name in system.label(a)
-            ))
-        elif isinstance(node, Not):
-            holds.append(system.states - below[0])
-        elif isinstance(node, And):
-            holds.append(below[0] & below[1])
-        elif isinstance(node, Or):
-            holds.append(below[0] | below[1])
-        else:
-            raise TypeError(f"not a formula node: {node!r}")
-    demanded, everywhere = {table.root}, set()  # parents follow children
-    for slot in reversed(range(len(table))):
-        if slot not in demanded or holds[slot] is not None:
-            continue  # a propositional slot's row reads the states only
-        node, kids = table.entries[slot], table.children[slot]
-        if isinstance(node, Until) and isinstance(table.entries[kids[0]], Truth):
-            kids = kids[1:]  # the windows leave a constant-true left out
-        demanded.update(kids)
-        if slot in everywhere or isinstance(node, Until):
-            everywhere.update(kids)
-    model = IlpModel()
-    enc = Encoding(
-        model, graph, formula, table, tuple(holds),
-        frozenset(demanded), frozenset(everywhere), horizon=0,
-    )
-    enc.w.append({0: model.add_var("w[0][0]", 1, 1)})
-    model.add([(1, enc.w[0][0])], "=", 1)
-    _encode_position(enc, 0)
-    model.add([(1, enc.zphi[(table.root, 0)])], "=", 1)
-    enc.closing = model.num_constraints
-    return enc
+        model.add([(1, self.w[0][0])], "=", 1)
+        _encode_position(self, 0)
+        model.add([(1, self.zphi[(table.root, 0)])], "=", 1)
+        self.closing = model.num_constraints
 
 
 def _encode_step(enc: Encoding, k: int) -> None:
@@ -360,12 +340,12 @@ def build_encoding(
     true at position 0.
 
     ``previous``, an encoding of the same graph and formula at a horizon
-    no larger, is grown in place and returned; without it the model is
-    grown from position 0.  Growing drops the closing rows, and any row
+    no larger, is grown in place and returned; without it a new
+    :class:`Encoding` is grown from horizon 0.  Growing drops the closing rows, and any row
     added to the model after them, appends the new steps and positions,
     then adds the closing rows at the new horizon.
     """
-    enc = _start(graph, formula) if previous is None else previous
+    enc = Encoding(graph, formula) if previous is None else previous
     if enc.tdes is not graph or enc.formula is not formula:
         raise ValueError("the previous encoding has another graph or formula")
     if type(horizon) is not int:

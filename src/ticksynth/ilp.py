@@ -184,15 +184,19 @@ class IlpModel:
         self._watch_hi.append(())
         return len(self.names) - 1
 
-    def add_constraint(self, constraint: LinearConstraint) -> None:
-        """Store ``constraint`` as one row, or as a row and its mirror.
+    def add(
+        self, terms: Iterable[tuple[int, int]], comparator: str, rhs: int
+    ) -> None:
+        """Store ``sum(coef * var) comparator rhs``, ``terms`` being its
+        (coef, var) pairs, as one row or as a row and its mirror.
 
         A ``>=`` row is stored negated.  An ``=`` row's mirror is ``(neg,
         pos, unit)``: its slack is the maximum activity minus the
         right-hand side, and it shares the row's cap and last variable.
         Repeated terms are merged, then read once in variable order.
         """
-        sign = -1 if constraint.comparator == ">=" else 1
+        constraint = LinearConstraint(tuple(terms), comparator, rhs)
+        sign = -1 if comparator == ">=" else 1
         merged: dict[int, int] = {}
         for coef, var in constraint.terms:
             if not 0 <= var < len(self.names):
@@ -200,7 +204,7 @@ class IlpModel:
             merged[var] = merged.get(var, 0) + sign * coef
         self.constraints.append(constraint)
         row = len(self._rows)
-        equal = constraint.comparator == "="
+        equal = comparator == "="
         lower, upper = self._lower, self._upper
         pos: list = []  # variables, paired with weights unless unit
         neg: list = []
@@ -232,7 +236,7 @@ class IlpModel:
         reach = self._reach
         if reach and reach[-1] > last:
             last = reach[-1]
-        rhs = sign * constraint.rhs
+        rhs *= sign
         for slack in (rhs - least, most - rhs) if equal else (rhs - least,):
             if slack < cap:
                 self._tight.append(row)
@@ -254,11 +258,6 @@ class IlpModel:
             self._slack.append(slack)
             self._cap.append(cap)
             reach.append(last)
-
-    def add(
-        self, terms: Iterable[tuple[int, int]], comparator: str, rhs: int
-    ) -> None:
-        self.add_constraint(LinearConstraint(tuple(terms), comparator, rhs))
 
     def truncate(self, count: int) -> None:
         """Drop every constraint after the first ``count``.

@@ -209,12 +209,6 @@ class TimedState(NamedTuple):
     activity: str
     timers: tuple[tuple[str, int], ...]
 
-    def timer(self, event: str) -> int:
-        for name, value in self.timers:
-            if name == event:
-                return value
-        raise UnknownEventError(f"no timer for event {event!r}")
-
     def timer_map(self) -> dict[str, int]:
         return dict(self.timers)
 
@@ -303,9 +297,6 @@ class TimedDes:
     @property
     def n(self) -> int:
         return len(self.states)
-
-    def label(self, i: int) -> frozenset[str]:
-        return self.untimed.label(self.states[i].activity)
 
     def explore(self, through: int) -> None:
         """Expand every state up to index ``through`` (every state, if no

@@ -342,17 +342,21 @@ def test_invalid_system_exits_two(tmp_path, capsys, ring_doc):
 
 
 def test_duplicate_names_exit_two(tmp_path, capsys, ring_doc):
-    for key, edit in (
-        ("states", lambda doc: doc["states"].append("p1")),
-        ("atoms", lambda doc: doc["atoms"].append("ap4")),
-        ("labels", lambda doc: doc["labels"]["p3"].append("ap3")),
+    first, count = ring_doc["events"][0], len(ring_doc["events"])
+    for key, edit, message in (
+        ("states", lambda doc: doc["states"].append("p1"), "duplicate name"),
+        ("atoms", lambda doc: doc["atoms"].append("ap4"), "duplicate name"),
+        ("labels", lambda doc: doc["labels"]["p3"].append("ap3"),
+         "duplicate name"),
+        ("events", lambda doc: doc["events"].append(first),
+         f"events[{count}]: duplicate event {first['name']!r}"),
     ):
         doc = json.loads(json.dumps(ring_doc))
         edit(doc)
         path = tmp_path / f"{key}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert run(["build", "--system", str(path)]) == 2, key
-        assert "duplicate name" in capsys.readouterr().err, key
+        assert message in capsys.readouterr().err, key
 
 
 def test_repeated_object_keys_exit_two(tmp_path, capsys):
@@ -458,6 +462,9 @@ def test_label_value_number_exits_two(tmp_path, capsys, ring_doc):
     labels = {**ring_doc["labels"], "p1": 3}
     assert _synth_on_document(tmp_path, {**ring_doc, "labels": labels}) == 2
     assert "labels['p1'] must be a list of names" in capsys.readouterr().err
+    labels = list(ring_doc["labels"].items())
+    assert _synth_on_document(tmp_path, {**ring_doc, "labels": labels}) == 2
+    assert "'labels' must map states to atom lists" in capsys.readouterr().err
 
 
 def test_event_list_shapes_exit_two(tmp_path, capsys, ring_doc):

@@ -645,11 +645,26 @@ def test_decode_rejects_corrupted_assignment(ring_tdes, phi_avoid_until):
         decode(enc, tuple(values))
 
 
+def test_decode_refuses_a_run_that_violates_the_formula(ring_tdes, phi_avoid_until):
+    # the edge selectors of a genuine run that violates the formula replay
+    # cleanly, so only the certification against the formula refuses them
+    enc = build_encoding(ring_tdes, phi_avoid_until, 7)
+    system = ring_tdes.untimed
+    violating = next(
+        frag for frag in enumerate_fragments(ring_tdes, 7)
+        if not evaluate(frag, phi_avoid_until, 0, system.labeling, system.atoms)
+    )
+    with pytest.raises(DecodeError, match=(
+        "decoded run fails certification against the formula"
+    )):
+        decode(enc, induced_valuation(enc, violating))
+
+
 def test_decode_simple_tick_step():
     graph = build_tdes(pulse_system())
     enc = build_encoding(graph, TRUE, 1)
     result = solve(enc.model)
     frag = decode(enc, result.assignment)
     assert frag.events == (TICK,)
-    assert frag.states[0].timer("pulse") == 1
-    assert frag.states[1].timer("pulse") == 0
+    assert frag.states[0].timer_map()["pulse"] == 1
+    assert frag.states[1].timer_map()["pulse"] == 0

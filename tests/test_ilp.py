@@ -60,6 +60,30 @@ def test_constraint_shape_checks():
         LinearConstraint(((1, 0),), "<", 1)
     with pytest.raises(ModelError):
         LinearConstraint(((1.5, 0),), "<=", 1)
+    for index in (0.0, True, "0"):
+        with pytest.raises(ModelError, match=f"variable index {index!r} is not"):
+            LinearConstraint(((1, index),), "<=", 1)
+    for rhs in (1.5, False):
+        with pytest.raises(ModelError, match=f"right-hand side {rhs!r} is not"):
+            LinearConstraint(((1, 0),), "<=", rhs)
+    model = IlpModel()
+    model.add_var("x", 0, 1)
+    with pytest.raises(ModelError, match="right-hand side '1' is not"):
+        model.add([(1, 0)], ">=", "1")
+    assert model.num_constraints == 0
+
+
+def test_solve_refuses_an_assignment_the_verifier_rejects(monkeypatch):
+    model = IlpModel()
+    x = model.add_var("x", 0, 1)
+    model.add([(1, x)], ">=", 1)
+    monkeypatch.setattr(ilp, "check_assignment", lambda model, values: [
+        f"row 0 violated by {values}"
+    ])
+    with pytest.raises(RuntimeError, match=(
+        r"solver produced an invalid assignment: row 0 violated by \(1,\)"
+    )):
+        solve(model)
 
 
 def test_equality_stored_as_inequality_pair():
@@ -79,7 +103,7 @@ def test_truncate_restores_rows_and_watch_lists():
         for var in range(model.num_variables):
             fresh.add_var(model.names[var], model.lower[var], model.upper[var])
         for constraint in model.constraints[:kept]:
-            fresh.add_constraint(constraint)
+            fresh.add(*constraint)
         model.truncate(kept)
         assert model.constraints == fresh.constraints
         assert model._rows == fresh._rows

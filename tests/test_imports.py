@@ -29,10 +29,7 @@ def test_package_imports_only_the_standard_library():
 
 
 def test_package_modules_use_every_name_they_import():
-    # ``__init__.py`` imports only to re-export.
-    modules = sorted(
-        path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"
-    )
+    modules = sorted(PACKAGE.glob("*.py"))
     assert modules
     unused = []
     for path in modules:

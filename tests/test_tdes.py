@@ -188,7 +188,7 @@ def test_initial_timers_zero_upper_prospective():
 
 def test_initial_timer_single_remote():
     system = tiny_system(timing={"go": EventTiming(REMOTE, 5)})
-    assert initial_state(system).timer("go") == 5
+    assert initial_state(system).timer_map()["go"] == 5
 
 
 # --- enabling: an event is enabled exactly where step defines a successor ------
@@ -202,10 +202,10 @@ def test_remote_event_needs_zero_timer(ring):
     # not defined at p1 at all
     assert step(ring, start, "reach14") is None
     moved = step(ring, start, "move14")
-    assert moved.timer("reach14") == 1
+    assert moved.timer_map()["reach14"] == 1
     assert step(ring, moved, "reach14") is None
     after_tick = step(ring, moved, TICK)
-    assert after_tick.timer("reach14") == 0
+    assert after_tick.timer_map()["reach14"] == 0
     assert step(ring, after_tick, "reach14") is not None
 
 
@@ -221,7 +221,7 @@ def test_prospective_window_respects_minimum_delay():
     start = initial_state(system)  # timer 3, window is 0..2
     assert step(system, start, "go") is None
     after = step(system, start, TICK)
-    assert after.timer("go") == 2
+    assert after.timer_map()["go"] == 2
     assert step(system, after, "go") is not None
 
 
@@ -237,18 +237,18 @@ def test_move_keeps_pending_remote_timer(ring):
     moved = step(ring, start, "move14")
     assert moved.activity == "p14"
     # reach14 is defined at the target, so its timer is carried over
-    assert moved.timer("reach14") == 1
+    assert moved.timer_map()["reach14"] == 1
     # reach12 is undefined at the target and resets to its default
-    assert moved.timer("reach12") == 2
+    assert moved.timer_map()["reach12"] == 2
 
 
 def test_tick_saturates_remote_timer_at_zero():
     system = tiny_system(timing={"go": EventTiming(REMOTE, 1)})
     start = initial_state(system)
     once = step(system, start, TICK)
-    assert once.timer("go") == 0
+    assert once.timer_map()["go"] == 0
     twice = step(system, once, TICK)
-    assert twice.timer("go") == 0
+    assert twice.timer_map()["go"] == 0
 
 
 def test_tick_resets_undefined_event_to_default():
@@ -265,7 +265,7 @@ def test_tick_resets_undefined_event_to_default():
         },
     )
     start = initial_state(system)  # other undefined at A, timer 2
-    assert step(system, start, TICK).timer("other") == 2
+    assert step(system, start, TICK).timer_map()["other"] == 2
 
 
 def test_step_rejects_disabled_event(ring):
@@ -632,7 +632,7 @@ def test_fragment_json_reconstructs_missing_timers(ring):
         "events": ["move14"],
     }
     frag = fragment_from_json(doc, ring)
-    assert frag.states[1].timer("reach14") == 1
+    assert frag.states[1].timer_map()["reach14"] == 1
 
 
 # each stored state is compared with its replay as a whole
