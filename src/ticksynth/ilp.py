@@ -55,11 +55,9 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left
-from collections import deque, namedtuple
+from collections import deque
 from collections.abc import Sequence
 from typing import Iterable, NamedTuple
-
-from .record import Checked
 
 
 # Most bytes of refuted-subproblem keys one solve stores (see ``solve``).
@@ -70,30 +68,17 @@ class ModelError(ValueError):
     """A variable or constraint was declared inconsistently."""
 
 
-class LinearConstraint(
-    Checked, namedtuple("LinearConstraint", "terms comparator rhs")
-):
-    """``sum(coef * var) comparator rhs`` with integer data.
+class LinearConstraint(NamedTuple):
+    """``sum(coef * var) comparator rhs`` with integer data, as
+    :meth:`IlpModel.add` stores it after checking it.
 
     ``terms`` pairs are (coefficient, variable index); the comparator is
     one of ``<=``, ``>=``, ``=``.
     """
 
-    __slots__ = ()
-
-    def __new__(
-        cls, terms: tuple[tuple[int, int], ...], comparator: str, rhs: int
-    ) -> LinearConstraint:
-        if comparator not in ("<=", ">=", "="):
-            raise ModelError(f"unknown comparator {comparator!r}")
-        for coef, var in terms:
-            if type(coef) is not int:
-                raise ModelError(f"coefficient {coef!r} is not an integer")
-            if type(var) is not int:
-                raise ModelError(f"variable index {var!r} is not an integer")
-        if type(rhs) is not int:
-            raise ModelError(f"right-hand side {rhs!r} is not an integer")
-        return super().__new__(cls, terms, comparator, rhs)
+    terms: tuple[tuple[int, int], ...]
+    comparator: str
+    rhs: int
 
 
 class _ReadOnly(Sequence):
@@ -194,15 +179,29 @@ class IlpModel:
         pos, unit)``: its slack is the maximum activity minus the
         right-hand side, and it shares the row's cap and last variable.
         Repeated terms are merged, then read once in variable order.
+
+        Raises :class:`ModelError`, storing nothing, for an unknown
+        comparator, a coefficient, variable index or right-hand side that
+        is not an ``int`` (a ``bool`` is not one), or an index that names
+        no variable.
         """
-        constraint = LinearConstraint(tuple(terms), comparator, rhs)
+        if comparator not in ("<=", ">=", "="):
+            raise ModelError(f"unknown comparator {comparator!r}")
+        if type(rhs) is not int:
+            raise ModelError(f"right-hand side {rhs!r} is not an integer")
+        terms = tuple(terms)
+        num_vars = len(self.names)
         sign = -1 if comparator == ">=" else 1
         merged: dict[int, int] = {}
-        for coef, var in constraint.terms:
-            if not 0 <= var < len(self.names):
+        for coef, var in terms:
+            if type(coef) is not int:
+                raise ModelError(f"coefficient {coef!r} is not an integer")
+            if type(var) is not int:
+                raise ModelError(f"variable index {var!r} is not an integer")
+            if not 0 <= var < num_vars:
                 raise ModelError(f"constraint references unknown variable {var}")
             merged[var] = merged.get(var, 0) + sign * coef
-        self.constraints.append(constraint)
+        self.constraints.append(LinearConstraint(terms, comparator, rhs))
         row = len(self._rows)
         equal = comparator == "="
         lower, upper = self._lower, self._upper

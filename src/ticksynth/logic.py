@@ -101,8 +101,6 @@ MAX_DEPTH = 100
 depth of the parsed tree.  Parsing, hashing and evaluation all recurse
 over the tree, so deeper input would exhaust the interpreter's stack."""
 
-_RESERVED = {"U", "F", "G", "X", "true", "false"}
-
 _TOKEN = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
@@ -261,9 +259,9 @@ class _Parser:
                 return TRUE
             if text == "false":
                 return self.node(Not, TRUE)
-            if text in _RESERVED:
+            if text == "U":
                 raise FormulaSyntaxError(
-                    f"{text!r} is an operator and needs an operand", at
+                    "'U' is an operator and needs an operand", at
                 )
             return Atom(text)
         shown = text if kind != "end" else "end of input"

@@ -41,10 +41,6 @@ DEFAULT_STATE_CAP = 1_000_000
 T = TypeVar("T")
 
 
-class UnknownEventError(ValueError):
-    """An event identifier is not part of the system's alphabet."""
-
-
 class InvalidSystemError(ValueError):
     """An untimed system violates a structural invariant."""
 
@@ -230,12 +226,12 @@ def step(
 
     ``tick`` is blocked by a defined prospective event whose timer is at
     zero; otherwise it counts every defined timer down (a remote one
-    saturates at zero) and resets the undefined ones.  A declared event
-    must be defined at the activity, and its timer must sit inside the
-    window left after the minimum delay (prospective) or at zero
-    (remote).  It resets its own timer, keeps the timers of events
-    defined at the target and resets the rest, as the system's tables
-    say.  Raises :class:`UnknownEventError` for an undeclared event.
+    saturates at zero) and resets the undefined ones.  Any other event
+    must be defined at the activity, so an undeclared one is never
+    enabled, and its timer must sit inside the window left after the
+    minimum delay (prospective) or at zero (remote).  It resets its own
+    timer, keeps the timers of events defined at the target and resets
+    the rest, as the system's tables say.
     """
     resets, rules, _, fires = system._tables
     if event == TICK:
@@ -252,8 +248,6 @@ def step(
                 items.append((name, 0))
         return TimedState(state.activity, tuple(items))
 
-    if event not in system.events:
-        raise UnknownEventError(f"unknown event {event!r}")
     firing = fires.get((state.activity, event))
     if firing is None:
         return None
@@ -363,7 +357,7 @@ class Fragment(Checked, namedtuple("Fragment", "states events")):
         """Number of tick events strictly inside positions k..j."""
         if not 0 <= k <= j <= self.horizon:
             raise IndexError(f"count window ({k}, {j}) out of range")
-        return sum(1 for ev in self.events[k:j] if ev == TICK)
+        return self.events[k:j].count(TICK)
 
     def activities(self) -> tuple[str, ...]:
         return tuple(s.activity for s in self.states)

@@ -55,22 +55,58 @@ def test_add_constraint_rejects_unknown_variable():
         model.add([(1, 99)], "<=", 1)
 
 
+def _model_state(model: IlpModel) -> tuple:
+    """Everything ``IlpModel.add`` appends to, copied."""
+    return tuple(
+        [list(entry) if isinstance(entry, list) else entry for entry in store]
+        for store in (
+            model.constraints, model._rows, model._slack, model._cap,
+            model._tight, model._reach, *_watches(model),
+        )
+    )
+
+
 def test_constraint_shape_checks():
-    with pytest.raises(ModelError):
-        LinearConstraint(((1, 0),), "<", 1)
-    with pytest.raises(ModelError):
-        LinearConstraint(((1.5, 0),), "<=", 1)
-    for index in (0.0, True, "0"):
-        with pytest.raises(ModelError, match=f"variable index {index!r} is not"):
-            LinearConstraint(((1, index),), "<=", 1)
-    for rhs in (1.5, False):
-        with pytest.raises(ModelError, match=f"right-hand side {rhs!r} is not"):
-            LinearConstraint(((1, 0),), "<=", rhs)
     model = IlpModel()
-    model.add_var("x", 0, 1)
-    with pytest.raises(ModelError, match="right-hand side '1' is not"):
-        model.add([(1, 0)], ">=", "1")
-    assert model.num_constraints == 0
+    x = model.add_var("x", 0, 1)
+    y = model.add_var("y", 0, 3)
+    model.add([(1, x), (2, y)], "<=", 3)
+    model.add([(1, x), (-1, y)], "=", 0)
+    model.add([(1, x)], ">=", 1)
+    before = _model_state(model)
+    assert all(before), before
+    refusals = [
+        (([(1, x)], "<", 1), "unknown comparator '<'"),
+        (([(1.5, x)], "<=", 1), "coefficient 1.5 is not"),
+        (([(1, x), (1, 2)], "<=", 1), "unknown variable 2"),
+        (([(1, x)], ">=", "1"), "right-hand side '1' is not"),
+    ]
+    refusals += [
+        (([(1, index)], "<=", 1), f"variable index {index!r} is not")
+        for index in (0.0, True, "0")
+    ]
+    refusals += [
+        (([(1, x)], "<=", rhs), f"right-hand side {rhs!r} is not")
+        for rhs in (1.5, False)
+    ]
+    for args, message in refusals:
+        with pytest.raises(ModelError, match=message):
+            model.add(*args)
+        assert _model_state(model) == before, args
+
+
+def test_add_stores_the_constraint_as_given():
+    model = IlpModel()
+    x = model.add_var("x", 0, 1)
+    y = model.add_var("y", 0, 2)
+    rows = [([(1, y), (2, x), (-1, y)], ">=", 1), (iter([(3, x)]), "=", 3)]
+    for terms, comparator, rhs in rows:
+        model.add(terms, comparator, rhs)
+    assert model.constraints == [
+        LinearConstraint(((1, y), (2, x), (-1, y)), ">=", 1),
+        LinearConstraint(((3, x),), "=", 3),
+    ]
+    assert all(type(row) is LinearConstraint for row in model.constraints)
 
 
 def test_solve_refuses_an_assignment_the_verifier_rejects(monkeypatch):

@@ -93,6 +93,12 @@ def test_parse_error_positions():
         parse("a @ b")
     with pytest.raises(FormulaSyntaxError):
         parse("F a")
+    for text, position in (("U", 0), ("a & U", 4), ("(U)", 1)):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse(text)
+        assert str(err.value) == (
+            f"'U' is an operator and needs an operand (at position {position})"
+        )
 
 
 # Texts nesting n levels deep, in the text or in the parsed tree.

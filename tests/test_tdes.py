@@ -19,7 +19,6 @@ from ticksynth.tdes import (
     SystemFormatError,
     TimedDes,
     TimedState,
-    UnknownEventError,
     UntimedDes,
     build_tdes,
     fixture_path,
@@ -226,8 +225,12 @@ def test_prospective_window_respects_minimum_delay():
 
 
 def test_enabled_rejects_unknown_event(ring):
-    with pytest.raises(UnknownEventError):
-        step(ring, initial_state(ring), "teleport")
+    # an undeclared event is not enabled; a replay names it and its step
+    assert step(ring, initial_state(ring), "teleport") is None
+    with pytest.raises(FragmentError, match=(
+        "event 'teleport' at step 1 is not declared"
+    )):
+        replay_events(ring, ["teleport"])
 
 
 # --- stepping -----------------------------------------------------------------

@@ -12,7 +12,7 @@ import pickle
 import pytest
 
 from ticksynth.encode import build_encoding
-from ticksynth.ilp import LinearConstraint, ModelError, SolveResult
+from ticksynth.ilp import LinearConstraint, SolveResult
 from ticksynth.logic import (
     TRUE,
     And,
@@ -166,8 +166,6 @@ def test_systems_tables_and_encodings_compare_by_identity(
 def test_construction_validates_keyword_fields():
     with pytest.raises(ValueError, match="'lower' must be an integer"):
         EventTiming(kind=REMOTE, lower=1.5)
-    with pytest.raises(ModelError, match="unknown comparator"):
-        LinearConstraint(terms=((1, 0),), comparator="<", rhs=1)
     with pytest.raises(FragmentError, match="do not alternate"):
         Fragment(states=(), events=())
     with pytest.raises(ValueError, match="must satisfy"):
@@ -199,15 +197,6 @@ def test_fragment_make_and_replace_validate():
     with pytest.raises(FragmentError, match="do not alternate"):
         Fragment._make(((), ()))
     assert type(Fragment._make(fragment)) is Fragment
-
-
-def test_linear_constraint_make_and_replace_validate():
-    row = LinearConstraint(((1, 0),), "<=", 1)
-    with pytest.raises(ModelError, match="not an integer"):
-        LinearConstraint._make((((1.5, 0),), "<=", 1))
-    with pytest.raises(ModelError, match="unknown comparator"):
-        row._replace(comparator="<")
-    assert row._replace(rhs=2) == LinearConstraint(((1, 0),), "<=", 2)
 
 
 def test_copies_and_pickles_are_equal_values():
