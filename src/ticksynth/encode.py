@@ -1,8 +1,9 @@
 """Compilation of bounded runs and formulas into integer feasibility models.
 
-The timed system's run of horizon ``H`` is encoded with one-hot binary
-state vectors ``w[k]`` (k = 0..H) tied step to step by one binary per
-(step, transition) selecting the edge taken; there are no adjacency rows.
+The timed system's run of horizon ``H`` is encoded with state vectors
+``w[k]`` (k = 0..H) tied step to step by one binary per (step,
+transition) selecting the edge taken; the selector rows force them
+one-hot, so they have no row of their own, nor adjacency rows.
 A selector or state that the selector rows force equal to an earlier
 variable is that variable, so an ``x[k]`` entry may be a state's
 variable, and ``dump-ilp`` names a merged variable after its earliest
@@ -85,7 +86,7 @@ class Encoding:
 
     def __init__(self, graph: TimedDes, formula: Formula) -> None:
         """The horizon-0 model: the initial state (state 0) pinned by its
-        bounds, and the formula's position-0 binaries, the root pinned true."""
+        bounds alone, and the position-0 binaries, the root pinned true."""
         table = subformulas(formula)
         system, entries = graph.untimed, table.entries
         for node in entries:
@@ -135,7 +136,6 @@ class Encoding:
         self.zu: dict[tuple[int, int, int], int] = {}
         self.edges: list[list[tuple[int, str, int]]] = [[]]
         self.x: list[list[int]] = [[]]
-        model.add([(1, self.w[0][0])], "=", 1)
         _encode_position(self, 0)
         model.add([(1, self.zphi[(table.root, 0)])], "=", 1)
         self.closing = model.num_constraints
@@ -144,13 +144,13 @@ class Encoding:
 def _encode_step(enc: Encoding, k: int) -> None:
     """State vector, edge selectors, tick indicator and counter of step k.
 
-    The one-hot state vector ``w[k]`` is tied to ``w[k-1]`` by the
-    selectors ``x[k][t]`` of the edges ``edges[k][t]``: the selectors
-    leaving state i sum to ``w[k-1][i]`` and those entering state j sum
-    to ``w[k][j]``.  With the one-hot rows these imply that exactly one
-    edge fires per step and that every state taken has a predecessor, so
-    neither has rows of its own.  ``ze[k]`` is the sum of step k's tick
-    selectors and ``c[k] = c[k-1] + ze[k]`` in ``[0, k]``.
+    The state vector ``w[k]`` is tied to ``w[k-1]`` by the selectors
+    ``x[k][t]`` of the edges ``edges[k][t]``: the selectors leaving state
+    i sum to ``w[k-1][i]`` and those entering state j sum to ``w[k][j]``.
+    From a one-hot ``w[k-1]`` (``w[0]`` is, by its bounds) these fire one
+    edge and make ``w[k]`` one-hot, so neither has a row of its own.
+    ``ze[k]`` is the sum of step k's tick selectors and
+    ``c[k] = c[k-1] + ze[k]`` in ``[0, k]``.
 
     A variable those rows force equal to an earlier one is that variable.
     The only edge leaving i is selected by ``w[k-1][i]``, and otherwise
@@ -178,9 +178,6 @@ def _encode_step(enc: Encoding, k: int) -> None:
         j: copies[j] if j in copies else model.add_var(f"w[{k}][{j}]", 0, 1)
         for j in sorted(entering)
     })
-    # Implied by the selector rows, but propagation needs it: without the
-    # one-hot rows the two-goal search takes 89 nodes instead of 87.
-    model.add([(1, v) for v in enc.w[k].values()], "=", 1)
     step_vars = [
         before[i] if leaving[i] == 1
         else enc.w[k][j] if entering[j] == 1

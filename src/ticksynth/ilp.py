@@ -15,8 +15,8 @@ Propagation is incremental and activity based, and ``solve`` and
 rows ``sum(coef * var) <= rhs`` of the form ``(pos, neg, unit)``: ``pos``
 holds the positive terms and ``neg`` the negative ones, negated, as
 tuples of ``(var, weight)`` pairs.  A unit row, one whose coefficients
-are all ±1 over variables declared ``[0, 1]`` (the selector, one-hot and
-logic rows), stores tuples of bare variables instead.  An ``=``
+are all ±1 over variables declared ``[0, 1]`` (the selector and logic
+rows), stores tuples of bare variables instead.  An ``=``
 constraint's second row is its mirror ``(neg, pos, unit)``, sharing both
 tuples.  Declared bounds are fixed at ``add_var``, so each row's declared
 slack (right-hand side minus minimum activity at the declared bounds) and

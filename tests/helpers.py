@@ -10,8 +10,10 @@ run with nothing but counting and the direct evaluator.
 from __future__ import annotations
 
 import random
+import runpy
 from collections import deque
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from ticksynth.logic import (
     Until,
     evaluate,
 )
+from ticksynth.synth import SynthesisRequest
 from ticksynth.tdes import (
     PROSPECTIVE,
     REMOTE,
@@ -37,6 +40,7 @@ from ticksynth.tdes import (
     TimedDes,
     TimedState,
     UntimedDes,
+    build_tdes,
 )
 
 
@@ -143,6 +147,30 @@ def random_fragment(
         events.append(ev)
         path.append(j)
     return Fragment(tuple(graph.states[i] for i in path), tuple(events))
+
+
+def oracle_requests(seed: int = 97, trials: int = 60):
+    """Seeded one-horizon requests small enough to enumerate: systems of
+    up to five states, horizons 1..5, and at most 200,000 runs each."""
+    rng = random.Random(seed)
+    made = 0
+    while made < trials:
+        system = random_system(rng, max_states=5)
+        graph = build_tdes(system, state_cap=3000)
+        max_branch = max(map(len, graph.outgoing))
+        horizon = rng.randint(1, 5)
+        if max_branch**horizon > 200_000:
+            continue
+        phi = random_formula(rng, sorted(system.atoms), horizon)
+        yield SynthesisRequest(system, phi, horizon, horizon)
+        made += 1
+
+
+def perfbench_workloads() -> dict:
+    """The namespace of ``perfbench/workloads.py``, run from its source
+    so that no bytecode is written under ``perfbench/``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    return runpy.run_path(str(path))
 
 
 def reference_eval(fragment, node, k, labels, atoms) -> bool:
