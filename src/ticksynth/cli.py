@@ -108,8 +108,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _formula_text(args: argparse.Namespace) -> str:
     if args.formula is not None:
         return args.formula
-    with open(args.formula_file, encoding="utf-8") as handle:
-        return handle.read().strip()
+    try:
+        with open(args.formula_file, encoding="utf-8") as handle:
+            return handle.read().strip()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{args.formula_file}: {exc}") from exc
 
 
 def _result_payload(result: synth.SynthesisResult) -> dict:
@@ -130,15 +133,12 @@ def _result_payload(result: synth.SynthesisResult) -> dict:
 
 def _run_request(
     args: argparse.Namespace,
-    search: Callable[
-        [synth.SynthesisRequest, tdes.TimedDes | None], synth.SynthesisResult
-    ],
+    search: Callable[[synth.SynthesisRequest], synth.SynthesisResult],
 ) -> int:
     """Run ``search`` on the request the arguments describe and print the
-    result.  ``dot`` (``synth`` only) overlays the run on the timed graph:
-    the whole graph is built first, so a graph over the cap fails before
-    the search, and the search runs on that graph instead of exploring
-    its own."""
+    result.  ``dot`` (``synth`` only) overlays the run on the whole timed
+    graph, built before the search so that a graph over the cap fails
+    first; the search explores a graph of its own."""
     system = tdes.load_system(args.system)
     request = synth.SynthesisRequest(
         system=system,
@@ -147,10 +147,9 @@ def _run_request(
         horizon_max=args.hmax,
         state_cap=args.state_cap,
     )
-    graph = None
     if args.format == "dot":  # over the cap, fail before the search
         graph = tdes.build_tdes(system, args.state_cap)
-    result = search(request, graph)
+    result = search(request)
     if args.format == "json":
         print(json.dumps(_result_payload(result), indent=2, sort_keys=True))
     elif args.format == "dot":
@@ -222,10 +221,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    # oracle has no dot format, so it is never handed a graph
     return _run_request(
-        args,
-        lambda request, _: synth.oracle_synthesize(request, budget=args.budget),
+        args, lambda request: synth.oracle_synthesize(request, budget=args.budget)
     )
 
 
@@ -233,7 +230,7 @@ def _cmd_dump(args: argparse.Namespace) -> int:
     system = tdes.load_system(args.system)
     formula = parse(_formula_text(args))
     graph = tdes.TimedDes(system, args.state_cap)
-    enc = encode.build_encoding(graph, formula, args.horizon)
+    enc = encode.build_encoding(encode.Encoding(graph, formula), args.horizon)
     print(ilp.dump(enc.model), end="")
     return 0
 

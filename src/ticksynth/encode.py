@@ -29,9 +29,9 @@ an until's constant-true left operand, which no window reads, is not.
 Only demanded positions get satisfaction binaries, and an until demanded
 at 0 only keeps the windows anchored at 0.
 
-One model serves a whole horizon range: :func:`build_encoding` builds
-an :class:`Encoding` at horizon 0, or takes one, and grows it in place a
-step at a time.  Every row belongs to one step except the closing rows
+One model serves a whole horizon range: an :class:`Encoding` is built
+at horizon 0 and :func:`build_encoding` grows it in place a step at a
+time.  Every row belongs to one step except the closing rows
 ``z[k] <= sum_j u[k,j]`` of each until, whose window list ends at the
 horizon; they are added last and replaced on every growth.  The solver
 branches in the order the variables are created, step by step.
@@ -326,25 +326,16 @@ def _close(enc: Encoding) -> None:
             model.add([(1, enc.zphi[(slot, a)])] + terms, "<=", 0)
 
 
-def build_encoding(
-    graph: TimedDes,
-    formula: Formula,
-    horizon: int,
-    previous: Encoding | None = None,
-) -> Encoding:
-    """Every run of ``horizon`` steps from the initial state, the
-    formula's satisfaction binaries at each position, and the root pinned
-    true at position 0.
+def build_encoding(enc: Encoding, horizon: int) -> Encoding:
+    """Grow ``enc`` in place to every run of ``horizon`` steps from the
+    initial state, with the formula's satisfaction binaries at each
+    position, and return it.
 
-    ``previous``, an encoding of the same graph and formula at a horizon
-    no larger, is grown in place and returned; without it a new
-    :class:`Encoding` is grown from horizon 0.  Growing drops the closing rows, and any row
-    added to the model after them, appends the new steps and positions,
-    then adds the closing rows at the new horizon.
+    The horizon may not be smaller than ``enc``'s.  Growing drops the
+    closing rows, and any row added to the model after them, appends the
+    new steps and positions, then adds the closing rows at the new
+    horizon.
     """
-    enc = Encoding(graph, formula) if previous is None else previous
-    if enc.tdes is not graph or enc.formula is not formula:
-        raise ValueError("the previous encoding has another graph or formula")
     if type(horizon) is not int:
         raise ValueError(f"horizon must be an integer, got {horizon!r}")
     if horizon < 1:

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .encode import build_encoding, decode
+from .encode import Encoding, build_encoding, decode
 from .ilp import solve
 from .logic import Formula, evaluate
 from .tdes import (
@@ -73,30 +73,23 @@ class SynthesisResult(NamedTuple):
     statistics: SynthStats
 
 
-def synthesize(
-    request: SynthesisRequest, graph: TimedDes | None = None
-) -> SynthesisResult:
+def synthesize(request: SynthesisRequest) -> SynthesisResult:
     """Smallest horizon in range whose encoding admits a certified run.
 
-    Horizons are tried in ascending order, the encoding of the previous
-    horizon grown in place by one step, so the reported horizon is
-    minimal.  Only the timed states the horizons reach are explored, and
-    ``state_cap`` bounds those.  ``graph``, when given, is the request
-    system's timed graph, explored as far as it is, with its own cap; the
-    search explores it further on demand instead of starting a graph of
-    its own.  Every returned fragment has been certified by
+    Horizons are tried in ascending order, one encoding grown in place by
+    a step per horizon, so the reported horizon is minimal.  The search
+    explores the request system's timed graph itself, only as far as the
+    horizons reach, and ``state_cap`` bounds the states it discovers.
+    Every returned fragment has been certified by
     :func:`~ticksynth.encode.decode`, which raises
     :class:`~ticksynth.encode.DecodeError` for a run that fails.
     """
     start = time.perf_counter()
-    if graph is None:
-        graph = TimedDes(request.system, request.state_cap)
-    elif graph.untimed is not request.system:
-        raise ValueError("the graph is not the request's system's")
-    nodes = 0
-    enc = fragment = None
+    graph = TimedDes(request.system, request.state_cap)
+    enc = Encoding(graph, request.formula)
+    nodes, fragment = 0, None
     for horizon in range(request.horizon_min, request.horizon_max + 1):
-        enc = build_encoding(graph, request.formula, horizon, enc)
+        build_encoding(enc, horizon)
         result = solve(enc.model)
         nodes += result.nodes
         if result.feasible:

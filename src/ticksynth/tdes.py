@@ -490,10 +490,10 @@ def _load_json(
             obj[key] = value
         return obj
 
-    text = Path(path).read_text(encoding="utf-8")
     try:
+        text = Path(path).read_text(encoding="utf-8")
         data = json.loads(text, object_pairs_hook=unique)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise errors[0](f"{path}: {exc}") from exc
     except RecursionError as exc:
         raise errors[0](f"{path}: JSON nests too deeply") from exc

@@ -166,6 +166,24 @@ def oracle_requests(seed: int = 97, trials: int = 60):
         made += 1
 
 
+def deep_requests(seed: int, trials: int):
+    """Seeded requests over horizons 1..H that ``oracle_requests`` skips:
+    systems of up to five states, H in 6..12, and more than 200,000 runs
+    of horizon H."""
+    rng = random.Random(seed)
+    made = 0
+    while made < trials:
+        system = random_system(rng, max_states=5)
+        graph = build_tdes(system, state_cap=3000)
+        max_branch = max(map(len, graph.outgoing))
+        horizon = rng.randint(6, 12)
+        if max_branch**horizon <= 200_000:
+            continue
+        phi = random_formula(rng, sorted(system.atoms), horizon)
+        yield SynthesisRequest(system, phi, 1, horizon)
+        made += 1
+
+
 def perfbench_workloads() -> dict:
     """The namespace of ``perfbench/workloads.py``, run from its source
     so that no bytecode is written under ``perfbench/``."""

@@ -32,9 +32,20 @@ A failed (timed state, steps left, obligation) triple is memoized.  Its
 key does not depend on the horizon, so one memo serves the whole range.
 Edges are tried in ``outgoing`` order, so the first run found is the
 lexicographically first, as ``oracle_synthesize`` enumerates them.
+
+``horizon_range`` answers every horizon at once.  Layer k is the set of
+(timed state, obligation) pairs after k steps, a function of layer
+k - 1, so once a layer equals an earlier one the layers, and with them
+the answers, repeat with a fixed period.  Past a pair budget the walk
+answers "undecided", never a verdict.  When no layer has a pair that
+holds at the end, the union of the layers is a certificate that no
+horizon has a run, which ``check_no_run_certificate`` checks.
 """
 
 from __future__ import annotations
+
+import itertools
+from typing import NamedTuple
 
 from ticksynth.logic import And, Atom, Formula, Not, Or, Truth, Until, subformulas
 from ticksynth.synth import SynthesisRequest
@@ -177,6 +188,19 @@ class Progression:
                     path.pop()
         return None
 
+    def successors(self, pairs) -> frozenset:
+        """The (state, obligation) pairs one step after ``pairs``; a false
+        obligation is dropped."""
+        after = set()
+        for i, f in pairs:
+            edges = self._edges(i)
+            label = self.label(i)
+            for ev, j in edges:
+                g = progress(f, label, 1 if ev == TICK else 0)
+                if g is not False:
+                    after.add((j, g))
+        return frozenset(after)
+
     def _edges(self, i: int):
         self.graph.explore(i)
         return iter(self.graph.outgoing[i])
@@ -195,3 +219,68 @@ def progression_synthesize(
         if run is not None:
             return horizon, run
     return None, None
+
+
+class HorizonRange(NamedTuple):
+    """Every horizon's answer, from the layers of (state, obligation) pairs.
+
+    Layer k holds the pairs reachable in k steps; layer ``end`` equals
+    the earlier layer ``start``, so from ``start`` on the layers repeat
+    with period ``end - start``.  ``feasible`` holds the horizons in
+    1..``end`` whose layer has a pair that holds at the end, ``pairs``
+    the number of distinct pairs in layers 0..``end``, and ``union`` the
+    pairs of layers 1..``end``.
+    """
+
+    feasible: frozenset[int]
+    start: int
+    end: int
+    pairs: int
+    union: frozenset
+
+    def holds(self, horizon: int) -> bool:
+        """Whether some run of ``horizon`` >= 1 steps satisfies the formula."""
+        period = self.end - self.start
+        if horizon > self.end:
+            horizon -= period * -(-(horizon - self.end) // period)
+        return horizon in self.feasible
+
+    def first(self, low: int, high: int) -> int | None:
+        """The smallest feasible horizon in ``low..high``, or ``None``."""
+        return next((h for h in range(low, high + 1) if self.holds(h)), None)
+
+
+def horizon_range(
+    graph: TimedDes, formula: Formula, budget: int
+) -> HorizonRange | None:
+    """Walk the layers until one repeats an earlier one, or return
+    ``None`` ("undecided") once more than ``budget`` pairs are held."""
+    search = Progression(graph, formula)
+    layer = frozenset({(0, search.start)})
+    seen, held = {layer: 0}, set(layer)
+    feasible, union = set(), set()
+    for k in itertools.count(1):
+        layer = search.successors(layer)
+        held |= layer
+        union |= layer
+        if any(holds_at_end(f, search.label(i)) for i, f in layer):
+            feasible.add(k)
+        if layer in seen:
+            return HorizonRange(
+                frozenset(feasible), seen[layer], k, len(held), frozenset(union)
+            )
+        if len(held) > budget:
+            return None
+        seen[layer] = k
+
+
+def check_no_run_certificate(graph: TimedDes, formula: Formula, union) -> bool:
+    """Whether ``union`` proves that no run of any horizon >= 1 satisfies
+    the formula: it holds every successor of the initial pair, is closed
+    under successors, and no pair in it holds at the end."""
+    search = Progression(graph, formula)
+    return (
+        search.successors({(0, search.start)}) <= union
+        and search.successors(union) <= union
+        and not any(holds_at_end(f, search.label(i)) for i, f in union)
+    )

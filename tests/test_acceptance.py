@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from ticksynth.encode import add_counter_threshold, build_encoding
+from ticksynth.encode import Encoding, add_counter_threshold, build_encoding
 from ticksynth.ilp import IlpModel, check_assignment, solve
 from ticksynth.logic import Not, Or, evaluate, parse
 from ticksynth.synth import (
@@ -72,7 +72,9 @@ def test_criterion_2_two_goal_reproduction(ring, phi_two_goals):
     reason=(
         "stated horizon 10 is unattainable: the avoid-until goal is "
         "satisfied at horizon 7 (wait one tick, travel p1->p4->p3: three "
-        "ticks inside the 3..5 window); see the decisions ledger"
+        "ticks inside the 3..5 window), and the progression walk of "
+        "tests/progression.py finds runs at every horizon from 7 on; see "
+        "the decisions ledger"
     ),
 )
 def test_criterion_3_avoid_until_reproduction(ring, phi_avoid_until):
@@ -183,7 +185,7 @@ def test_criterion_6_encoder_oracle_equivalence():
         if branching**horizon > 100_000:
             continue
         phi = random_formula(rng, sorted(system.atoms), horizon)
-        enc = build_encoding(graph, phi, horizon)
+        enc = build_encoding(Encoding(graph, phi), horizon)
         feasible = solve(enc.model).feasible
         exists = any(
             evaluate(frag, phi, 0, system.labeling, system.atoms)
@@ -214,7 +216,7 @@ def test_criterion_7_replay_completeness():
             phi = random_formula(rng, sorted(system.atoms), horizon)
             # `phi | !phi` holds on every run: its root pin binds nothing,
             # and every row of phi is checked
-            enc = build_encoding(graph, Or(phi, Not(phi)), horizon)
+            enc = build_encoding(Encoding(graph, Or(phi, Not(phi))), horizon)
             valuation = induced_valuation(enc, frag)
             violations = check_assignment(enc.model, valuation)
             assert violations == [], violations

@@ -71,10 +71,12 @@ def test_synth_dot_overlay(capsys):
     assert "color=red" in out and "style=dashed" in out
 
 
-def test_synth_dot_explores_the_timed_graph_once(capsys, monkeypatch):
-    # the overlay's whole graph is the one the search runs on: the request
-    # fires build_tdes's steps plus one per event of the certifying replay.
-    # Exploring a state tries tick and each event defined at its activity.
+def test_synth_dot_builds_the_whole_graph_before_the_search(capsys, monkeypatch):
+    # the overlay's whole graph is built before the search, which then
+    # explores its own only as far as horizons 1..7 reach: the request
+    # fires build_tdes's steps, the search's 40, and one per event of the
+    # certifying replay.  Exploring a state tries tick and each event
+    # defined at its activity.
     calls = []
     real_step = tdes.step
 
@@ -88,13 +90,13 @@ def test_synth_dot_explores_the_timed_graph_once(capsys, monkeypatch):
     tries = sum(1 + defined.count(state.activity) for state in graph.states)
     monkeypatch.setattr(tdes, "step", counted_step)
     tdes.build_tdes(system)
-    assert len(calls) == tries
+    assert len(calls) == tries == 60
     calls.clear()
     assert run([
         "synth", "--system", RING, "--formula", AVOID_UNTIL,
         "--hmax", "7", "--format", "dot",
     ]) == 0
-    assert len(calls) == tries + 7  # more if the search explored its own graph
+    assert len(calls) == tries + 40 + 7
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == (
         "eaa9b1081166c6e3eb055188e96e84c280bca8c9c08e777d9e264700427014db"
@@ -238,6 +240,18 @@ def test_input_errors_exit_two(tmp_path, capsys):
     # usage errors from argparse are also mapped
     assert run(["synth", "--system", RING]) == 2
     assert run([]) == 2
+
+
+def test_undecodable_input_files_exit_two_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"\xff{}")
+    for args in (
+        ["build", "--system", str(path)],
+        ["check", "--system", RING, "--fragment", str(path), "--formula", "ap1"],
+        ["synth", "--system", RING, "--formula-file", str(path), "--hmax", "2"],
+    ):
+        assert run(args) == 2, args
+        assert capsys.readouterr().err.startswith(f"error: {path}: "), args
 
 
 DEEP_JSON = "[" * 200_000 + "]" * 200_000

@@ -6,6 +6,7 @@ import pytest
 
 from ticksynth.encode import (
     DecodeError,
+    Encoding,
     add_counter_threshold,
     build_encoding,
     decode,
@@ -64,7 +65,7 @@ def pulse_system():
 
 def test_trajectory_sizes_on_ring(ring_tdes):
     horizon = 11
-    enc = build_encoding(ring_tdes, TRUE, horizon)
+    enc = build_encoding(Encoding(ring_tdes, TRUE), horizon)
     assert (ring_tdes.n, sum(map(len, ring_tdes.outgoing))) == (28, 44)
     # states reachable in k steps, and the edges leaving the layer before
     layers = [len(state) for state in enc.w]
@@ -98,7 +99,7 @@ def test_state_vectors_cover_exactly_the_reachable_layers():
     horizon = 4
     for _ in range(120):
         graph = build_tdes(random_system(rng), state_cap=5000)
-        enc = build_encoding(graph, TRUE, horizon)
+        enc = build_encoding(Encoding(graph, TRUE), horizon)
         for k in range(horizon + 1):
             ends = {
                 graph.index[frag.states[-1]]
@@ -139,12 +140,13 @@ def assert_no_forced_copies(enc):
 def test_forced_selectors_reuse_their_state_variable(ring_tdes):
     for text, horizon in (("true", 11), ("F[1,5] ap2 & F[1,5] ap4", 11),
                           ("!ap2 U[3,5] ap3", 7)):
-        assert_no_forced_copies(build_encoding(ring_tdes, parse(text), horizon))
+        enc = build_encoding(Encoding(ring_tdes, parse(text)), horizon)
+        assert_no_forced_copies(enc)
     # the 120 random systems of test_random_reachable_graphs_match_reference
     rng = random.Random(1994)
     for _ in range(120):
         graph = build_tdes(random_system(rng), state_cap=5000)
-        assert_no_forced_copies(build_encoding(graph, TRUE, 4))
+        assert_no_forced_copies(build_encoding(Encoding(graph, TRUE), 4))
 
 
 def test_model_over_explored_graph_matches_model_over_full_graph():
@@ -155,14 +157,14 @@ def test_model_over_explored_graph_matches_model_over_full_graph():
         full = build_tdes(system, state_cap=5000)
         for horizon in range(1, 5):
             phi = random_formula(formulas, sorted(system.atoms), horizon)
-            explored = build_encoding(TimedDes(system), phi, horizon)
-            expected = build_encoding(full, phi, horizon)
+            explored = build_encoding(Encoding(TimedDes(system), phi), horizon)
+            expected = build_encoding(Encoding(full, phi), horizon)
             assert dump(explored.model) == dump(expected.model), trial
 
 
 def test_root_demands_only_position_zero(ring_tdes, phi_two_goals):
     horizon = 11
-    enc = build_encoding(ring_tdes, phi_two_goals, horizon)
+    enc = build_encoding(Encoding(ring_tdes, phi_two_goals), horizon)
     table = enc.table
     assert isinstance(table.entries[table.root], And)
     untils = [
@@ -186,7 +188,7 @@ def test_root_demands_only_position_zero(ring_tdes, phi_two_goals):
 
 
 def test_trajectory_pins_initial_state(ring_tdes):
-    enc = build_encoding(ring_tdes, TRUE, 2)
+    enc = build_encoding(Encoding(ring_tdes, TRUE), 2)
     start = enc.w[0][0]
     assert enc.model.lower[start] == enc.model.upper[start] == 1
 
@@ -197,7 +199,7 @@ def test_single_state_tick_loop_forces_every_step():
         atoms=set(), labeling={}, timing={},
     )
     graph = build_tdes(system)
-    enc = build_encoding(graph, TRUE, 3)
+    enc = build_encoding(Encoding(graph, TRUE), 3)
     box = propagate_bounds(enc.model)
     assert box is not None
     lo, hi = box
@@ -209,9 +211,9 @@ def test_dead_end_state_makes_longer_horizons_infeasible():
     # the whole graph, then every edge out of s1 dropped
     pruned = build_tdes(pulse_system())
     pruned.outgoing[1] = ()
-    enc = build_encoding(pruned, TRUE, 2)
+    enc = build_encoding(Encoding(pruned, TRUE), 2)
     assert not solve(enc.model).feasible
-    enc1 = build_encoding(pruned, TRUE, 1)
+    enc1 = build_encoding(Encoding(pruned, TRUE), 1)
     assert solve(enc1.model).feasible
 
 
@@ -219,7 +221,7 @@ def test_dead_end_state_makes_longer_horizons_infeasible():
 
 def test_tick_only_pair_forces_indicator_up():
     graph = build_tdes(pulse_system())
-    enc = build_encoding(graph, TRUE, 1)
+    enc = build_encoding(Encoding(graph, TRUE), 1)
     box = propagate_bounds(enc.model)
     lo, hi = box
     # the only step from s0 goes to s1 via tick
@@ -228,7 +230,7 @@ def test_tick_only_pair_forces_indicator_up():
 
 def test_tickless_target_forces_indicator_down():
     graph = build_tdes(pulse_system())
-    enc = build_encoding(graph, TRUE, 2)
+    enc = build_encoding(Encoding(graph, TRUE), 2)
     # pin the second step back to s0: only the event edge fits
     enc.model.add([(1, enc.w[2][0])], "=", 1)
     box = propagate_bounds(enc.model)
@@ -299,7 +301,7 @@ def test_thresholds_over_a_counter_difference():
 def test_window_bound_above_horizon_is_handled():
     # upper bound far beyond the horizon: thresholds must not go infeasible
     graph = build_tdes(pulse_system())
-    enc = build_encoding(graph, parse("F[0,99] lit"), 2)
+    enc = build_encoding(Encoding(graph, parse("F[0,99] lit")), 2)
     assert solve(enc.model).feasible
 
 
@@ -314,7 +316,7 @@ def test_atom_row_pinned_by_initial_state(ring_tdes):
         ("ap1", 1), ("ap2", 0), ("!ap1", 0), ("ap1 & !ap2", 1), ("ap2 | !ap1", 0)
     )
     for text, expected in cases:
-        enc = build_encoding(ring_tdes, parse(f"({text}) | F[0,0] true"), 1)
+        enc = build_encoding(Encoding(ring_tdes, parse(f"({text}) | F[0,0] true")), 1)
         lo, hi = propagate_bounds(enc.model)
         slot = enc.table.children[enc.table.root][0]
         assert lo[enc.zphi[(slot, 0)]] == hi[enc.zphi[(slot, 0)]] == expected
@@ -324,18 +326,18 @@ def test_atom_row_pinned_by_initial_state(ring_tdes):
 
 def test_negation_rows_complement():
     graph = build_tdes(pulse_system())
-    enc = build_encoding(graph, Not(Atom("lit")), 1)
+    enc = build_encoding(Encoding(graph, Not(Atom("lit"))), 1)
     result = solve(enc.model)
     assert not result.feasible  # every state is lit
 
 
 def test_unknown_atom_rejected(ring_tdes):
     with pytest.raises(UnknownAtomError):
-        build_encoding(ring_tdes, Atom("nope"), 1)
+        build_encoding(Encoding(ring_tdes, Atom("nope")), 1)
 
 
 def test_root_pin_and_registry_names(ring_tdes):
-    enc = build_encoding(ring_tdes, parse("F[1,5] ap2"), 3)
+    enc = build_encoding(Encoding(ring_tdes, parse("F[1,5] ap2")), 3)
     text = dump(enc.model)
     # states 0..6 are reachable in three steps, state 27 is not
     assert "w[3][6]" in text and "w[3][27]" not in text
@@ -343,10 +345,10 @@ def test_root_pin_and_registry_names(ring_tdes):
     # windows 0..1 to 0..3 need a tick, and none can count more than 5
     assert "cge1[0,1]" in text and "cge1[0,3]" in text
     assert "cge1[0,0]" not in text and "cle" not in text
-    longer = build_encoding(ring_tdes, parse("F[1,5] ap2"), 6)
+    longer = build_encoding(Encoding(ring_tdes, parse("F[1,5] ap2")), 6)
     assert "cle5[0,6]" in dump(longer.model)
     # trivially satisfiable root
-    trivial = build_encoding(ring_tdes, TRUE, 1)
+    trivial = build_encoding(Encoding(ring_tdes, TRUE), 1)
     assert solve(trivial.model).feasible
 
 
@@ -369,7 +371,7 @@ def window_operands(enc, slot):
 def test_window_thresholds_only_where_they_can_bind(ring_tdes):
     # window 0..j of F[1,5] counts 0..j ticks: it needs one, and can
     # exceed five only from length 6 on
-    enc = build_encoding(ring_tdes, parse("F[1,5] ap2"), 7)
+    enc = build_encoding(Encoding(ring_tdes, parse("F[1,5] ap2")), 7)
     assert (enc.table.root, 0, 0) not in enc.zu
     assert set(enc.zc) == {(0, j, False, 1) for j in range(1, 8)} | {
         (0, 6, True, 5), (0, 7, True, 5)
@@ -379,7 +381,7 @@ def test_window_thresholds_only_where_they_can_bind(ring_tdes):
 
 
 def test_goals_with_the_same_bounds_share_their_thresholds(ring_tdes):
-    enc = build_encoding(ring_tdes, parse("F[1,5] ap2 & F[1,5] ap4"), 7)
+    enc = build_encoding(Encoding(ring_tdes, parse("F[1,5] ap2 & F[1,5] ap4")), 7)
     table = enc.table
     untils = [s for s, node in enumerate(table.entries) if isinstance(node, Until)]
     assert len(untils) == 2
@@ -402,7 +404,7 @@ def test_goals_with_the_same_bounds_share_their_thresholds(ring_tdes):
 def test_windows_of_a_bound_the_count_cannot_break_are_their_operand(ring_tdes):
     # G[0,30] !ap4 is !(true U[0,30] !!ap4): no window of 8 positions
     # can count more than 30 ticks, so each is its right operand
-    enc = build_encoding(ring_tdes, parse("G[0,30] !ap4"), 7)
+    enc = build_encoding(Encoding(ring_tdes, parse("G[0,30] !ap4")), 7)
     table = enc.table
     (slot,) = [s for s, node in enumerate(table.entries) if isinstance(node, Until)]
     right = table.children[slot][1]
@@ -414,19 +416,18 @@ def test_windows_of_a_bound_the_count_cannot_break_are_their_operand(ring_tdes):
 
 
 def test_encoding_grows_only_forward(ring_tdes, phi_two_goals):
-    enc = build_encoding(ring_tdes, phi_two_goals, 1)
-    assert build_encoding(ring_tdes, phi_two_goals, 2, enc) is enc
+    enc = build_encoding(Encoding(ring_tdes, phi_two_goals), 1)
+    assert build_encoding(enc, 2) is enc
     # growing a step equals building at that horizon
-    assert dump(enc.model) == dump(build_encoding(ring_tdes, phi_two_goals, 2).model)
-    build_encoding(ring_tdes, phi_two_goals, 3, enc)
+    fresh = build_encoding(Encoding(ring_tdes, phi_two_goals), 2)
+    assert dump(enc.model) == dump(fresh.model)
+    build_encoding(enc, 3)
     with pytest.raises(ValueError):
-        build_encoding(ring_tdes, phi_two_goals, 2, enc)
-    with pytest.raises(ValueError):
-        build_encoding(ring_tdes, parse("F[1,5] ap2"), 4, enc)
+        build_encoding(enc, 2)
     with pytest.raises(ValueError, match="horizon must be an integer, got 2.5"):
-        build_encoding(ring_tdes, phi_two_goals, 2.5)
+        build_encoding(Encoding(ring_tdes, phi_two_goals), 2.5)
     with pytest.raises(ValueError, match="horizon must be at least 1"):
-        build_encoding(ring_tdes, phi_two_goals, 0)
+        build_encoding(Encoding(ring_tdes, phi_two_goals), 0)
 
 
 # sha256 of ``dump(model)``.  The solver branches in variable index
@@ -447,10 +448,10 @@ def model_digest(model):
 @pytest.mark.parametrize(("text", "horizon"), list(GOLDEN_MODELS))
 def test_model_text_and_branching_order_are_pinned(ring_tdes, text, horizon):
     phi = parse(text)
-    fresh = build_encoding(ring_tdes, phi, horizon)
+    fresh = build_encoding(Encoding(ring_tdes, phi), horizon)
     assert model_digest(fresh.model) == GOLDEN_MODELS[(text, horizon)]
-    grown = build_encoding(ring_tdes, phi, 5)
-    build_encoding(ring_tdes, phi, horizon, grown)
+    grown = build_encoding(Encoding(ring_tdes, phi), 5)
+    build_encoding(grown, horizon)
     assert model_digest(grown.model) == GOLDEN_MODELS[(text, horizon)]
 
 
@@ -476,7 +477,7 @@ def test_induced_valuations_satisfy_exact_model(
         # the root `phi | !phi` holds on every run, so the valuation of
         # an arbitrary run must satisfy every row of phi whether or not
         # phi holds
-        enc = build_encoding(graph, Or(phi, Not(phi)), frag.horizon)
+        enc = build_encoding(Encoding(graph, Or(phi, Not(phi))), frag.horizon)
         valuation = induced_valuation(enc, frag)
         assert check_assignment(enc.model, valuation) == []
         for (slot, k), var in enc.zphi.items():
@@ -498,9 +499,9 @@ def test_run_encoding_points_are_exactly_the_runs():
     for _ in range(40):
         graph = build_tdes(random_system(rng, max_states=5), state_cap=3000)
         horizon = rng.randint(1, 4)
-        enc = None
+        enc = Encoding(graph, TRUE)
         for h in range(1, horizon + 1):
-            enc = build_encoding(graph, TRUE, h, enc)
+            build_encoding(enc, h)
             mark = enc.model.num_constraints
             found = []
             while True:
@@ -531,7 +532,7 @@ def test_exact_feasibility_matches_enumeration():
         graph = build_tdes(system, state_cap=3000)
         horizon = rng.randint(1, 4)
         phi = random_formula(rng, sorted(system.atoms), horizon)
-        enc = build_encoding(graph, phi, horizon)
+        enc = build_encoding(Encoding(graph, phi), horizon)
         feasible = solve(enc.model).feasible
         exists = any(
             evaluate(frag, phi, 0, system.labeling, system.atoms)
@@ -544,13 +545,13 @@ def test_exact_feasibility_matches_enumeration():
 
 def test_encoding_propagation_matches_reference(ring_tdes, phi_two_goals):
     rng = random.Random(59)
-    models = [build_encoding(ring_tdes, phi_two_goals, 11).model]
+    models = [build_encoding(Encoding(ring_tdes, phi_two_goals), 11).model]
     for _ in range(20):
         system = random_system(rng, max_states=4)
         graph = build_tdes(system, state_cap=3000)
         horizon = rng.randint(1, 5)
         phi = random_formula(rng, sorted(system.atoms), horizon)
-        models.append(build_encoding(graph, phi, horizon).model)
+        models.append(build_encoding(Encoding(graph, phi), horizon).model)
     for model in models:
         assert propagate_bounds(model) == reference_propagate(model)
 
@@ -584,10 +585,10 @@ def test_grown_models_propagate_like_fresh_ones(ring_tdes):
         cases.append((build_tdes(system, state_cap=3000), phi, horizon))
     conflicts = blocked = 0
     for graph, phi, horizon in cases:
-        enc = None
+        enc = Encoding(graph, phi)
         for h in range(1, horizon + 1):
-            enc = build_encoding(graph, phi, h, enc)
-            fresh = build_encoding(graph, phi, h).model
+            build_encoding(enc, h)
+            fresh = build_encoding(Encoding(graph, phi), h).model
             box = propagate_bounds(enc.model)
             assert box == reference_propagate(enc.model)
             assert box == propagate_bounds(fresh)
@@ -614,7 +615,7 @@ def test_exact_decode_produces_certified_runs():
         graph = build_tdes(system, state_cap=3000)
         horizon = rng.randint(1, 4)
         phi = random_formula(rng, sorted(system.atoms), horizon)
-        enc = build_encoding(graph, phi, horizon)
+        enc = build_encoding(Encoding(graph, phi), horizon)
         result = solve(enc.model)
         if not result.feasible:
             continue
@@ -626,7 +627,7 @@ def test_exact_decode_produces_certified_runs():
 def test_decode_rejects_corrupted_assignment(ring_tdes, phi_avoid_until):
     # decode reads the edge selectors x[k]; a second selected edge at
     # step 1 leaves the step without a unique event
-    enc = build_encoding(ring_tdes, phi_avoid_until, 7)
+    enc = build_encoding(Encoding(ring_tdes, phi_avoid_until), 7)
     result = solve(enc.model)
     assert result.feasible
     values = list(result.assignment)
@@ -650,7 +651,7 @@ def test_decode_rejects_corrupted_assignment(ring_tdes, phi_avoid_until):
 def test_decode_refuses_a_run_that_violates_the_formula(ring_tdes, phi_avoid_until):
     # the edge selectors of a genuine run that violates the formula replay
     # cleanly, so only the certification against the formula refuses them
-    enc = build_encoding(ring_tdes, phi_avoid_until, 7)
+    enc = build_encoding(Encoding(ring_tdes, phi_avoid_until), 7)
     system = ring_tdes.untimed
     violating = next(
         frag for frag in enumerate_fragments(ring_tdes, 7)
@@ -664,7 +665,7 @@ def test_decode_refuses_a_run_that_violates_the_formula(ring_tdes, phi_avoid_unt
 
 def test_decode_simple_tick_step():
     graph = build_tdes(pulse_system())
-    enc = build_encoding(graph, TRUE, 1)
+    enc = build_encoding(Encoding(graph, TRUE), 1)
     result = solve(enc.model)
     frag = decode(enc, result.assignment)
     assert frag.events == (TICK,)

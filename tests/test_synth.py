@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ticksynth.encode import build_encoding
+from ticksynth.encode import Encoding, build_encoding
 from ticksynth.ilp import solve
 from ticksynth.logic import TRUE, And, Atom, Not, Or, Truth, Until, evaluate, parse
 from ticksynth.synth import (
@@ -42,17 +42,6 @@ def test_avoid_until_minimal_horizon_every_mode(ring, phi_avoid_until):
         )
 
 
-def test_search_runs_on_a_given_graph(ring, phi_avoid_until):
-    request = SynthesisRequest(ring, phi_avoid_until, 5, 15)
-    graph = build_tdes(ring)
-    given, own = synthesize(request, graph), synthesize(request)
-    assert (given.fragment, given.horizon) == (own.fragment, own.horizon)
-    assert given.statistics.nodes == own.statistics.nodes
-    other = SynthesisRequest(random_system(random.Random(3)), Truth(), 1, 2)
-    with pytest.raises(ValueError):
-        synthesize(other, graph)
-
-
 def test_two_goal_formula_feasible_exactly_from_eleven(ring, phi_two_goals):
     found = synthesize(
         SynthesisRequest(ring, phi_two_goals, 11, 11)
@@ -86,9 +75,9 @@ def test_search_effort_per_horizon_is_pinned(
         (phi_two_goals, [4, 8, 12, 16, 20, 24, 5]),
         (phi_avoid_until, [0, 0, 6]),
     ):
-        enc, seen = None, []
+        enc, seen = Encoding(ring_tdes, phi), []
         for horizon in range(5, 5 + len(nodes)):
-            enc = build_encoding(ring_tdes, phi, horizon, enc)
+            build_encoding(enc, horizon)
             result = solve(enc.model)
             seen.append(result.nodes)
             assert result.feasible == (horizon == 4 + len(nodes))
@@ -110,9 +99,9 @@ def test_search_on_seeded_models_is_pinned():
     for _ in range(300):
         system = random_system(systems)
         phi = random_formula(formulas, sorted(system.atoms), 5)
-        graph, enc = TimedDes(system), None
+        enc = Encoding(TimedDes(system), phi)
         for horizon in range(1, 6):
-            enc = build_encoding(graph, phi, horizon, enc)
+            build_encoding(enc, horizon)
             result = solve(enc.model)
             grown.append((result.feasible, result.assignment, result.nodes))
     answers = [(feasible, assignment) for feasible, assignment, _ in grown]
@@ -157,7 +146,7 @@ def test_decisive_model_size_is_pinned(ring, phi_two_goals, phi_avoid_until):
 
 
 def test_until_windows_leave_out_constant_left_operand(ring_tdes, phi_two_goals):
-    enc = build_encoding(ring_tdes, phi_two_goals, 11)
+    enc = build_encoding(Encoding(ring_tdes, phi_two_goals), 11)
     table = enc.table
     truth_slots = [
         slot for slot, node in enumerate(table.entries)
@@ -369,9 +358,9 @@ def test_plant4_short_horizons_are_refuted_at_the_root():
     refutes those horizons."""
     system = system_from_json(plant_doc(4))
     phi = parse("F[0,3] (busy0 & busy1 & busy2 & busy3)")
-    graph, enc = TimedDes(system), None
+    enc = Encoding(TimedDes(system), phi)
     for horizon in range(1, 5):
-        enc = build_encoding(graph, phi, horizon, enc)
+        build_encoding(enc, horizon)
         if horizon >= 3:
             result = solve(enc.model)
             assert (result.feasible, result.nodes) == (False, 0), horizon

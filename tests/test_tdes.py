@@ -592,6 +592,17 @@ def test_load_system_reports_path_on_bad_json(tmp_path):
     assert "broken.json" in str(err.value)
 
 
+def test_load_names_the_file_whose_text_does_not_decode(ring, tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff{}")
+    with pytest.raises(SystemFormatError) as err:
+        load_system(path)
+    assert str(err.value).startswith(f"{path}: 'utf-8' codec can't decode")
+    with pytest.raises(FragmentError) as err:
+        load_fragment(path, ring)
+    assert str(err.value).startswith(f"{path}: 'utf-8' codec can't decode")
+
+
 REPEATED_KEYS = [  # each repeat is loaded silently by a last-wins decoder
     ("ring4.json", '"p2": ["ap2"]', '"p2": ["ap1"], "p2": ["ap2"]', "p2"),
     ("ring4.json", '"name": "reach12", "kind": "remote", "lower": 2',

@@ -11,7 +11,7 @@ import pickle
 
 import pytest
 
-from ticksynth.encode import build_encoding
+from ticksynth.encode import Encoding, build_encoding
 from ticksynth.ilp import LinearConstraint, SolveResult
 from ticksynth.logic import (
     TRUE,
@@ -154,8 +154,8 @@ def test_systems_tables_and_encodings_compare_by_identity(
         (one_state_system(), one_state_system()),
         (subformulas(parse("a")), subformulas(parse("a"))),
         (
-            build_encoding(ring_tdes, phi_two_goals, 1),
-            build_encoding(ring_tdes, phi_two_goals, 1),
+            build_encoding(Encoding(ring_tdes, phi_two_goals), 1),
+            build_encoding(Encoding(ring_tdes, phi_two_goals), 1),
         ),
     ]
     for first, second in pairs:
