@@ -12,21 +12,24 @@ key (below).  The search is completely deterministic.
 
 Propagation is incremental and activity based, and ``solve`` and
 ``propagate_bounds`` share it.  Every constraint is stored as one or two
-rows ``sum(coef * var) <= rhs`` of the form ``(pos, neg, unit)``: ``pos``
-holds the positive terms and ``neg`` the negative ones, negated, as
-tuples of ``(var, weight)`` pairs.  A unit row, one whose coefficients
-are all ±1 over variables declared ``[0, 1]`` (the selector and logic
-rows), stores tuples of bare variables instead.  An ``=``
+rows ``sum(coef * var) <= rhs`` of the form ``(pos, neg, unit, mirror)``:
+``pos`` holds the positive terms and ``neg`` the negative ones, negated,
+as tuples of ``(var, weight)`` pairs.  A unit row, one whose
+coefficients are all ±1 over variables declared ``[0, 1]`` (the selector
+and logic rows), stores tuples of bare variables instead.  An ``=``
 constraint's second row is its mirror ``(neg, pos, unit)``, sharing both
-tuples.  Declared bounds are fixed at ``add_var``, so each row's declared
-slack (right-hand side minus minimum activity at the declared bounds) and
-cap are computed once, when the row is added; a solve starts from a copy
-of them.  The slack is updated on every bound move.  A variable's watch
-stores name the rows whose minimum activity its lower bound (a ``pos``
-term) or its upper bound (a ``neg`` term) enters, two stores per bound:
-unit rows as bare row indices, every other row as ``(row, weight)``
-pairs.  A move walks only the matching bound's stores, and a unit row's
-entry needs neither its weight nor its cap, which are both 1.
+tuples; each of the two stores the other's index as ``mirror``, and
+every other row stores -1.  Declared bounds are fixed at ``add_var``, so
+each row's declared slack (right-hand side minus minimum activity at the
+declared bounds) and cap are computed once, when the row is added; a
+solve starts from a copy of them.  The slack is updated on every bound
+move.  A variable's watch stores name the rows whose minimum activity
+its lower bound (a ``pos`` term) or its upper bound (a ``neg`` term)
+enters, two stores per bound: unit rows as bare row indices, every other
+row as ``(row, weight)`` pairs.  A move walks only the matching bound's
+stores, and a unit row's entry needs neither its weight nor its cap,
+which are both 1.  Queued unit rows settle before weighted ones, and a
+unit row's forcing does not queue its mirror (see ``_Propagator``).
 
 After a conflict-free propagation every variable below the branching
 variable ``v`` is fixed, so what is left to solve is given by the bounds
@@ -105,10 +108,11 @@ class SolveResult(NamedTuple):
 class IlpModel:
     """Mutable model builder.
 
-    Equality constraints are stored as a row and its mirror; the
-    user-level constraint list keeps the original form for dumps and for
-    the verifier.  A finished model is never mutated by :func:`solve`, so
-    independent solves of the same model may run concurrently.
+    Equality constraints are stored as a row and its mirror, each naming
+    the other's index; the user-level constraint list keeps the original
+    form for dumps and for the verifier.  A finished model is never
+    mutated by :func:`solve`, so independent solves of the same model may
+    run concurrently.
 
     Declared bounds are fixed at :meth:`add_var`, and ``lower`` and
     ``upper`` are read-only views of them.  Each row's declared slack and
@@ -123,9 +127,9 @@ class IlpModel:
         self.lower: Sequence[int] = _ReadOnly(self._lower)
         self.upper: Sequence[int] = _ReadOnly(self._upper)
         self.constraints: list[LinearConstraint] = []
-        # rows (pos, neg, unit), each meaning sum(coef*var) <= rhs (see the
-        # module docstring); the rhs lives on only in the declared slack
-        self._rows: list[tuple[tuple, tuple, bool]] = []
+        # rows (pos, neg, unit, mirror), each meaning sum(coef*var) <= rhs
+        # (see the module docstring); the rhs lives on only in the slack
+        self._rows: list[tuple[tuple, tuple, bool, int]] = []
         # watch stores: the rows whose minimum activity a variable's lower
         # bound (coef > 0) or upper bound (coef < 0) enters, unit rows as
         # bare row indices and all other rows as flat (row, |coef|) pairs;
@@ -178,6 +182,8 @@ class IlpModel:
         A ``>=`` row is stored negated.  An ``=`` row's mirror is ``(neg,
         pos, unit)``: its slack is the maximum activity minus the
         right-hand side, and it shares the row's cap and last variable.
+        The two rows store each other's index as ``mirror``, and a ``<=``
+        or ``>=`` row stores -1.
         Repeated terms are merged, then read once in variable order.
 
         Raises :class:`ModelError`, storing nothing, for an unknown
@@ -236,6 +242,7 @@ class IlpModel:
         if reach and reach[-1] > last:
             last = reach[-1]
         rhs *= sign
+        mirror = row + 1 if equal else -1
         for slack in (rhs - least, most - rhs) if equal else (rhs - least,):
             if slack < cap:
                 self._tight.append(row)
@@ -251,9 +258,9 @@ class IlpModel:
                 for var, weight in neg:
                     self._watch_hi[var] = self._watch_hi[var] or []
                     self._watch_hi[var] += (row, weight)
-            self._rows.append((pos, neg, unit))
+            self._rows.append((pos, neg, unit, mirror))
+            pos, neg, mirror = neg, pos, row  # the mirror of an = row
             row += 1
-            pos, neg = neg, pos  # the mirror of an = row
             self._slack.append(slack)
             self._cap.append(cap)
             reach.append(last)
@@ -270,7 +277,7 @@ class IlpModel:
         while len(self.constraints) > count:
             removed = self.constraints.pop()
             for _ in range(2 if removed.comparator == "=" else 1):
-                pos, neg, unit = self._rows.pop()
+                pos, neg, unit, _ = self._rows.pop()
                 if unit:
                     for var in pos:
                         self._unit_lo[var].pop()
@@ -296,15 +303,24 @@ class _Propagator:
     only when its slack falls below its cap, ``max |coef| * declared
     span``: with more slack it can neither fail nor tighten a bound.
     Tightenings never exclude an integer point of the row.  A move takes
-    its step off each unit row it watches and queues the row at slack 0
-    or below; it walks the pair store, with weights and caps, only when
-    that store is not empty.
+    its step off each unit row it watches and pushes the row onto the
+    ``units`` stack at slack 0 or below; it walks the pair store, with
+    weights and caps, only when that store is not empty, and appends the
+    rows it queues to the ``weighted`` FIFO queue.  ``propagate`` pops
+    the stack and reads the queue only when the stack is empty.  A
+    bounds-propagation fixpoint does not depend on the order in which
+    rows are popped, and a row with negative slack is always queued, so
+    every order reaches the same fixpoint or a conflict.
 
-    A unit row's cap is 1, and a slack only falls while the queue runs
-    (restores happen with the queue empty), so a unit row is popped only
-    at slack 0, or below it in conflict.  At slack 0 every free ``pos``
+    A unit row's cap is 1, and a slack only falls while the queues run
+    (restores happen with both empty), so a unit row is popped only at
+    slack 0, or below it in conflict.  At slack 0 every free ``pos``
     variable is fixed to 0 and every free ``neg`` variable to 1, which is
-    what the general rule gives, without its arithmetic.
+    what the general rule gives, without its arithmetic.  That forcing
+    fixes every variable of the row at its activity, the right-hand side,
+    so it leaves the row's mirror at slack 0 with nothing to force and no
+    conflict to report: an unqueued mirror is flagged as queued while
+    the row forces, so that the forcing moves do not queue it.
     """
 
     def __init__(self, model: IlpModel) -> None:
@@ -317,10 +333,12 @@ class _Propagator:
         self.hi = list(model._upper)
         self.slack = list(model._slack)
         self.cap = model._cap  # read-only
-        self.queue = deque(model._tight)
+        self.units: list[int] = []  # unit rows, popped last in first out
+        self.weighted: deque[int] = deque()  # popped when units is empty
         self.queued = bytearray(len(self.rows))
         for row in model._tight:
             self.queued[row] = 1
+            (self.units if self.rows[row][2] else self.weighted).append(row)
 
     def move(self, var: int, is_upper: bool, value: int) -> None:
         """Tighten one bound of ``var`` and queue the rows it may affect."""
@@ -338,7 +356,7 @@ class _Propagator:
             slack[row] = room
             if room <= 0 and not queued[row]:
                 queued[row] = 1
-                self.queue.append(row)
+                self.units.append(row)
         if watch:
             cap = self.cap
             pairs = iter(watch)
@@ -347,28 +365,36 @@ class _Propagator:
                 slack[row] = room
                 if room < cap[row] and not queued[row]:
                     queued[row] = 1
-                    self.queue.append(row)
+                    self.weighted.append(row)
 
     def propagate(self) -> bool:
-        """Run the queue to a fixpoint; returns True on conflict."""
+        """Run the queues to a fixpoint; returns True on conflict."""
         rows, lo, hi, slack = self.rows, self.lo, self.hi, self.slack
-        queue, queued, move = self.queue, self.queued, self.move
-        while queue:
-            row = queue.popleft()
+        units, weighted = self.units, self.weighted
+        queued, move = self.queued, self.move
+        while units or weighted:
+            row = units.pop() if units else weighted.popleft()
             queued[row] = 0
             room = slack[row]
             if room < 0:
-                while queue:  # leave no stale flags behind
-                    queued[queue.popleft()] = 0
+                while units:  # leave no stale flags behind
+                    queued[units.pop()] = 0
+                while weighted:
+                    queued[weighted.pop()] = 0
                 return True
-            pos, neg, unit = rows[row]
+            pos, neg, unit, mirror = rows[row]
             if unit:  # room is 0: every free term is forced to its bound
+                held = mirror >= 0 and not queued[mirror]
+                if held:  # the forced row leaves its mirror at slack 0
+                    queued[mirror] = 1
                 for var in pos:
                     if lo[var] != hi[var]:
                         move(var, True, 0)
                 for var in neg:
                     if lo[var] != hi[var]:
                         move(var, False, 1)
+                if held:
+                    queued[mirror] = 0
                 continue
             for var, weight in pos:
                 if weight * (hi[var] - lo[var]) > room:

@@ -125,9 +125,18 @@ def test_solve_refuses_an_assignment_the_verifier_rejects(monkeypatch):
 def test_equality_stored_as_inequality_pair():
     model = IlpModel()
     x = model.add_var("x", 0, 1)
+    y = model.add_var("y", 0, 3)
     model.add([(1, x)], "=", 1)
     assert model.num_constraints == 1
     assert len(model._rows) == 2
+    # the two rows of an = constraint name each other as mirrors, unit
+    # and weighted alike; a <= or >= row has none
+    model.add([(1, x), (1, y)], "<=", 3)
+    model.add([(2, y), (-1, x)], "=", 1)
+    model.add([(1, x)], ">=", 1)
+    assert [row[3] for row in model._rows] == [1, 0, -1, 4, 3, -1]
+    assert [row[2] for row in model._rows] == [True, True, False, False, False, True]
+    assert model._rows[3][:2] == model._rows[4][1::-1]
 
 
 def test_truncate_restores_rows_and_watch_lists():
@@ -337,7 +346,7 @@ def test_duplicate_terms_are_merged():
         if len(case) > 1:
             assert least == (2, 1, 1)
         if len(case) == 1:
-            pos, neg, unit = model._rows[0]
+            pos, neg, unit, _ = model._rows[0]
             stored = {term if unit else term[0] for term in pos + neg}
             watched = {
                 var for var in (x, y, z)
@@ -498,6 +507,47 @@ def test_propagation_matches_full_recompute_reference():
     assert conflicts >= 20 and tightened >= 20
 
 
+def test_propagation_below_the_root_matches_the_reference():
+    # Dives as solve makes them, five per model: from the root fixpoint,
+    # fix one or two free variables, each by a move on its lower and then
+    # its upper bound, and propagate again, until a conflict or a full
+    # assignment.  Each fixpoint must be the reference's from the same
+    # box, and no row may be left flagged as queued, conflict or not.
+    rng = random.Random(3011)
+    conflicts = tightened = 0
+    for trial in range(300):
+        if trial % 2:
+            model = random_unit_model(rng)
+        else:
+            model = random_model(rng, rng.randint(2, 12))
+        for _ in range(5):
+            propagator = ilp._Propagator(model)
+            lo, hi = propagator.lo, propagator.hi
+            conflict = propagator.propagate()
+            assert not any(propagator.queued)
+            while not conflict:
+                free = [var for var in range(len(lo)) if lo[var] < hi[var]]
+                if not free:
+                    break
+                box = (list(lo), list(hi))
+                for var in rng.sample(free, min(len(free), rng.randint(1, 2))):
+                    value = rng.randint(lo[var], hi[var])
+                    box[0][var] = box[1][var] = value
+                    if lo[var] < value:
+                        propagator.move(var, False, value)
+                    if hi[var] > value:
+                        propagator.move(var, True, value)
+                expected = reference_propagate(model, box)
+                conflict = propagator.propagate()
+                assert not any(propagator.queued), f"trial {trial}: {dump(model)}"
+                assert (None if conflict else (lo, hi)) == expected, (
+                    f"trial {trial}: {dump(model)}"
+                )
+                conflicts += conflict
+                tightened += not conflict and expected != box
+    assert conflicts >= 20 and tightened >= 20, (conflicts, tightened)
+
+
 def test_unit_rows_propagate_like_the_reference(monkeypatch):
     # Rows of ±1 coefficients over binaries take the unit fast path; the
     # same rows over a variable declared [1, 1], [0, 0], [0, 2], or with
@@ -509,9 +559,9 @@ def test_unit_rows_propagate_like_the_reference(monkeypatch):
         model = random_unit_model(rng)
         box = propagate_bounds(model)
         assert box == reference_propagate(model), f"trial {trial}: {dump(model)}"
-        for _, _, unit in model._rows:
+        for _, _, unit, _ in model._rows:
             rows[unit] += 1
-        if all(unit for _, _, unit in model._rows):
+        if all(unit for _, _, unit, _ in model._rows):
             conflicts += box is None
             tightened += box not in (None, (list(model.lower), list(model.upper)))
         with monkeypatch.context() as patch:
