@@ -1,13 +1,14 @@
 """Compilation of bounded runs and formulas into integer feasibility models.
 
-The timed system's run of horizon ``H`` is encoded with state vectors
-``w[k]`` (k = 0..H) tied step to step by one binary per (step,
-transition) selecting the edge taken; the selector rows force them
-one-hot, so they have no row of their own, nor adjacency rows.
-A selector or state that the selector rows force equal to an earlier
-variable is that variable, so an ``x[k]`` entry may be a state's
-variable, and ``dump-ilp`` names a merged variable after its earliest
-state.  The tick indicator
+The timed system's run of horizon ``H`` is encoded by one binary per
+(step, transition) selecting the edge taken, a flow formulation of the
+bounded run.  Only the initial state has a variable, fixed at 1; the
+indicator of state j at position k is the sum ``w[k][j]`` of the
+selectors entering it, and one flow row per state ties them to the
+selectors leaving it.  These rows make every position one-hot, so there
+are no one-hot rows, nor adjacency rows.  A selector that the flow rows
+force equal to an earlier variable is that variable, so an ``x[k]``
+entry may be a selector of an earlier step.  The tick indicator
 ``ze[k]`` is the sum of the step's tick selectors, so it is exact by
 construction.  Prefix tick counters ``c[k]`` (the integer
 ``ze[1] + ... + ze[k]``, with ``c[0] = 0`` left out) make the tick count
@@ -16,8 +17,9 @@ Formula satisfaction introduces one binary per (subformula, position).
 An until window gets a big-M indicator on its count only for a bound the
 count can break, shared by every until with that bound, and a window
 left with one operand is that operand.  A subformula with no until
-below it is tied by one row to the states of ``w[k]``, as bounded model
-checking translates a state formula, and its operands get no binaries.
+below it is tied by one row to the selectors entering the states of
+``w[k]``, as bounded model checking translates a state formula, and its
+operands get no binaries.
 
 Only what the pinned root can see is encoded.  ``w[k]`` covers the
 states reachable in exactly k steps, and step k covers the edges leaving
@@ -71,11 +73,13 @@ class DecodeError(RuntimeError):
 class Encoding:
     """Model plus the registry mapping variables back to run structure.
 
-    ``w[k]`` maps the states reachable in k steps, ascending, to their
-    variables; ``edges[k]`` lists the edges leaving ``w[k-1]`` in (source,
-    event) order and ``x[k]`` their selectors.  An ``x[k]`` or ``w[k]``
-    entry may be the variable of a state of ``w[k-1]`` or ``w[k]``
-    (see :func:`_encode_step`), so one variable may serve several steps.
+    ``w[k]`` maps the states reachable in k steps, ascending, to the
+    tuple of variables whose sum is the state's indicator: the selectors
+    of the edges entering it, in ``edges[k]`` order, or for the initial
+    state its variable.  ``edges[k]`` lists the edges leaving ``w[k-1]``
+    in (source, event) order and ``x[k]`` their selectors.  An ``x[k]``
+    entry may be a selector of an earlier step (see
+    :func:`_encode_step`), so one variable may serve several steps.
     ``holds[slot]`` is the set of activities where a propositional slot
     (no until below it) holds, else ``None``.  ``demanded`` holds the
     slots demanded at position 0, ``everywhere`` those demanded at every
@@ -128,7 +132,8 @@ class Encoding:
         self.holds, self.horizon = tuple(holds), 0
         self.demanded = frozenset(demanded)
         self.everywhere = frozenset(everywhere)
-        self.w: list[dict[int, int]] = [{0: model.add_var("w[0][0]", 1, 1)}]
+        start = model.add_var("w[0][0]", 1, 1)
+        self.w: list[dict[int, tuple[int, ...]]] = [{0: (start,)}]
         self.ze: list[int | None] = [None]
         self.c: list[int | None] = [None]
         self.zphi: dict[tuple[int, int], int] = {}
@@ -142,56 +147,56 @@ class Encoding:
 
 
 def _encode_step(enc: Encoding, k: int) -> None:
-    """State vector, edge selectors, tick indicator and counter of step k.
+    """Edge selectors, flow rows, tick indicator and counter of step k.
 
-    The state vector ``w[k]`` is tied to ``w[k-1]`` by the selectors
-    ``x[k][t]`` of the edges ``edges[k][t]``: the selectors leaving state
-    i sum to ``w[k-1][i]`` and those entering state j sum to ``w[k][j]``.
-    From a one-hot ``w[k-1]`` (``w[0]`` is, by its bounds) these fire one
-    edge and make ``w[k]`` one-hot, so neither has a row of its own.
-    ``ze[k]`` is the sum of step k's tick selectors and
-    ``c[k] = c[k-1] + ze[k]`` in ``[0, k]``.
+    The edges ``edges[k][t]`` leaving the states of ``w[k-1]`` get the
+    selectors ``x[k][t]``, and ``w[k][j]`` is the tuple of those entering
+    j.  Each state i of ``w[k-1]`` gets one flow row: the sum of
+    ``w[k-1][i]`` equals the sum of the selectors leaving i.  From the
+    initial state, fixed at 1, these rows fire one edge per step and make
+    every position one-hot.  ``ze[k]`` is the sum of step k's tick
+    selectors and ``c[k] = c[k-1] + ze[k]`` in ``[0, k]``.
 
-    A variable those rows force equal to an earlier one is that variable.
-    The only edge leaving i is selected by ``w[k-1][i]``, and otherwise
-    the only edge entering j by ``w[k][j]``; a state entered only by the
-    only edge leaving i is ``w[k-1][i]``.  So a selector row is added only
-    for a state left or entered by several edges (or left by none): any
-    other would read ``0 = 0``.  The kept variable precedes the one it
-    stands for, so the solver, branching in index order, searches as it
-    would over separate copies.
+    A selector the flow rows force equal to an earlier variable is that
+    variable: when ``w[k-1][i]`` is one variable and one edge leaves i,
+    that edge's selector is the variable, and the row, which would read
+    ``0 = 0``, is left out.  A state entered by several edges and left
+    by one gives that edge a selector and a row of its own; step k makes
+    them, once it knows the out-degree, so exploration never runs a
+    layer ahead.  A new selector is named after its target, ``w[k][j]``,
+    when it is the only edge entering j, else ``x[k][t]``.  The kept
+    variable precedes the one it stands for, so the solver, branching in
+    index order, searches as it would over separate copies.
     """
     model, graph = enc.model, enc.tdes
     before = enc.w[k - 1]
     graph.explore(max(before))
-    edges, leaving, entering = [], {}, {}  # with edge counts per state
+    edges, entering = [], {}  # with edge counts per target
     for i in before:
-        leaving[i] = len(graph.outgoing[i])
         for ev, j in graph.outgoing[i]:
             edges.append((i, ev, j))
             entering[j] = entering.get(j, 0) + 1
     enc.edges.append(edges)
-    copies = {
-        j: before[i] for i, _, j in edges if leaving[i] == entering[j] == 1
+    forced = {
+        i: terms[0] for i, terms in before.items()
+        if len(terms) == 1 and len(graph.outgoing[i]) == 1
     }
-    enc.w.append({
-        j: copies[j] if j in copies else model.add_var(f"w[{k}][{j}]", 0, 1)
-        for j in sorted(entering)
-    })
     step_vars = [
-        before[i] if leaving[i] == 1
-        else enc.w[k][j] if entering[j] == 1
-        else model.add_var(f"x[{k}][{t}]", 0, 1)
+        forced[i] if i in forced else model.add_var(
+            f"w[{k}][{j}]" if entering[j] == 1 else f"x[{k}][{t}]", 0, 1
+        )
         for t, (i, _, j) in enumerate(edges)
     ]
     enc.x.append(step_vars)
-    for state, end, count in ((before, 0, leaving), (enc.w[k], 2, entering)):
-        terms = {i: [(1, v)] for i, v in state.items() if count[i] != 1}
-        for edge, x in zip(edges, step_vars):
-            if edge[end] in terms:
-                terms[edge[end]].append((-1, x))
-        for row in terms.values():
-            model.add(row, "=", 0)
+    flows = {i: [(1, v) for v in before[i]] for i in before if i not in forced}
+    after: dict[int, list[int]] = {j: [] for j in sorted(entering)}
+    for (i, _, j), x in zip(edges, step_vars):
+        after[j].append(x)
+        if i in flows:
+            flows[i].append((-1, x))
+    enc.w.append({j: tuple(terms) for j, terms in after.items()})
+    for row in flows.values():
+        model.add(row, "=", 0)
     z = model.add_var(f"ze[{k}]", 0, 1)
     enc.ze.append(z)
     ticks = [(-1, x) for edge, x in zip(edges, step_vars) if edge[1] == TICK]
@@ -254,10 +259,10 @@ def _encode_position(enc: Encoding, k: int) -> None:
     """Satisfaction binaries of every subformula demanded at position k,
     and every until window that ends there.
 
-    A propositional slot is one row over the states of ``w[k]``:
-    ``z - sum(satisfying) = 0`` if at most half of them satisfy it, else
-    ``z + sum(others) = 1``, so a slot that holds in all or none is a
-    constant.  Walks the subformula table bottom-up so shared subtrees
+    A propositional slot is one row over the terms of ``w[k]``:
+    ``z - sum(satisfying) = 0`` if at most half of the terms enter a
+    state that satisfies it, else ``z + sum(others) = 1``, so a slot that
+    holds in all states or none is a constant.  Walks the subformula table bottom-up so shared subtrees
     are encoded once and every operand exists before its rows.
     """
     graph, model, table, zphi = enc.tdes, enc.model, enc.table, enc.zphi
@@ -272,8 +277,9 @@ def _encode_position(enc: Encoding, k: int) -> None:
         sat = enc.holds[slot]
         if sat is not None:
             satisfying, others = [], []
-            for i, v in enc.w[k].items():
-                (satisfying if graph.states[i].activity in sat else others).append(v)
+            for i, terms in enc.w[k].items():
+                side = satisfying if graph.states[i].activity in sat else others
+                side.extend(terms)
             if len(satisfying) <= len(others):
                 model.add([(1, z)] + [(-1, v) for v in satisfying], "=", 0)
             else:

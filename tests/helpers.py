@@ -456,8 +456,9 @@ def reference_propagate(
 def induced_valuation(enc: Encoding, fragment: Fragment) -> tuple[int, ...]:
     """Valuation a genuine run induces on every variable of the encoding.
 
-    Only the variables the encoding has are filled.  State vectors and
-    edge selectors come from the run itself, tick
+    Only the variables the encoding has are filled.  The initial state's
+    variable and the edge selectors come from the run itself (every
+    later state indicator is a sum of selectors), tick
     indicators from its events, prefix tick counters and threshold
     indicators from real tick counts, and satisfaction variables from the
     direct evaluator.
@@ -469,8 +470,8 @@ def induced_valuation(enc: Encoding, fragment: Fragment) -> tuple[int, ...]:
     values = [0] * enc.model.num_variables
 
     path = [graph.index[s] for s in fragment.states]
-    for k in range(horizon + 1):
-        values[enc.w[k][path[k]]] = 1
+    (start,) = enc.w[0][path[0]]
+    values[start] = 1
     for k in range(1, horizon + 1):
         values[enc.ze[k]] = 1 if fragment.events[k - 1] == TICK else 0
         values[enc.c[k]] = fragment.count(0, k)

@@ -99,7 +99,7 @@ def test_synth_dot_builds_the_whole_graph_before_the_search(capsys, monkeypatch)
     assert len(calls) == tries + 40 + 7
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == (
-        "eaa9b1081166c6e3eb055188e96e84c280bca8c9c08e777d9e264700427014db"
+        "890b0e1b5f54ace11d8cfe3f7aaf9e0aa61bd5dee098296c3c68b62738f0848b"
     )
 
 

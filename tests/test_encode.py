@@ -30,10 +30,14 @@ from ticksynth.tdes import (
     TimedDes,
     UntimedDes,
     build_tdes,
+    fixture_path,
+    load_system,
+    system_from_json,
 )
 
 from helpers import (
     induced_valuation,
+    perfbench_workloads,
     random_formula,
     random_fragment,
     random_system,
@@ -72,25 +76,28 @@ def test_trajectory_sizes_on_ring(ring_tdes):
     steps = [len(edges) for edges in enc.edges]
     assert layers == [1, 3, 5, 7, 10, 14, 18, 22, 25, 27, 28, 28]
     assert steps == [0, 3, 5, 8, 13, 18, 23, 30, 35, 39, 42, 44]
-    # distinct state and selector variables, then per step: tick
-    # indicator and counter; the root `true` is demanded at position 0 only
-    run = {v for state in enc.w for v in state.values()}
+    # the initial state's variable and the distinct selectors, then per
+    # step: tick indicator and counter; the root `true` is demanded at
+    # position 0 only.  A later state's indicator is a sum of selectors.
+    run = {v for state in enc.w for terms in state.values() for v in terms}
+    assert run - {v for step in enc.x for v in step} == set(enc.w[0][0])
     run |= {v for step in enc.x for v in step}
     assert enc.model.num_variables == len(run) + 2 * horizon + 1
-    assert enc.model.num_variables == 256
-    # per step: the outgoing rows of states left by several edges, the
-    # incoming rows of states entered by several, tick and counter rows;
-    # `true` adds its row and the root pin.  The states are one-hot by
-    # the selector rows and the initial state by its bounds, so neither
-    # has a row of its own.
-    shared = 0
-    for edges in enc.edges[1:]:
+    assert enc.model.num_variables == 193
+    # per step: the flow row of each state of the layer before, unless
+    # its indicator is one variable and one edge leaves it, then tick and
+    # counter rows; `true` adds its row and the root pin.  The flow rows
+    # make every layer one-hot and the initial state is pinned by its
+    # bounds, so neither has a row of its own.
+    flows = 0
+    for k, edges in enumerate(enc.edges[1:], 1):
         leaving = Counter(i for i, _, _ in edges)
-        entering = Counter(j for _, _, j in edges)
-        shared += sum(n >= 2 for n in leaving.values())
-        shared += sum(n >= 2 for n in entering.values())
-    assert enc.model.num_constraints == shared + 2 * horizon + 2
-    assert enc.model.num_constraints == 156
+        flows += sum(
+            leaving[i] != 1 or len(terms) != 1
+            for i, terms in enc.w[k - 1].items()
+        )
+    assert enc.model.num_constraints == flows + 2 * horizon + 2
+    assert enc.model.num_constraints == 93
 
 
 def test_state_vectors_cover_exactly_the_reachable_layers():
@@ -109,32 +116,34 @@ def test_state_vectors_cover_exactly_the_reachable_layers():
 
 
 def assert_no_forced_copies(enc):
-    """Every selector an earlier variable forces is that variable, and no
+    """Every state indicator is the tuple of the selectors entering it,
+    every selector an earlier variable forces is that variable, and no
     row equates two run variables or names a variable twice."""
     names = enc.model.names
     for k in range(1, enc.horizon + 1):
         edges, before, after = enc.edges[k], enc.w[k - 1], enc.w[k]
         leaving = Counter(i for i, _, _ in edges)
         entering = Counter(j for _, _, j in edges)
+        assert list(after) == sorted(entering)
+        for j, terms in after.items():
+            assert terms == tuple(
+                x for (_, _, end), x in zip(edges, enc.x[k]) if end == j
+            )
         for t, ((i, _, j), x) in enumerate(zip(edges, enc.x[k])):
-            if leaving[i] == 1:
-                assert x == before[i]
+            if leaving[i] == 1 and len(before[i]) == 1:
+                assert (x,) == before[i]
             elif entering[j] == 1:
-                assert x == after[j]
+                assert names[x] == f"w[{k}][{j}]"
             else:
                 assert names[x] == f"x[{k}][{t}]"
-            if entering[j] == 1:
-                copy = leaving[i] == 1
-                assert (after[j] == before[i]) == copy
-                assert copy or names[after[j]] == f"w[{k}][{j}]"
-    run = {v for state in enc.w for v in state.values()}
+    run = {v for state in enc.w for terms in state.values() for v in terms}
     run |= {v for step in enc.x for v in step}
     for row in enc.model.constraints:
         variables = [var for _, var in row.terms]
         assert len(variables) == len(set(variables)), row
-        if len(row.terms) == 2 and set(variables) <= run:
-            # only a one-hot row of a two-state layer has this shape
-            assert [coef for coef, _ in row.terms] == [1, 1], row
+        # a flow row of two terms would equate two run variables, or
+        # belong to a state left by no edge, which no timed graph has
+        assert len(row.terms) != 2 or not set(variables) <= run, row
 
 
 def test_forced_selectors_reuse_their_state_variable(ring_tdes):
@@ -147,6 +156,60 @@ def test_forced_selectors_reuse_their_state_variable(ring_tdes):
     for _ in range(120):
         graph = build_tdes(random_system(rng), state_cap=5000)
         assert_no_forced_copies(build_encoding(Encoding(graph, TRUE), 4))
+
+
+WORKLOADS = perfbench_workloads()
+
+# (states whose indicator root propagation fixes at 0, those it fixes at
+# 1) at each horizon the horizon loop tries, or None where it refutes the
+# horizon: the counts the model with one variable per state gave
+ROOT_FIXED_STATES = [
+    ("ring4.json", "F[1,5] ap2 & F[1,5] ap4", 5, [(0, 1)] * 7),
+    ("ring4.json", "!ap2 U[3,5] ap3", 5, [None] * 2 + [(0, 1)]),
+    (
+        WORKLOADS["ring_doc"](6), "F[1,8] ap3 & F[1,12] ap5", 1,
+        [None] * 8 + [(0, 1)] * 5,
+    ),
+    (
+        WORKLOADS["ring_doc"](10), "F[1,10] ap4 & F[1,20] ap7 & F[1,25] ap9",
+        1, [None] * 16 + [(0, 1)] * 7,
+    ),
+    (
+        WORKLOADS["plant_doc"](4), "F[0,3] (busy0 & busy1 & busy2 & busy3)",
+        1, [None] * 4 + [(0, 1)],
+    ),
+    (
+        "ring4.json", "F[1,8] (ap3 & F[1,4] ap1) & G[0,30] !ap4", 1,
+        [None] * 9 + [(54, 1), (61, 1)],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    ("spec", "text", "low", "fixed"), ROOT_FIXED_STATES,
+    ids=["two-goal", "avoid-until", "ring6", "ring10", "plant4", "nested-ring4"],
+)
+def test_root_propagation_fixes_the_same_states(spec, text, low, fixed):
+    # a state's indicator is the sum of its terms, so its bounds are the
+    # sums of theirs
+    if isinstance(spec, str):
+        system = load_system(fixture_path(spec))
+    else:
+        system = system_from_json(spec)
+    enc, seen = Encoding(TimedDes(system), parse(text)), []
+    for horizon in range(low, low + len(fixed)):
+        build_encoding(enc, horizon)
+        box = propagate_bounds(enc.model)
+        if box is None:
+            seen.append(None)
+            continue
+        lo, hi = box
+        bounds = [
+            (sum(lo[v] for v in terms), sum(hi[v] for v in terms))
+            for state in enc.w for terms in state.values()
+        ]
+        seen.append((bounds.count((0, 0)), bounds.count((1, 1))))
+    assert seen == fixed
 
 
 def test_model_over_explored_graph_matches_model_over_full_graph():
@@ -189,7 +252,7 @@ def test_root_demands_only_position_zero(ring_tdes, phi_two_goals):
 
 def test_trajectory_pins_initial_state(ring_tdes):
     enc = build_encoding(Encoding(ring_tdes, TRUE), 2)
-    start = enc.w[0][0]
+    (start,) = enc.w[0][0]
     assert enc.model.lower[start] == enc.model.upper[start] == 1
 
 
@@ -204,7 +267,8 @@ def test_single_state_tick_loop_forces_every_step():
     assert box is not None
     lo, hi = box
     for k in range(4):
-        assert lo[enc.w[k][0]] == hi[enc.w[k][0]] == 1
+        (var,) = enc.w[k][0]  # one edge enters each layer's only state
+        assert lo[var] == hi[var] == 1
 
 
 def test_dead_end_state_makes_longer_horizons_infeasible():
@@ -232,7 +296,7 @@ def test_tickless_target_forces_indicator_down():
     graph = build_tdes(pulse_system())
     enc = build_encoding(Encoding(graph, TRUE), 2)
     # pin the second step back to s0: only the event edge fits
-    enc.model.add([(1, enc.w[2][0])], "=", 1)
+    enc.model.add([(1, v) for v in enc.w[2][0]], "=", 1)
     box = propagate_bounds(enc.model)
     lo, hi = box
     assert lo[enc.ze[2]] == hi[enc.ze[2]] == 0
@@ -435,9 +499,9 @@ def test_encoding_grows_only_forward(ring_tdes, phi_two_goals):
 # order changes the digest.
 GOLDEN_MODELS = {
     ("F[1,5] ap2 & F[1,5] ap4", 11):
-        "058a1e0bfe7caf28a630d2253c82af8d94f64f9f9afa6c254038a32afa78734a",
+        "54cd40ca8c7a1988c67eb8059830f35a4181f54c33f3e0ddddf06b9b8905a72e",
     ("!ap2 U[3,5] ap3", 7):
-        "8d300b57ef4cdb2cbcd9a161c2bbc4bf37fdd001294a00825345676b7c8ba499",
+        "75740480caf3157384b68341302589ea38269871cf8e33a0bf4081fc180eff54",
 }
 
 

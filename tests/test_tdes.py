@@ -35,7 +35,7 @@ from ticksynth.tdes import (
     untimed_to_dot,
 )
 
-from helpers import abstract_fragment, random_system
+from helpers import abstract_fragment, perfbench_workloads, random_system
 from tdes_oracle import reference_reachable_graph
 
 
@@ -379,6 +379,31 @@ def test_random_reachable_graphs_match_reference():
         busy = {src for src, _ in system.transitions}
         tick_only += sum(s.activity not in busy for s in graph.states)
     assert tick_only >= 80
+
+
+def test_no_timed_state_is_a_dead_end(ring_tdes):
+    # tick is blocked only by a defined prospective event whose timer is
+    # at zero, and that event is then enabled, so every explored state
+    # has an edge out: the encoding's flow row of a state left by no edge
+    # never fires.  Random systems, dense and sparse, and the benchmark's
+    # ring10 and plant4, each built whole.
+    graphs = [ring_tdes]
+    for seed, density in ((1994, 0.55), (2718, 0.2), (3, 0.55)):
+        rng = random.Random(seed)
+        graphs += [
+            build_tdes(random_system(rng, density=density), state_cap=5000)
+            for _ in range(120)
+        ]
+    workloads = perfbench_workloads()
+    for doc in (workloads["ring_doc"](10), workloads["plant_doc"](4)):
+        graphs.append(build_tdes(system_from_json(doc)))
+    blocked = 0
+    for trial, graph in enumerate(graphs):
+        assert len(graph.outgoing) == graph.n, trial
+        assert all(graph.outgoing), trial
+        blocked += sum(TICK not in dict(pairs) for pairs in graph.outgoing)
+    assert [graph.n for graph in graphs[-2:]] == [67, 1260]
+    assert blocked >= 1000
 
 
 def bfs_depths(graph):
