@@ -2,10 +2,9 @@
 
 Subcommands: ``synth`` (find a certified run), ``check`` (evaluate a
 stored run against a formula), ``build`` (timed-system statistics, DOT
-of the timed system or of the untimed automaton), ``oracle`` (exhaustive
-reference synthesis), and ``dump-ilp`` (annotated model text).  Exit
-codes: 0 when a run was found or the check holds, 1 for a negative
-answer, 2 for usage or input errors.
+of the timed system or of the untimed automaton), and ``dump-ilp``
+(annotated model text).  Exit codes: 0 when a run was found or the
+check holds, 1 for a negative answer, 2 for usage or input errors.
 
 Rendered output never includes timing measurements, so repeated runs on
 identical inputs are byte-identical.
@@ -16,19 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable
 
 from . import encode, ilp, synth, tdes
 from .logic import evaluate, parse
 
 # ValueError covers the format, validation, and parse error families;
 # internal invariant violations (RuntimeError at large) traceback loudly.
-_INPUT_ERRORS = (
-    ValueError,
-    OSError,
-    tdes.StateCapError,
-    synth.OracleBudgetError,
-)
+_INPUT_ERRORS = (ValueError, OSError, tdes.StateCapError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,17 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add_cap(p_build)
 
-    p_oracle = sub.add_parser("oracle", help="exhaustive reference synthesis")
-    add_system(p_oracle)
-    add_formula(p_oracle)
-    p_oracle.add_argument("--hmin", type=int, default=1)
-    p_oracle.add_argument("--hmax", type=int, required=True)
-    p_oracle.add_argument(
-        "--budget", type=int, default=synth.DEFAULT_ORACLE_BUDGET
-    )
-    p_oracle.add_argument("--format", choices=["text", "json"], default="text")
-    add_cap(p_oracle)
-
     p_dump = sub.add_parser("dump-ilp", help="print the feasibility model")
     add_system(p_dump)
     add_formula(p_dump)
@@ -131,14 +113,11 @@ def _result_payload(result: synth.SynthesisResult) -> dict:
     return payload
 
 
-def _run_request(
-    args: argparse.Namespace,
-    search: Callable[[synth.SynthesisRequest], synth.SynthesisResult],
-) -> int:
-    """Run ``search`` on the request the arguments describe and print the
-    result.  ``dot`` (``synth`` only) overlays the run on the whole timed
-    graph, built before the search so that a graph over the cap fails
-    first; the search explores a graph of its own."""
+def _cmd_synth(args: argparse.Namespace) -> int:
+    """Search the request the arguments describe and print the result.
+    ``dot`` overlays the run on the whole timed graph, built before the
+    search so that a graph over the cap fails first; the search explores
+    a graph of its own."""
     system = tdes.load_system(args.system)
     request = synth.SynthesisRequest(
         system=system,
@@ -149,7 +128,7 @@ def _run_request(
     )
     if args.format == "dot":  # over the cap, fail before the search
         graph = tdes.build_tdes(system, args.state_cap)
-    result = search(request)
+    result = synth.synthesize(request)
     if args.format == "json":
         print(json.dumps(_result_payload(result), indent=2, sort_keys=True))
     elif args.format == "dot":
@@ -167,10 +146,6 @@ def _run_request(
         print(f"constraints: {stats.constraints}")
         print(f"nodes: {stats.nodes}")
     return 0 if result.found else 1
-
-
-def _cmd_synth(args: argparse.Namespace) -> int:
-    return _run_request(args, synth.synthesize)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -220,12 +195,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    return _run_request(
-        args, lambda request: synth.oracle_synthesize(request, budget=args.budget)
-    )
-
-
 def _cmd_dump(args: argparse.Namespace) -> int:
     system = tdes.load_system(args.system)
     formula = parse(_formula_text(args))
@@ -239,7 +208,6 @@ _COMMANDS = {
     "synth": _cmd_synth,
     "check": _cmd_check,
     "build": _cmd_build,
-    "oracle": _cmd_oracle,
     "dump-ilp": _cmd_dump,
 }
 

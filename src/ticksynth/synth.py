@@ -25,11 +25,11 @@ from .tdes import (
     build_tdes,
 )
 
-DEFAULT_ORACLE_BUDGET = 10_000_000
+ORACLE_BUDGET = 10_000_000
 
 
 class OracleBudgetError(RuntimeError):
-    """Enumeration would exceed the configured work budget."""
+    """Enumeration would exceed ``ORACLE_BUDGET``."""
 
 
 # The package's one dataclass: perfbench/run.py reads its fields.
@@ -133,14 +133,12 @@ def enumerate_fragments(graph: TimedDes, horizon: int) -> Iterator[Fragment]:
                 run.pop()
 
 
-def oracle_synthesize(
-    request: SynthesisRequest, budget: int = DEFAULT_ORACLE_BUDGET
-) -> SynthesisResult:
+def oracle_synthesize(request: SynthesisRequest) -> SynthesisResult:
     """Reference synthesis by exhaustive enumeration.
 
     Returns the lexicographically first satisfying run of the smallest
     feasible horizon in range.  Intended for small instances: each
-    horizon must keep max-branching**horizon within ``budget``.
+    horizon must keep max-branching**horizon within ``ORACLE_BUDGET``.
     """
     start = time.perf_counter()
     graph = build_tdes(request.system, request.state_cap)
@@ -148,10 +146,12 @@ def oracle_synthesize(
     branching = max(len(adjacency) for adjacency in graph.outgoing)
     examined = 0
     for horizon in range(request.horizon_min, request.horizon_max + 1):
-        if branching > 1 and branching**horizon > budget:
+        # 2 ** ORACLE_BUDGET.bit_length() already exceeds the budget
+        capped = min(horizon, ORACLE_BUDGET.bit_length())
+        if branching > 1 and branching**capped > ORACLE_BUDGET:
             raise OracleBudgetError(
                 f"enumeration at horizon {horizon} would exceed the budget "
-                f"({branching}^{horizon} > {budget})"
+                f"({branching}^{horizon} > {ORACLE_BUDGET})"
             )
         for fragment in enumerate_fragments(graph, horizon):
             examined += 1

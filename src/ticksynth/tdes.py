@@ -401,6 +401,12 @@ def _names(value: object, what: str) -> list[str]:
     return value
 
 
+def _known_keys(entry: dict, where: str, error: type, keys: str) -> None:
+    for key in entry:
+        if key not in keys.split():
+            raise error(f"{where}: unknown key {key!r}")
+
+
 def system_from_json(data: object) -> UntimedDes:
     """Build an untimed system from its JSON document form.
 
@@ -410,6 +416,8 @@ def system_from_json(data: object) -> UntimedDes:
     """
     if not isinstance(data, dict):
         raise SystemFormatError("system document must be a JSON object")
+    keys = "states events transitions initial atoms labels"
+    _known_keys(data, "system document", SystemFormatError, keys)
     for key in ("states", "events", "transitions", "initial"):
         if key not in data:
             raise SystemFormatError(f"system document lacks {key!r}")
@@ -426,6 +434,7 @@ def system_from_json(data: object) -> UntimedDes:
     for pos, entry in enumerate(data["events"]):
         if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
             raise SystemFormatError(f"events[{pos}] needs 'name' and 'kind'")
+        _known_keys(entry, f"events[{pos}]", SystemFormatError, "name kind lower upper")
         name = entry["name"]
         if not isinstance(name, str):
             raise SystemFormatError(f"events[{pos}]: 'name' must be a string")
@@ -444,6 +453,7 @@ def system_from_json(data: object) -> UntimedDes:
             raise SystemFormatError(
                 f"transitions[{pos}] needs 'from', 'event' and 'to'"
             )
+        _known_keys(entry, f"transitions[{pos}]", SystemFormatError, "from event to")
         if not all(isinstance(entry[k], str) for k in ("from", "event", "to")):
             raise SystemFormatError(
                 f"transitions[{pos}]: 'from', 'event' and 'to' must be names"
@@ -519,6 +529,7 @@ def fragment_from_json(data: object, system: UntimedDes) -> Fragment:
     """
     if not isinstance(data, dict) or "states" not in data or "events" not in data:
         raise FragmentError("fragment document needs 'states' and 'events'")
+    _known_keys(data, "fragment document", FragmentError, "states events")
     raw_states = data["states"]
     raw_events = data["events"]
     if not isinstance(raw_states, list) or not isinstance(raw_events, list):
@@ -536,6 +547,7 @@ def fragment_from_json(data: object, system: UntimedDes) -> Fragment:
     for pos, entry in enumerate(raw_states):
         if not isinstance(entry, dict) or "activity" not in entry:
             raise FragmentError(f"states[{pos}] needs 'activity'")
+        _known_keys(entry, f"states[{pos}]", FragmentError, "activity timers")
         if not isinstance(entry["activity"], str):
             raise FragmentError(f"states[{pos}]: 'activity' must be a string")
         timers = entry.get("timers")

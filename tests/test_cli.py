@@ -177,23 +177,16 @@ def test_build_dot_outputs(capsys):
     assert run(["build", "--system", RING, "--untimed-dot"]) == 2
 
 
-def test_oracle_subcommand(capsys):
+def test_oracle_subcommand_is_gone(capsys):
+    # the enumeration is a reference for the tests, not a command
     code = run([
         "oracle", "--system", RING, "--formula", AVOID_UNTIL,
-        "--hmin", "5", "--hmax", "8", "--format", "json",
+        "--hmin", "5", "--hmax", "8",
     ])
-    out = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert out["horizon"] == 7
-
-
-def test_oracle_budget_error(capsys):
-    code = run([
-        "oracle", "--system", RING, "--formula", TWO_GOALS,
-        "--hmin", "11", "--hmax", "11", "--budget", "10",
-    ])
+    captured = capsys.readouterr()
     assert code == 2
-    assert "budget" in capsys.readouterr().err
+    assert captured.out == ""
+    assert "invalid choice: 'oracle'" in captured.err
 
 
 def test_dump_ilp_contains_registry_names(capsys):
@@ -403,9 +396,10 @@ def test_repeated_object_keys_exit_two(tmp_path, capsys):
 def test_state_cap_flag(capsys):
     assert run(["build", "--system", RING, "--state-cap", "5"]) == 2
     assert "cap" in capsys.readouterr().err
-    oracle = ["oracle", "--formula", "ap1", "--hmax", "2"]
+    synth = ["synth", "--formula", "ap1", "--hmax", "2"]
+    dump = ["dump-ilp", "--formula", "ap1", "--horizon", "2"]
     for cap in ("-3", "0"):
-        for command in (["build"], oracle):
+        for command in (["build"], synth, dump):
             args = [*command, "--system", RING, "--state-cap", cap]
             assert run(args) == 2
             captured = capsys.readouterr()
@@ -490,6 +484,7 @@ def test_event_list_shapes_exit_two(tmp_path, capsys, ring_doc):
         ({"kind": "prospective"}, "prospective event needs integer 'upper'"),
         ({"upper": 3}, "remote event must omit 'upper'"),
         ({"kind": "sometimes"}, "unknown kind 'sometimes'"),
+        ({"lowr": 3}, "unknown key 'lowr'"),
     ):
         events = [{**ring_doc["events"][0], **change}] + ring_doc["events"][1:]
         assert _synth_on_document(tmp_path, {**ring_doc, "events": events}) == 2

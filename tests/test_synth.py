@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -253,10 +254,17 @@ def test_oracle_enumerates_runs_deeper_than_the_recursion_limit():
 
 
 def test_oracle_budget_guard(ring, phi_two_goals):
-    with pytest.raises(OracleBudgetError):
-        oracle_synthesize(
-            SynthesisRequest(ring, phi_two_goals, 11, 11), budget=100
-        )
+    # branching 3: 3^15 = 14,348,907 runs exceed the budget of 10^7
+    with pytest.raises(OracleBudgetError, match=r"\(3\^15 > 10000000\)"):
+        oracle_synthesize(SynthesisRequest(ring, phi_two_goals, 15, 15))
+
+
+def test_oracle_budget_guard_refuses_a_huge_horizon_at_once(ring):
+    # the guard never raises the branching to the full horizon
+    start = time.perf_counter()
+    with pytest.raises(OracleBudgetError, match=r"\(3\^1000000000 > "):
+        oracle_synthesize(SynthesisRequest(ring, Atom("ap1"), 10**9, 10**9))
+    assert time.perf_counter() - start < 2.0
 
 
 def test_exact_synthesis_agrees_with_oracle():

@@ -609,6 +609,38 @@ def test_system_json_requires_keys():
         system_from_json({"states": []})
 
 
+# an ignored misspelling would change the answer: a typo in "labels"
+# leaves every atom false, one in "lower" leaves the bound at 0, and one
+# in "timers" skips the timer check
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(lables=doc.pop("labels")),
+     "system document: unknown key 'lables'"),
+    (lambda doc: doc["events"][0].update(lowr=3),
+     "events[0]: unknown key 'lowr'"),
+    (lambda doc: doc["transitions"][1].update(guard="ap1"),
+     "transitions[1]: unknown key 'guard'"),
+], ids=["top", "event", "transition"])
+def test_system_json_rejects_unknown_keys(ring_doc, edit, message):
+    doc = json.loads(json.dumps(ring_doc))
+    edit(doc)
+    with pytest.raises(SystemFormatError) as err:
+        system_from_json(doc)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(horizon=1), "fragment document: unknown key 'horizon'"),
+    (lambda doc: doc["states"][1].update(timer={}),
+     "states[1]: unknown key 'timer'"),
+], ids=["top", "state"])
+def test_fragment_json_rejects_unknown_keys(ring, route_a, edit, message):
+    doc = fragment_to_json(route_a)
+    edit(doc)
+    with pytest.raises(FragmentError) as err:
+        fragment_from_json(doc, ring)
+    assert str(err.value) == message
+
+
 def test_load_system_reports_path_on_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{", encoding="utf-8")
