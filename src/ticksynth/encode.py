@@ -35,8 +35,9 @@ One model serves a whole horizon range: an :class:`Encoding` is built
 at horizon 0 and :func:`build_encoding` grows it in place a step at a
 time.  Every row belongs to one step except the closing rows
 ``z[k] <= sum_j u[k,j]`` of each until, whose window list ends at the
-horizon; they are added last and replaced on every growth.  The solver
-branches in the order the variables are created, step by step.
+horizon; they are added last and replaced on every growth.  Each step's
+new selectors are the model's next decisions, so the solver branches
+along the run, each state's edges in ``outgoing`` order.
 
 Until windows only range over positions inside the horizon: satisfaction
 is never assumed beyond the last encoded step, matching the finite-trace
@@ -164,9 +165,9 @@ def _encode_step(enc: Encoding, k: int) -> None:
     by one gives that edge a selector and a row of its own; step k makes
     them, once it knows the out-degree, so exploration never runs a
     layer ahead.  A new selector is named after its target, ``w[k][j]``,
-    when it is the only edge entering j, else ``x[k][t]``.  The kept
-    variable precedes the one it stands for, so the solver, branching in
-    index order, searches as it would over separate copies.
+    when it is the only edge entering j, else ``x[k][t]``.  The new
+    selectors are the step's decisions, in ``edges[k]`` order; a kept
+    variable was listed where it first appeared.
     """
     model, graph = enc.model, enc.tdes
     before = enc.w[k - 1]
@@ -182,9 +183,9 @@ def _encode_step(enc: Encoding, k: int) -> None:
         if len(terms) == 1 and len(graph.outgoing[i]) == 1
     }
     step_vars = [
-        forced[i] if i in forced else model.add_var(
+        forced[i] if i in forced else model.add_decision(model.add_var(
             f"w[{k}][{j}]" if entering[j] == 1 else f"x[{k}][{t}]", 0, 1
-        )
+        ))
         for t, (i, _, j) in enumerate(edges)
     ]
     enc.x.append(step_vars)

@@ -5,10 +5,11 @@ with integer coefficients; everything stays in exact integer arithmetic,
 so there is no floating point anywhere in the solver.  Solving is
 depth-first branch and bound in one decide–propagate–backtrack loop:
 integer bounds propagation runs to a fixpoint after every decision, the
-unfixed variable of lowest index is branched next, candidate values are
-tried in ascending order (0 before 1 for binaries), and backtracking
-restores the deepest frame with a value left from that frame's residual
-key (below).  The search is completely deterministic.
+first unfixed variable of the model's decision list is branched next,
+1 before 0, and once every decision is fixed the unfixed variable of
+lowest index, values ascending.  Backtracking restores the deepest frame
+with a value left from that frame's residual key (below).  The search is
+completely deterministic.
 
 Propagation is incremental and activity based, and ``solve`` and
 ``propagate_bounds`` share it.  Every constraint is stored as one or two
@@ -31,22 +32,23 @@ stores, and a unit row's entry needs neither its weight nor its cap,
 which are both 1.  Queued unit rows settle before weighted ones, and a
 unit row's forcing does not queue its mirror (see ``_Propagator``).
 
-After a conflict-free propagation every variable below the branching
-variable ``v`` is fixed, so what is left to solve is given by the bounds
-of ``v`` and above and the slacks of the rows that mix fixed and unfixed
-variables: rows wholly below ``v`` are satisfied, and rows wholly at or
-above it are fixed by the bounds.  The residual key of a node is those
-bounds and the slack of every row from the first whose last variable is
-``v`` or above (the extra rows keep the key exact, only hit less often).
-It is also all of the state the node's subtree can change, so one key
-serves twice: as the state its frame restores before each value it
-tries, and as the cache key of a refuted residual problem.  A solve never
-searches the same refuted residual problem twice.  A key is recorded
-when its frame is exhausted, and a node whose key was recorded counts as
-a conflict.  Only refuted subtrees are skipped, so a hit cannot change
-the returned assignment, the lexicographically least feasible point; it
-only lowers ``nodes``.  Keys live inside one solve, since a grown model's
-closing rows change between horizons, and one solve stores at most
+After a conflict-free propagation every variable below ``m``, the
+unfixed variable of lowest index, is fixed, so what is left to solve is
+given by the bounds of ``m`` and above and the slacks of the rows that
+mix fixed and unfixed variables: rows wholly below ``m`` are satisfied,
+and rows wholly at or above it are fixed by the bounds.  The residual
+key of a node is those bounds and the slack of every row from the first
+whose last variable is ``m`` or above (the extra rows keep the key
+exact, only hit less often).  It is also all of the state the node's
+subtree can change, so one key serves twice: as the state its frame
+restores before each value it tries, and as the cache key of a refuted
+residual problem.  A solve never searches the same refuted residual
+problem twice.  A key is recorded, under its ``m``, when its frame is
+exhausted, and a node whose key was recorded counts as a conflict.  Only
+refuted subtrees are skipped, so a hit cannot change the returned
+assignment, the least feasible point in branching order; it only lowers
+``nodes``.  Keys live inside one solve, since a grown model's closing
+rows change between horizons, and one solve stores at most
 ``CACHE_BYTES`` of them; past that it still looks keys up.
 
 There is no objective function: the engine answers feasibility only, and
@@ -127,6 +129,8 @@ class IlpModel:
         self.lower: Sequence[int] = _ReadOnly(self._lower)
         self.upper: Sequence[int] = _ReadOnly(self._upper)
         self.constraints: list[LinearConstraint] = []
+        # binaries ``solve`` branches on first, in this order, 1 before 0
+        self.decisions: list[int] = []
         # rows (pos, neg, unit, mirror), each meaning sum(coef*var) <= rhs
         # (see the module docstring); the rhs lives on only in the slack
         self._rows: list[tuple[tuple, tuple, bool, int]] = []
@@ -172,6 +176,14 @@ class IlpModel:
         self._watch_lo.append(())
         self._watch_hi.append(())
         return len(self.names) - 1
+
+    def add_decision(self, var: int) -> int:
+        """Append ``var``, declared ``[0, 1]``, to the decision list."""
+        if type(var) is not int or not 0 <= var < len(self.names) or (
+                self._lower[var], self._upper[var]) != (0, 1):
+            raise ModelError(f"decision {var!r} is not a variable in [0, 1]")
+        self.decisions.append(var)
+        return var
 
     def add(
         self, terms: Iterable[tuple[int, int]], comparator: str, rhs: int
@@ -459,34 +471,37 @@ def solve(model: IlpModel) -> SolveResult:
     """Depth-first search with bounds propagation at every node.
 
     One loop: propagate (the root first, then each decision); if there is
-    no conflict, push a frame for the unfixed variable of lowest index,
-    or return the assignment once every variable is fixed.  Then take
-    the deepest frame whose variable still has a value left, restore its
-    state (a frame pushed in this pass holds it already), fix the
-    variable to that value and loop.  Values are tried in
-    ascending order, so identical models yield identical assignments.
-    ``nodes`` counts value decisions.
+    no conflict, push a frame, or return the assignment once every
+    variable is fixed.  A frame branches on the first unfixed variable of
+    ``model.decisions``, trying 1 and then 0, or once every decision is
+    fixed on ``m``, the unfixed variable of lowest index, trying its
+    values in ascending order.  Then take the deepest frame with a value
+    left, restore its state (a frame pushed in this pass holds it
+    already), fix its variable to that value and loop.  Identical models
+    yield identical assignments, and a model with no decisions searches
+    in index order.  ``nodes`` counts value decisions.
 
-    A frame is ``[variable, next value, first keyed row, key]``, its key
-    (see the module docstring) built once, at the push.  Every variable
-    below the frame's and every row before its first keyed row are out
-    of its subtree's reach, so three slice assignments from the key
-    restore the frame's state.  A node whose key this solve has already
-    refuted pushes no frame and counts as a conflict; an exhausted frame
-    is popped without a restore and its key recorded.  Keys are bytes
-    when every value fits, tuples otherwise; the list is converted
-    through one ``bytearray``, which gives the same bytes and the same
-    ``ValueError`` as ``bytes`` of it, faster.  Once the keys' sizes
-    reach ``CACHE_BYTES``, no more are stored, but frames still build
-    theirs.  The verdict and the assignment are those of the search
-    without the cache.
+    A frame is ``(m, decision position, branched variable, values left,
+    first keyed row, key)``, its key (see the module docstring) built
+    once, at the push.  Every variable below ``m`` and every row before
+    the first keyed row are out of the subtree's reach, so three slice
+    assignments from the key restore the frame's state.  A node whose key
+    this solve has already refuted pushes no frame and counts as a
+    conflict; an exhausted frame is popped without a restore and its key
+    recorded.  Keys are bytes when every value fits, tuples otherwise;
+    the list is converted through one ``bytearray``, which gives the same
+    bytes and the same ``ValueError`` as ``bytes`` of it, faster.  Once
+    the keys' sizes reach ``CACHE_BYTES``, no more are stored, but frames
+    still build theirs.  The verdict and the assignment are those of the
+    search without the cache.
     """
     propagator = _Propagator(model)
     lo, hi, slack = propagator.lo, propagator.hi, propagator.slack
     move, propagate = propagator.move, propagator.propagate
-    n = len(lo)
-    nodes = var = 0
-    stack: list[list] = []  # frames: [variable, next value, first row, key]
+    decisions = model.decisions
+    n, count = len(lo), len(decisions)
+    nodes = var = at = 0
+    stack: list[tuple] = []  # frames: (m, at, branched, tries, first row, key)
     refuted: dict[int, set[bytes | tuple[int, ...]]] = {}
     room = CACHE_BYTES
     reach = model._reach
@@ -505,6 +520,8 @@ def solve(model: IlpModel) -> SolveResult:
                         + "; ".join(problems)
                     )
                 return SolveResult(True, assignment, nodes)
+            while at < count and lo[decisions[at]] == hi[decisions[at]]:
+                at += 1
             first = bisect_left(reach, var)
             values = lo[var:]
             values += hi[var:]
@@ -514,13 +531,16 @@ def solve(model: IlpModel) -> SolveResult:
             except ValueError:  # a value outside 0..255
                 key = tuple(values)
             if var not in refuted or key not in refuted[var]:
-                stack.append([var, lo[var], first, key])
+                branched = decisions[at] if at < count else var
+                tries = (1, 0) if at < count else range(lo[var], hi[var] + 1)
+                stack.append((var, at, branched, iter(tries), first, key))
                 pushed = True
         while stack:
-            var, value, first, key = stack[-1]
-            width = n - var
-            if value <= key[width]:  # the frame's upper bound of var
+            var, at, branched, tries, first, key = stack[-1]
+            value = next(tries, None)
+            if value is not None:
                 if not pushed:
+                    width = n - var
                     lo[var:] = key[:width]
                     hi[var:] = key[width : 2 * width]
                     slack[first:] = key[2 * width :]
@@ -531,12 +551,11 @@ def solve(model: IlpModel) -> SolveResult:
                 room -= sys.getsizeof(key)
         if not stack:
             return SolveResult(False, None, nodes)
-        stack[-1][1] = value + 1
         nodes += 1
-        if lo[var] < value:
-            move(var, False, value)
-        if hi[var] > value:
-            move(var, True, value)
+        if lo[branched] < value:
+            move(branched, False, value)
+        if hi[branched] > value:
+            move(branched, True, value)
 
 
 def dump(model: IlpModel) -> str:

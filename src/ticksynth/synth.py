@@ -74,12 +74,15 @@ class SynthesisResult(NamedTuple):
 
 
 def synthesize(request: SynthesisRequest) -> SynthesisResult:
-    """Smallest horizon in range whose encoding admits a certified run.
+    """The lexicographically first run, in ``outgoing`` event order, of
+    the smallest feasible horizon in range: ``oracle_synthesize``'s answer.
 
     Horizons are tried in ascending order, one encoding grown in place by
-    a step per horizon, so the reported horizon is minimal.  The search
-    explores the request system's timed graph itself, only as far as the
-    horizons reach, and ``state_cap`` bounds the states it discovers.
+    a step per horizon, so the reported horizon is minimal.  The solver
+    branches along the run (see :mod:`~ticksynth.encode`), so its first
+    feasible point is the first run.  The search explores the request
+    system's timed graph itself, only as far as the horizons reach, and
+    ``state_cap`` bounds the states it discovers.
     Every returned fragment has been certified by
     :func:`~ticksynth.encode.decode`, which raises
     :class:`~ticksynth.encode.DecodeError` for a run that fails.

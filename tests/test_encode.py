@@ -158,6 +158,32 @@ def test_forced_selectors_reuse_their_state_variable(ring_tdes):
         assert_no_forced_copies(build_encoding(Encoding(graph, TRUE), 4))
 
 
+def test_decisions_are_the_selectors_in_edge_order(ring_tdes):
+    """Each step appends its new selectors in ``edges[k]`` order: a
+    selector that is an earlier variable is listed only where it first
+    appeared, and ``w[0][0]``, fixed by its bounds, is not listed.  A
+    grown model lists what a fresh one does."""
+    rng = random.Random(2024)
+    graphs = [ring_tdes] + [
+        build_tdes(random_system(rng), state_cap=5000) for _ in range(40)
+    ]
+    reused = 0
+    for graph in graphs:
+        phi = random_formula(rng, sorted(graph.untimed.atoms), 6)
+        enc = build_encoding(Encoding(graph, phi), 6)
+        seen, listed = set(enc.w[0][0]), []
+        for k in range(1, 7):
+            for x in enc.x[k]:
+                if x not in seen:
+                    seen.add(x)
+                    listed.append(x)
+        assert enc.model.decisions == listed
+        grown = build_encoding(Encoding(graph, phi), 2)
+        assert build_encoding(grown, 6).model.decisions == listed
+        reused += sum(map(len, enc.x)) - len(listed)
+    assert reused > 0
+
+
 WORKLOADS = perfbench_workloads()
 
 # (states whose indicator root propagation fixes at 0, those it fixes at
@@ -494,9 +520,9 @@ def test_encoding_grows_only_forward(ring_tdes, phi_two_goals):
         build_encoding(Encoding(ring_tdes, phi_two_goals), 0)
 
 
-# sha256 of ``dump(model)``.  The solver branches in variable index
-# order, so any change to a variable, a row, a big-M or the branching
-# order changes the digest.
+# sha256 of ``dump(model)``: any change to a variable, its index, a row
+# or a big-M changes the digest.  ``dump`` does not print the decision
+# list, which the test above pins.
 GOLDEN_MODELS = {
     ("F[1,5] ap2 & F[1,5] ap4", 11):
         "54cd40ca8c7a1988c67eb8059830f35a4181f54c33f3e0ddddf06b9b8905a72e",

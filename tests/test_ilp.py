@@ -280,6 +280,57 @@ def test_branching_prefers_low_index_and_low_value():
     assert result.assignment == (0, 1)
 
 
+def test_a_decision_must_be_a_binary_variable():
+    model = IlpModel()
+    model.add_var("x", 0, 2)
+    model.add_var("one", 1, 1)
+    model.add_var("b", 0, 1)
+    for var in (0, 1, 3, -1, True, 2.0):
+        with pytest.raises(ModelError):
+            model.add_decision(var)
+    assert model.decisions == []
+    model.add_decision(2)
+    assert model.decisions == [2]
+
+
+def test_decisions_give_the_least_point_in_decision_order(monkeypatch):
+    # Listed decisions are branched first, in list order, 1 before 0, and
+    # the other variables by index, 0 first, so the returned point is the
+    # least feasible one in that order, with or without the cache.  Most
+    # of these models are all binary; a few keys repeat (the symmetric
+    # models repeat far less than under index order, since their prefix
+    # sums start high, which loosens the core).
+    rng = random.Random(4242)
+    feasible = hits = 0
+    for trial in range(400):
+        pick = random_symmetric_model if trial % 2 else random_unit_model
+        model = pick(rng)
+        binaries = [
+            var for var in range(model.num_variables)
+            if (model.lower[var], model.upper[var]) == (0, 1)
+        ]
+        decisions = rng.sample(binaries, rng.randint(0, len(binaries)))
+        for var in decisions:
+            model.add_decision(var)
+        others = [v for v in range(model.num_variables) if v not in decisions]
+        least = min(
+            enumerate_feasible(model),
+            key=lambda p: ([-p[v] for v in decisions], [p[v] for v in others]),
+            default=None,
+        )
+        got = solve(model)
+        assert got.assignment == least, f"trial {trial}: {decisions} {dump(model)}"
+        assert got.feasible == (least is not None)
+        feasible += got.feasible
+        with monkeypatch.context() as patch:
+            patch.setattr(ilp, "CACHE_BYTES", 0)
+            plain = solve(model)
+        assert (plain.feasible, plain.assignment) == (got.feasible, least)
+        assert got.nodes <= plain.nodes
+        hits += got.nodes < plain.nodes
+    assert 100 <= feasible <= 300 and hits >= 5, (feasible, hits)
+
+
 def test_solver_handles_general_integer_bounds():
     model = IlpModel()
     x = model.add_var("x", -3, 4)
@@ -403,23 +454,36 @@ def test_cache_skips_a_refuted_residual_problem(monkeypatch):
     # Keys are tuples, not bytes, once that row is scaled by 300 (a slack
     # above 255) or a variable no row reads keeps its lower bound -1.  (A
     # lower bound of -1 on x would not do: propagation lifts it to 0.)
-    def model_of(scale: int, spare: bool) -> IlpModel:
+    # With a, b, x, y, z listed as decisions and an unlisted binary u
+    # that no row reads between b and x, each frame below a and b
+    # branches on x but keys from u, its lowest unfixed variable: a=0,b=1
+    # hits the key that a=1,b=0 recorded (1 is tried first).
+    def model_of(scale: int, spare: bool, listed: bool) -> IlpModel:
         model = IlpModel()
-        a, b, x, y, z = (model.add_var(name, 0, 1) for name in "abxyz")
+        a, b = model.add_var("a", 0, 1), model.add_var("b", 0, 1)
+        if listed:
+            model.add_var("u", 0, 1)
+        x, y, z = (model.add_var(name, 0, 1) for name in "xyz")
         if spare:
             model.add_var("w", -1, 1)
         model.add([(scale, a), (scale, b), (scale, x)], "<=", 2 * scale)
         for u, v in ((x, y), (x, z), (y, z)):
             model.add([(1, u), (1, v)], ">=", 1)
         model.add([(1, x), (1, y), (1, z)], "<=", 1)
+        if listed:
+            for var in (a, b, x, y, z):
+                model.add_decision(var)
         return model
 
-    models = [model_of(1, False), model_of(300, False), model_of(1, True)]
-    for model in models:
+    shapes = [(1, False), (300, False), (1, True)]
+    models = [model_of(*shape, False) for shape in shapes]
+    listed = [model_of(*shape, True) for shape in shapes]
+    for model in models + listed:
         assert solve(model) == SolveResult(False, None, 10)
     monkeypatch.setattr(ilp, "CACHE_BYTES", 0)  # store no key
-    for model in models:
+    for model in models + listed:
         assert solve(model) == SolveResult(False, None, 12)
+    for model in models:
         assert reference_search(model) == (False, None, 12)
 
 

@@ -70,42 +70,77 @@ def test_progression_confirms_workload_pins(workload, seed):
         )
 
 
+NESTED_PINS = [
+    pytest.param(
+        "ring4.json", "F[1,8] (ap3 & F[1,4] ap1) & G[0,30] !ap4", 1, 11, None,
+        id="nested-ring4",
+    ),
+    pytest.param(
+        WORKLOADS["plant_doc"](4),
+        "F[1,6] (busy0 & F[1,3] (busy1 & !busy0))", 1, 9, 6,
+        id="nested-plant4",
+    ),
+    pytest.param(
+        WORKLOADS["ring_doc"](6),
+        "G[0,30] (ap2 -> F[0,3] ap3) & F[1,14] ap5 & F[1,9] ap3", 1, 18, 13,
+        id="nested-ring6",
+    ),
+    pytest.param(
+        WORKLOADS["ring_doc"](10),
+        "F[1,10] ap4 & F[1,20] ap7 & F[1,25] ap9", 1, 30, 29,
+        id="deep-rung",
+    ),
+    pytest.param(
+        WORKLOADS["ring_doc"](10), "F[1,14] (ap4 & F[1,8] ap2)", 1, 20, 17,
+        id="nested-ring10",
+    ),
+]
+
+
+@pytest.mark.parametrize(("spec", "text", "low", "high", "pinned"), NESTED_PINS)
+def test_progression_confirms_nested_pins(spec, text, low, high, pinned):
+    """The horizons of the nested and deep cases that CI pins; nested
+    ring4 has no run of any horizon in 1..11."""
+    _confirm(_system(spec), text, low, high, pinned)
+
+
+FOUND_WORKLOAD_PINS = [
+    pytest.param(
+        case.system, case.formula, case.horizon_min, case.horizon_max,
+        case.horizon, id=f"{case.name}-seed{seed}",
+    )
+    for seed in (1, 2)
+    for workload in sorted(WORKLOADS["WORKLOADS"])
+    for case in WORKLOADS["WORKLOADS"][workload](seed)
+    if case.horizon is not None
+]
+
+
 @pytest.mark.parametrize(
-    ("spec", "text", "high", "pinned"),
-    [
-        ("ring4.json", "F[1,8] (ap3 & F[1,4] ap1) & G[0,30] !ap4", 11, None),
-        (
-            WORKLOADS["plant_doc"](4),
-            "F[1,6] (busy0 & F[1,3] (busy1 & !busy0))", 9, 6,
-        ),
-        (
-            WORKLOADS["ring_doc"](6),
-            "G[0,30] (ap2 -> F[0,3] ap3) & F[1,14] ap5 & F[1,9] ap3", 18, 13,
-        ),
-        (
-            WORKLOADS["ring_doc"](10),
-            "F[1,10] ap4 & F[1,20] ap7 & F[1,25] ap9", 30, 29,
-        ),
-    ],
-    ids=["nested-ring4", "nested-plant4", "nested-ring6", "deep-rung"],
+    ("spec", "text", "low", "high", "pinned"), FOUND_WORKLOAD_PINS + NESTED_PINS
 )
-def test_progression_confirms_nested_pins(spec, text, high, pinned):
-    """The horizons of the nested and deep cases that CI pins, over
-    1..``high``; nested ring4 has no run of any horizon in 1..11."""
-    _confirm(_system(spec), text, 1, high, pinned)
+def test_synthesis_returns_the_reference_run_on_every_pin(
+    spec, text, low, high, pinned
+):
+    """The run, not just the horizon: ``synthesize`` returns the
+    reference's run, the first in ``outgoing`` order, on every found
+    benchmark case and on every nested and deep case that CI pins."""
+    request = SynthesisRequest(_system(spec), parse(text), low, high)
+    result = synthesize(request)
+    assert (result.horizon, result.fragment) == progression_synthesize(request)
+    assert result.horizon == pinned
 
 
 def test_synthesis_agrees_with_progression_beyond_enumeration():
-    """Verdict and horizon equal the reference's on 100 requests too large
-    to enumerate, and every returned run certifies.  Runs are not
-    compared: the solver returns the least feasible point of its model,
-    not the first run in ``outgoing`` order.  The layer walk gives every
-    horizon's answer, past its repeat too, as the reference does."""
+    """Verdict, horizon and run equal the reference's on 100 requests too
+    large to enumerate, and every returned run certifies.  The layer walk
+    gives every horizon's answer, past its repeat too, as the reference
+    does."""
     found = 0
     for request in deep_requests(seed=15, trials=100):
         result = synthesize(request)
-        horizon, _ = progression_synthesize(request)
-        assert result.horizon == horizon
+        horizon, run = progression_synthesize(request)
+        assert (result.horizon, result.fragment) == (horizon, run)
         if result.found:
             system = request.system
             assert evaluate(
