@@ -475,7 +475,9 @@ def solve(model: IlpModel) -> SolveResult:
     variable is fixed.  A frame branches on the first unfixed variable of
     ``model.decisions``, trying 1 and then 0, or once every decision is
     fixed on ``m``, the unfixed variable of lowest index, trying its
-    values in ascending order.  Then take the deepest frame with a value
+    values in ascending order.  On an encoding, fixing every decision
+    fixes every variable or ends in a conflict, so only hand-built models
+    reach that second rule.  Then take the deepest frame with a value
     left, restore its state (a frame pushed in this pass holds it
     already), fix its variable to that value and loop.  Identical models
     yield identical assignments, and a model with no decisions searches

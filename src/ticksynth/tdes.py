@@ -171,11 +171,12 @@ class UntimedDes(_Tabled):
         if problems:
             raise InvalidSystemError("invalid system: " + "; ".join(problems))
         order = self.event_order()
+        position = {ev: at for at, ev in enumerate(order)}
         rules = {state: [None] * len(order) for state in self.states}
         tries = {state: [TICK] for state in self.states}
         fires = {}
         for (state, ev), target in self.transitions.items():
-            tim, at = self.timing[ev], order.index(ev)
+            tim, at = self.timing[ev], position[ev]
             prospective = tim.kind == PROSPECTIVE
             rules[state][at] = prospective
             tries[state].append(ev)
@@ -395,9 +396,11 @@ def replay_events(system: UntimedDes, events: Iterable[str]) -> Fragment:
 def _names(value: object, what: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise SystemFormatError(f"{what} must be a list of names")
-    if len(set(value)) < len(value):
-        pos = next(p for p, name in enumerate(value) if name in value[:p])
-        raise SystemFormatError(f"{what}[{pos}]: duplicate name {value[pos]!r}")
+    seen: set[str] = set()
+    for pos, name in enumerate(value):
+        if name in seen:
+            raise SystemFormatError(f"{what}[{pos}]: duplicate name {name!r}")
+        seen.add(name)
     return value
 
 

@@ -51,7 +51,7 @@ def test_synth_text_output(capsys):
     assert "trajectory: p1" in out
 
 
-def test_synth_exact_mode_two_goals(capsys):
+def test_synth_json_two_goals(capsys):
     code = run([
         "synth", "--system", RING, "--formula", TWO_GOALS,
         "--hmin", "5", "--hmax", "15", "--format", "json",
@@ -200,6 +200,10 @@ def test_dump_ilp_contains_registry_names(capsys):
     # slot 0 is `ap2`, the operand of the propositional slot 1, `!ap2`,
     # which reads the states directly: the atom gets no binary
     assert "z0[" not in out
+    assert run(["dump-ilp", "--system", RING, "--formula", "ap1",
+                "--horizon", "2"]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == "integer feasibility model: 12 variables, 8 constraints"
 
 
 def test_formula_file_input(tmp_path, capsys):
@@ -440,11 +444,22 @@ def test_byte_identical_reruns(capsys):
     assert first == second
 
 
-def _synth_on_document(tmp_path, doc):
+def _synth_on_document(tmp_path, doc, formula="ap1", hmin="1", hmax="2"):
     path = tmp_path / "system.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    return run(["synth", "--system", str(path), "--formula", "ap1",
-                "--hmax", "2"])
+    return run(["synth", "--system", str(path), "--formula", formula,
+                "--hmin", hmin, "--hmax", hmax])
+
+
+def test_synth_as_deep_as_its_horizon(tmp_path, capsys):
+    # one state and no events: the only run of each horizon ticks
+    # throughout, so the search is as deep as the horizon
+    doc = {"states": ["s"], "events": [], "transitions": [], "initial": "s",
+           "atoms": ["p"], "labels": {"s": ["p"]}}
+    code = _synth_on_document(tmp_path, doc, "p", "1000", "1000")
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert "horizon: 1000" in captured.out.splitlines()
 
 
 def test_transition_source_list_exits_two(tmp_path, capsys, ring_doc):

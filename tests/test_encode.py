@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from collections import Counter
 
@@ -11,13 +12,12 @@ from ticksynth.encode import (
     build_encoding,
     decode,
 )
-from ticksynth.ilp import IlpModel, check_assignment, dump, propagate_bounds, solve
+from ticksynth.ilp import IlpModel, dump, propagate_bounds, solve
 from ticksynth.logic import (
     TRUE,
     And,
     Atom,
     Not,
-    Or,
     Truth,
     UnknownAtomError,
     Until,
@@ -39,7 +39,6 @@ from helpers import (
     induced_valuation,
     perfbench_workloads,
     random_formula,
-    random_fragment,
     random_system,
     reference_propagate,
 )
@@ -182,6 +181,34 @@ def test_decisions_are_the_selectors_in_edge_order(ring_tdes):
         assert build_encoding(grown, 6).model.decisions == listed
         reused += sum(map(len, enc.x)) - len(listed)
     assert reused > 0
+
+
+def test_fixed_decisions_leave_nothing_to_branch_on(ring_tdes):
+    """Fixing every decision fixes every variable of an encoding or ends
+    in a conflict, so ``solve`` never reaches its index-order rule on one.
+    Unit rows, dropped again after, pin the decisions to a run's values:
+    a run that satisfies the formula fixes its induced valuation, and any
+    other run conflicts."""
+    rng = random.Random(4096)
+    cases = [(ring_tdes, parse("F[1,5] ap2 & F[1,5] ap4"), 11)] + [
+        (graph, random_formula(rng, sorted(graph.untimed.atoms), 4), 4)
+        for graph in (build_tdes(random_system(rng, 4), 3000) for _ in range(60))
+    ]
+    held = []
+    for graph, phi, top in cases:
+        system, enc = graph.untimed, Encoding(graph, phi)
+        for horizon in range(1, top + 1):
+            model = build_encoding(enc, horizon).model
+            mark = model.num_constraints
+            for run in itertools.islice(enumerate_fragments(graph, horizon), 40):
+                valuation = list(induced_valuation(enc, run))
+                for var in model.decisions:
+                    model.add([(1, var)], "=", valuation[var])
+                box = propagate_bounds(model)
+                model.truncate(mark)
+                held.append(evaluate(run, phi, 0, system.labeling, system.atoms))
+                assert box == ((valuation, valuation) if held[-1] else None)
+    assert (sum(held), len(held)) == (423, 1_284)
 
 
 WORKLOADS = perfbench_workloads()
@@ -546,38 +573,6 @@ def test_model_text_and_branching_order_are_pinned(ring_tdes, text, horizon):
 
 
 # --- replay completeness --------------------------------------------------------------
-
-def test_induced_valuations_satisfy_exact_model(
-    ring_tdes, route_a, phi_two_goals
-):
-    # the fixture's goals have `true` left operands, which no row reads
-    cases = [(ring_tdes, route_a, phi_two_goals)]
-    rng = random.Random(13)
-    for _ in range(12):
-        graph = build_tdes(random_system(rng, max_states=4), state_cap=3000)
-        atoms = sorted(graph.untimed.atoms)
-        for _ in range(4):
-            horizon = rng.randint(1, 4)
-            frag = random_fragment(rng, graph, horizon)
-            if frag is not None:
-                cases.append((graph, frag, random_formula(rng, atoms, horizon)))
-    assert len(cases) >= 31
-    for graph, frag, phi in cases:
-        system = graph.untimed
-        # the root `phi | !phi` holds on every run, so the valuation of
-        # an arbitrary run must satisfy every row of phi whether or not
-        # phi holds
-        enc = build_encoding(Encoding(graph, Or(phi, Not(phi))), frag.horizon)
-        valuation = induced_valuation(enc, frag)
-        assert check_assignment(enc.model, valuation) == []
-        for (slot, k), var in enc.zphi.items():
-            assert valuation[var] == int(
-                evaluate(
-                    frag, enc.table.entries[slot], k,
-                    system.labeling, system.atoms,
-                )
-            )
-
 
 def test_run_encoding_points_are_exactly_the_runs():
     # One run model (formula `true`) grown over h = 1..H.  At every h,

@@ -49,86 +49,98 @@ def _system(spec):
     return system_from_json(spec)
 
 
-def _confirm(system, text, low, high, pinned):
-    phi = parse(text)
-    horizon, run = progression_synthesize(SynthesisRequest(system, phi, low, high))
-    assert horizon == pinned
-    if run is not None:
-        assert run.horizon == pinned
-        assert evaluate(run, phi, 0, system.labeling, system.atoms)
+def _bench(name, seed, *pinned):
+    """The row of benchmark case ``name`` at ``seed``, whose range and
+    answer must still be the pinned ones."""
+    (case,) = [
+        case for make in WORKLOADS["WORKLOADS"].values()
+        for case in make(seed) if case.name == name
+    ]
+    if (case.horizon_min, case.horizon_max, case.horizon) != pinned[:3]:
+        raise ValueError(f"benchmark case {name} at seed {seed} has changed")
+    return pytest.param(case.system, case.formula, *pinned, id=f"{name}-seed{seed}")
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("workload", sorted(WORKLOADS["WORKLOADS"]))
-def test_progression_confirms_workload_pins(workload, seed):
-    """Every benchmark case's pinned answer, "not found" included: ring10
-    has no run of any horizon in 1..23, which enumeration cannot check."""
-    for case in WORKLOADS["WORKLOADS"][workload](seed):
-        _confirm(
-            _system(case.system), case.formula,
-            case.horizon_min, case.horizon_max, case.horizon,
-        )
+RING6, RING10 = WORKLOADS["ring_doc"](6), WORKLOADS["ring_doc"](10)
+TWO_GOAL_RUN = "move14 tick reach14 move41 tick tick reach41 move12 tick tick reach12"
+RING6_RUN = (
+    "move_1_2 tick reach_1_2 move_2_3 tick reach_2_3 move_3_4 tick reach_3_4"
+    " move_4_5 tick tick reach_4_5"
+)
+NESTED_RING4 = "F[1,8] (ap3 & F[1,4] ap1) & G[0,30] !ap4"
+ONE_STATE = {"states": ["s"], "events": [], "transitions": [], "initial": "s",
+             "atoms": ["p"], "labels": {"s": ["p"]}}
 
-
-NESTED_PINS = [
+# Every pinned search: system, formula, range, least horizon (None: no run
+# in range), the deciding model's variables and constraints, the nodes of
+# the whole horizon loop, and the run's events where they are quoted.
+PINS = [
+    _bench("ring4-two-goal", 1, 5, 15, 11, 258, 255, 77, TWO_GOAL_RUN),
+    _bench("ring4-two-goal", 2, 5, 15, 11, 258, 255, 77, TWO_GOAL_RUN),
+    _bench("ring4-avoid-until", 1, 5, 15, 7, 113, 120, 8, None),
+    _bench("ring4-avoid-until", 2, 5, 15, 7, 113, 120, 8, None),
+    _bench("ring6", 1, 1, 16, 13, 366, 316, 41, None),
+    _bench("ring6", 2, 1, 16, 13, 366, 316, 35, None),
+    _bench("ring10", 1, 1, 23, None, 1_091, 858, 168, None),
+    _bench("ring10", 2, 1, 23, None, 1_091, 858, 168, None),
+    _bench("plant4", 1, 1, 8, 5, 389, 135, 5, None),
+    _bench("plant4", 2, 1, 8, 5, 389, 135, 5, None),
     pytest.param(
-        "ring4.json", "F[1,8] (ap3 & F[1,4] ap1) & G[0,30] !ap4", 1, 11, None,
+        "ring4.json", NESTED_RING4, 1, 11, None, 430, 727, 36, None,
         id="nested-ring4",
     ),
     pytest.param(
-        WORKLOADS["plant_doc"](4),
-        "F[1,6] (busy0 & F[1,3] (busy1 & !busy0))", 1, 9, 6,
+        WORKLOADS["plant_doc"](4), "F[1,6] (busy0 & F[1,3] (busy1 & !busy0))",
+        1, 9, 6, 1_038, 490, 59, "start0 tick start1 tick tick finish0",
         id="nested-plant4",
     ),
     pytest.param(
-        WORKLOADS["ring_doc"](6),
-        "G[0,30] (ap2 -> F[0,3] ap3) & F[1,14] ap5 & F[1,9] ap3", 1, 18, 13,
-        id="nested-ring6",
+        RING6, "G[0,30] (ap2 -> F[0,3] ap3) & F[1,14] ap5 & F[1,9] ap3",
+        1, 18, 13, 533, 793, 41, RING6_RUN, id="nested-ring6",
     ),
     pytest.param(
-        WORKLOADS["ring_doc"](10),
-        "F[1,10] ap4 & F[1,20] ap7 & F[1,25] ap9", 1, 30, 29,
-        id="deep-rung",
+        RING10, "F[1,10] ap4 & F[1,20] ap7 & F[1,25] ap9", 1, 30, 29,
+        1_581, 1_200, 1_231, RING6_RUN + " move_5_6 tick tick tick reach_5_6"
+        " move_6_7 tick reach_6_7 move_7_8 tick tick reach_7_8 move_8_9 tick"
+        " tick reach_8_9", id="deep-rung",
     ),
     pytest.param(
-        WORKLOADS["ring_doc"](10), "F[1,14] (ap4 & F[1,8] ap2)", 1, 20, 17,
+        RING10, "F[1,14] (ap4 & F[1,8] ap2)", 1, 20, 17, 939, 1_464, 3_067,
+        "move_1_2 tick reach_1_2 move_2_3 tick reach_2_3 move_3_4 tick"
+        " reach_3_4 move_4_3 tick tick reach_4_3 move_3_2 tick tick reach_3_2",
         id="nested-ring10",
     ),
-]
-
-
-@pytest.mark.parametrize(("spec", "text", "low", "high", "pinned"), NESTED_PINS)
-def test_progression_confirms_nested_pins(spec, text, low, high, pinned):
-    """The horizons of the nested and deep cases that CI pins; nested
-    ring4 has no run of any horizon in 1..11."""
-    _confirm(_system(spec), text, low, high, pinned)
-
-
-FOUND_WORKLOAD_PINS = [
+    # one state and no events: the only run ticks throughout, so the
+    # search is as deep as the horizon
     pytest.param(
-        case.system, case.formula, case.horizon_min, case.horizon_max,
-        case.horizon, id=f"{case.name}-seed{seed}",
-    )
-    for seed in (1, 2)
-    for workload in sorted(WORKLOADS["WORKLOADS"])
-    for case in WORKLOADS["WORKLOADS"][workload](seed)
-    if case.horizon is not None
+        ONE_STATE, "p", 1_000, 1_000, 1_000, 2_002, 2_002, 0,
+        " ".join(["tick"] * 1_000), id="one-state",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    ("spec", "text", "low", "high", "pinned"), FOUND_WORKLOAD_PINS + NESTED_PINS
+    "spec, text, low, high, horizon, variables, constraints, nodes, events", PINS
 )
 def test_synthesis_returns_the_reference_run_on_every_pin(
-    spec, text, low, high, pinned
+    spec, text, low, high, horizon, variables, constraints, nodes, events
 ):
-    """The run, not just the horizon: ``synthesize`` returns the
-    reference's run, the first in ``outgoing`` order, on every found
-    benchmark case and on every nested and deep case that CI pins."""
-    request = SynthesisRequest(_system(spec), parse(text), low, high)
+    """Every pinned search, run once by ``synthesize`` and once by the
+    reference: the same run, the first in ``outgoing`` order, or the same
+    "not found" (ring10 has no run in 1..23, which enumeration cannot
+    check); then every pinned number."""
+    system, phi = _system(spec), parse(text)
+    request = SynthesisRequest(system, phi, low, high)
     result = synthesize(request)
     assert (result.horizon, result.fragment) == progression_synthesize(request)
-    assert result.horizon == pinned
+    stats = result.statistics
+    assert (result.horizon, stats.variables, stats.constraints, stats.nodes) == (
+        horizon, variables, constraints, nodes,
+    )
+    if result.found:
+        assert evaluate(result.fragment, phi, 0, system.labeling, system.atoms)
+    if events is not None:
+        assert " ".join(result.fragment.events) == events
 
 
 def test_synthesis_agrees_with_progression_beyond_enumeration():
@@ -153,9 +165,6 @@ def test_synthesis_agrees_with_progression_beyond_enumeration():
         for h in range(1, request.horizon_max + 1):
             assert walk.holds(h) == (reference.run(h) is not None), h
     assert found == 41
-
-
-NESTED_RING4 = "F[1,8] (ap3 & F[1,4] ap1) & G[0,30] !ap4"
 
 
 def test_walk_refutes_nested_ring4_at_every_horizon():

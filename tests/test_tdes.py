@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -402,8 +403,11 @@ def test_no_timed_state_is_a_dead_end(ring_tdes):
         assert len(graph.outgoing) == graph.n, trial
         assert all(graph.outgoing), trial
         blocked += sum(TICK not in dict(pairs) for pairs in graph.outgoing)
-    assert [graph.n for graph in graphs[-2:]] == [67, 1260]
     assert blocked >= 1000
+    # states, transitions and tick transitions, as `ticksynth build` counts
+    edges = [[ev for pairs in g.outgoing for ev, _ in pairs] for g in graphs[-2:]]
+    assert [(len(e), e.count(TICK)) for e in edges] == [(107, 67), (3798, 600)]
+    assert [graph.n for graph in graphs[-2:]] == [67, 1260]
 
 
 def bfs_depths(graph):
@@ -595,12 +599,19 @@ def test_system_json_rejects_duplicate_transition(ring_doc):
      "'atoms'[2]: duplicate name 'ap1'"),
     (lambda doc: doc["labels"]["p2"].append("ap2"),
      "labels['p2'][1]: duplicate name 'ap2'"),
-], ids=["states", "atoms", "labels"])
+    # 30,000 new names, then three repeats: a scan of every prefix for
+    # each name would take seconds
+    (lambda doc: doc["states"].extend(
+        [f"s{i}" for i in range(30_000)] + ["s29999", "p1", "s7"]),
+     "'states'[30012]: duplicate name 's29999'"),
+], ids=["states", "atoms", "labels", "long-states"])
 def test_system_json_rejects_duplicate_names(ring_doc, edit, message):
     doc = json.loads(json.dumps(ring_doc))
     edit(doc)
+    start = time.perf_counter()
     with pytest.raises(SystemFormatError) as err:
         system_from_json(doc)
+    assert time.perf_counter() - start < 1.0
     assert str(err.value) == message
 
 
