@@ -12,12 +12,13 @@ from ticksynth.encode import (
     build_encoding,
     decode,
 )
-from ticksynth.ilp import IlpModel, dump, propagate_bounds, solve
+from ticksynth.ilp import IlpModel, check_assignment, dump, propagate_bounds, solve
 from ticksynth.logic import (
     TRUE,
     And,
     Atom,
     Not,
+    Or,
     Truth,
     UnknownAtomError,
     Until,
@@ -39,6 +40,7 @@ from helpers import (
     induced_valuation,
     perfbench_workloads,
     random_formula,
+    random_fragment,
     random_system,
     reference_propagate,
 )
@@ -573,6 +575,38 @@ def test_model_text_and_branching_order_are_pinned(ring_tdes, text, horizon):
 
 
 # --- replay completeness --------------------------------------------------------------
+
+def test_induced_valuations_satisfy_exact_model(
+    ring_tdes, route_a, phi_two_goals
+):
+    # the fixture's goals have `true` left operands, which no row reads
+    cases = [(ring_tdes, route_a, phi_two_goals)]
+    rng = random.Random(13)
+    for _ in range(12):
+        graph = build_tdes(random_system(rng, max_states=4), state_cap=3000)
+        atoms = sorted(graph.untimed.atoms)
+        for _ in range(4):
+            horizon = rng.randint(1, 4)
+            frag = random_fragment(rng, graph, horizon)
+            if frag is not None:
+                cases.append((graph, frag, random_formula(rng, atoms, horizon)))
+    assert len(cases) >= 31
+    for graph, frag, phi in cases:
+        system = graph.untimed
+        # the root `phi | !phi` holds on every run, so the valuation of
+        # an arbitrary run must satisfy every row of phi whether or not
+        # phi holds
+        enc = build_encoding(Encoding(graph, Or(phi, Not(phi))), frag.horizon)
+        valuation = induced_valuation(enc, frag)
+        assert check_assignment(enc.model, valuation) == []
+        for (slot, k), var in enc.zphi.items():
+            assert valuation[var] == int(
+                evaluate(
+                    frag, enc.table.entries[slot], k,
+                    system.labeling, system.atoms,
+                )
+            )
+
 
 def test_run_encoding_points_are_exactly_the_runs():
     # One run model (formula `true`) grown over h = 1..H.  At every h,

@@ -1,5 +1,7 @@
 """The progression reference against enumeration, then against every pin."""
 
+import functools
+
 import pytest
 
 from ticksynth.logic import evaluate, parse
@@ -119,20 +121,62 @@ PINS = [
 ]
 
 
+ROWS = {row.id: row.values for row in PINS}
+
+
+@functools.cache
+def _request(name):
+    spec, text, low, high = ROWS[name][:4]
+    return SynthesisRequest(_system(spec), parse(text), low, high)
+
+
+@functools.cache
+def _reference(name):
+    """The reference's answer to row ``name``, searched once a session."""
+    return progression_synthesize(_request(name))
+
+
+def _confirm(name):
+    """The reference gives row ``name`` its pinned horizon and run."""
+    request, (horizon, run) = _request(name), _reference(name)
+    system, pinned, events = request.system, ROWS[name][4], ROWS[name][8]
+    assert horizon == pinned
+    if run is not None:
+        assert run.horizon == pinned
+        assert evaluate(run, request.formula, 0, system.labeling, system.atoms)
+    if events is not None:
+        assert " ".join(run.events) == events
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("workload", sorted(WORKLOADS["WORKLOADS"]))
+def test_progression_confirms_workload_pins(workload, seed):
+    """Every benchmark case's pinned answer, "not found" included: ring10
+    has no run of any horizon in 1..23, which enumeration cannot check."""
+    for case in WORKLOADS["WORKLOADS"][workload](seed):
+        _confirm(f"{case.name}-seed{seed}")
+
+
 @pytest.mark.parametrize(
-    "spec, text, low, high, horizon, variables, constraints, nodes, events", PINS
+    "name", ["nested-ring4", "nested-plant4", "nested-ring6", "deep-rung", "nested-ring10"]
 )
-def test_synthesis_returns_the_reference_run_on_every_pin(
-    spec, text, low, high, horizon, variables, constraints, nodes, events
-):
-    """Every pinned search, run once by ``synthesize`` and once by the
-    reference: the same run, the first in ``outgoing`` order, or the same
-    "not found" (ring10 has no run in 1..23, which enumeration cannot
-    check); then every pinned number."""
-    system, phi = _system(spec), parse(text)
-    request = SynthesisRequest(system, phi, low, high)
+def test_progression_confirms_nested_pins(name):
+    """The horizons and runs of the nested and deep cases; nested ring4
+    has no run of any horizon in 1..11."""
+    _confirm(name)
+
+
+@pytest.mark.parametrize("name", list(ROWS))
+def test_synthesis_returns_the_reference_run_on_every_pin(name):
+    """Every pinned search: ``synthesize`` returns the reference's run,
+    the first in ``outgoing`` order, or the same "not found" (ring10 has
+    no run in 1..23, which enumeration cannot check); then every pinned
+    number."""
+    request = _request(name)
+    system, phi = request.system, request.formula
+    horizon, variables, constraints, nodes, events = ROWS[name][4:]
     result = synthesize(request)
-    assert (result.horizon, result.fragment) == progression_synthesize(request)
+    assert (result.horizon, result.fragment) == _reference(name)
     stats = result.statistics
     assert (result.horizon, stats.variables, stats.constraints, stats.nodes) == (
         horizon, variables, constraints, nodes,

@@ -32,7 +32,7 @@ from helpers import (
 )
 
 
-def test_avoid_until_minimal_horizon_both_searches(ring, phi_avoid_until):
+def test_avoid_until_minimal_horizon_every_mode(ring, phi_avoid_until):
     request = SynthesisRequest(ring, phi_avoid_until, 5, 15)
     for search in (synthesize, oracle_synthesize):
         result = search(request)
@@ -58,12 +58,20 @@ def test_two_goal_formula_feasible_exactly_from_eleven(ring, phi_two_goals):
     assert missed.horizon is None and missed.fragment is None
 
 
+def test_exact_search_effort_is_pinned(ring, phi_two_goals, phi_avoid_until):
+    """Total nodes of the exact horizon loop on the fixture.  Model and
+    propagation changes that keep the search must keep these counts."""
+    for phi, horizon, nodes in ((phi_two_goals, 11, 77), (phi_avoid_until, 7, 8)):
+        result = synthesize(SynthesisRequest(ring, phi, 5, 15))
+        assert (result.horizon, result.statistics.nodes) == (horizon, nodes)
+
+
 def test_search_effort_per_horizon_is_pinned(
     ring_tdes, phi_two_goals, phi_avoid_until
 ):
     """Nodes of each horizon's solve, grown as ``synthesize`` grows them:
     a change that moves nodes between horizons fails here even when the
-    totals that ``test_progression.PINS`` pins still match."""
+    totals above still match."""
     for phi, nodes in (
         (phi_two_goals, [2, 6, 10, 14, 18, 22, 5]),
         (phi_avoid_until, [0, 0, 8]),
@@ -127,6 +135,15 @@ def test_state_cap_bounds_only_the_states_the_horizons_reach(
     default = synthesize(SynthesisRequest(ring, phi_avoid_until, 1, 7))
     assert capped.horizon == default.horizon == 7
     assert capped.fragment == default.fragment
+
+
+def test_decisive_model_size_is_pinned(ring, phi_two_goals, phi_avoid_until):
+    """Variables and constraints of the model that decided the search.
+    Growing the model a step per horizon must leave them as a fresh
+    build at the decisive horizon has them."""
+    for phi, size in ((phi_two_goals, (258, 255)), (phi_avoid_until, (113, 120))):
+        stats = synthesize(SynthesisRequest(ring, phi, 5, 15)).statistics
+        assert (stats.variables, stats.constraints) == size
 
 
 def test_until_windows_leave_out_constant_left_operand(ring_tdes, phi_two_goals):
@@ -194,6 +211,23 @@ def test_enumeration_is_lexicographic(ring_tdes):
     events = [r.events for r in runs]
     assert events == sorted(events)
     assert len(set(events)) == len(events)
+
+
+def test_oracle_finds_avoid_until_at_seven(ring, phi_avoid_until):
+    result = oracle_synthesize(
+        SynthesisRequest(ring, phi_avoid_until, 5, 8)
+    )
+    assert result.found and result.horizon == 7
+    assert evaluate(
+        result.fragment, phi_avoid_until, 0, ring.labeling, ring.atoms
+    )
+
+
+def test_oracle_misses_below_seven(ring, phi_avoid_until):
+    result = oracle_synthesize(
+        SynthesisRequest(ring, phi_avoid_until, 5, 6)
+    )
+    assert not result.found
 
 
 def test_oracle_returns_lex_first_satisfying_run(ring, ring_tdes, phi_avoid_until):
