@@ -97,11 +97,11 @@ def _formula_text(args: argparse.Namespace) -> str:
         raise ValueError(f"{args.formula_file}: {exc}") from exc
 
 
-def _result_payload(result: synth.SynthesisResult) -> dict:
+def _result_payload(result: synth.SynthesisResult, hmax: int) -> dict:
     payload: dict = {
         "found": result.found,
         "horizon": result.horizon,
-        "horizon_max": result.horizon_max,
+        "horizon_max": hmax,
         "stats": {
             "variables": result.statistics.variables,
             "constraints": result.statistics.constraints,
@@ -130,7 +130,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         graph = tdes.build_tdes(system, args.state_cap)
     result = synth.synthesize(request)
     if args.format == "json":
-        print(json.dumps(_result_payload(result), indent=2, sort_keys=True))
+        print(json.dumps(_result_payload(result, args.hmax), indent=2, sort_keys=True))
     elif args.format == "dot":
         print(tdes.tdes_to_dot(graph, highlight=result.fragment), end="")
     else:
@@ -140,7 +140,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             print("events: " + " ".join(result.fragment.events))
             print("trajectory: " + " ".join(result.fragment.activities()))
         else:
-            print(f"horizon-max: {result.horizon_max}")
+            print(f"horizon-max: {args.hmax}")
         stats = result.statistics
         print(f"variables: {stats.variables}")
         print(f"constraints: {stats.constraints}")

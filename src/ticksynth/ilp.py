@@ -136,13 +136,11 @@ class IlpModel:
         self._rows: list[tuple[tuple, tuple, bool, int]] = []
         # watch stores: the rows whose minimum activity a variable's lower
         # bound (coef > 0) or upper bound (coef < 0) enters, unit rows as
-        # bare row indices and all other rows as flat (row, |coef|) pairs;
-        # most variables enter no weighted row, so an empty pair store is
-        # the shared () until a row enters it
+        # bare row indices and all other rows as flat (row, |coef|) pairs
         self._unit_lo: list[list[int]] = []
         self._unit_hi: list[list[int]] = []
-        self._watch_lo: list[list[int] | tuple[()]] = []
-        self._watch_hi: list[list[int] | tuple[()]] = []
+        self._watch_lo: list[list[int]] = []
+        self._watch_hi: list[list[int]] = []
         # per row: slack and cap at the declared bounds; ascending rows
         # whose slack is below their cap (the rows a solve queues first)
         self._slack: list[int] = []
@@ -173,8 +171,8 @@ class IlpModel:
         self._upper.append(hi)
         self._unit_lo.append([])
         self._unit_hi.append([])
-        self._watch_lo.append(())
-        self._watch_hi.append(())
+        self._watch_lo.append([])
+        self._watch_hi.append([])
         return len(self.names) - 1
 
     def add_decision(self, var: int) -> int:
@@ -265,10 +263,8 @@ class IlpModel:
                     self._unit_hi[var].append(row)
             else:
                 for var, weight in pos:
-                    self._watch_lo[var] = self._watch_lo[var] or []
                     self._watch_lo[var] += (row, weight)
                 for var, weight in neg:
-                    self._watch_hi[var] = self._watch_hi[var] or []
                     self._watch_hi[var] += (row, weight)
             self._rows.append((pos, neg, unit, mirror))
             pos, neg, mirror = neg, pos, row  # the mirror of an = row
@@ -297,9 +293,9 @@ class IlpModel:
                         self._unit_hi[var].pop()
                 else:
                     for var, _ in pos:
-                        self._watch_lo[var] = self._watch_lo[var][:-2] or ()
+                        del self._watch_lo[var][-2:]
                     for var, _ in neg:
-                        self._watch_hi[var] = self._watch_hi[var][:-2] or ()
+                        del self._watch_hi[var][-2:]
                 self._slack.pop()
                 self._cap.pop()
                 self._reach.pop()

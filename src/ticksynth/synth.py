@@ -10,7 +10,6 @@ lexicographic event order and evaluates the formula directly.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -55,21 +54,18 @@ class SynthStats(NamedTuple):
     ``variables`` and ``constraints`` are the size of the grown model at
     the last horizon tried, which equals that of a model built at that
     horizon alone.  ``nodes`` accumulates over every solve of the horizon
-    loop (or every enumerated run, for the oracle); ``wall_time`` covers
-    the whole call.
+    loop (or every enumerated run, for the oracle).
     """
 
     variables: int
     constraints: int
     nodes: int
-    wall_time: float
 
 
 class SynthesisResult(NamedTuple):
     found: bool
     fragment: Fragment | None
     horizon: int | None
-    horizon_max: int
     statistics: SynthStats
 
 
@@ -87,7 +83,6 @@ def synthesize(request: SynthesisRequest) -> SynthesisResult:
     :func:`~ticksynth.encode.decode`, which raises
     :class:`~ticksynth.encode.DecodeError` for a run that fails.
     """
-    start = time.perf_counter()
     graph = TimedDes(request.system, request.state_cap)
     enc = Encoding(graph, request.formula)
     nodes, fragment = 0, None
@@ -98,17 +93,9 @@ def synthesize(request: SynthesisRequest) -> SynthesisResult:
         if result.feasible:
             fragment = decode(enc, result.assignment)
             break
-    model = enc.model
-    stats = SynthStats(
-        model.num_variables,
-        model.num_constraints,
-        nodes,
-        time.perf_counter() - start,
-    )
+    stats = SynthStats(enc.model.num_variables, enc.model.num_constraints, nodes)
     found = fragment is not None
-    return SynthesisResult(
-        found, fragment, horizon if found else None, request.horizon_max, stats
-    )
+    return SynthesisResult(found, fragment, horizon if found else None, stats)
 
 
 def enumerate_fragments(graph: TimedDes, horizon: int) -> Iterator[Fragment]:
@@ -143,7 +130,6 @@ def oracle_synthesize(request: SynthesisRequest) -> SynthesisResult:
     feasible horizon in range.  Intended for small instances: each
     horizon must keep max-branching**horizon within ``ORACLE_BUDGET``.
     """
-    start = time.perf_counter()
     graph = build_tdes(request.system, request.state_cap)
     system = request.system
     branching = max(len(adjacency) for adjacency in graph.outgoing)
@@ -161,11 +147,6 @@ def oracle_synthesize(request: SynthesisRequest) -> SynthesisResult:
             if evaluate(
                 fragment, request.formula, 0, system.labeling, system.atoms
             ):
-                stats = SynthStats(
-                    0, 0, examined, time.perf_counter() - start
-                )
-                return SynthesisResult(
-                    True, fragment, horizon, request.horizon_max, stats
-                )
-    stats = SynthStats(0, 0, examined, time.perf_counter() - start)
-    return SynthesisResult(False, None, None, request.horizon_max, stats)
+                stats = SynthStats(0, 0, examined)
+                return SynthesisResult(True, fragment, horizon, stats)
+    return SynthesisResult(False, None, None, SynthStats(0, 0, examined))

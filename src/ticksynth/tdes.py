@@ -404,10 +404,22 @@ def _names(value: object, what: str) -> list[str]:
     return value
 
 
-def _known_keys(entry: dict, where: str, error: type, keys: str) -> None:
-    for key in entry:
-        if key not in keys.split():
+def _object(
+    value: object, where: str, error: type, required: str, optional: str = ""
+) -> dict:
+    """``value`` once it is a JSON object with every ``required`` key and
+    no key outside ``required`` and ``optional``; an unknown key is
+    reported before a missing one."""
+    if not isinstance(value, dict):
+        raise error(f"{where} must be a JSON object")
+    allowed = f"{required} {optional}".split()
+    for key in value:
+        if key not in allowed:
             raise error(f"{where}: unknown key {key!r}")
+    for key in required.split():
+        if key not in value:
+            raise error(f"{where} lacks {key!r}")
+    return value
 
 
 def system_from_json(data: object) -> UntimedDes:
@@ -417,13 +429,8 @@ def system_from_json(data: object) -> UntimedDes:
     element; :class:`UntimedDes` raises :class:`InvalidSystemError` for
     the structural invariants.
     """
-    if not isinstance(data, dict):
-        raise SystemFormatError("system document must be a JSON object")
-    keys = "states events transitions initial atoms labels"
-    _known_keys(data, "system document", SystemFormatError, keys)
-    for key in ("states", "events", "transitions", "initial"):
-        if key not in data:
-            raise SystemFormatError(f"system document lacks {key!r}")
+    required = "states events transitions initial"
+    _object(data, "system document", SystemFormatError, required, "atoms labels")
 
     states = _names(data["states"], "'states'")
     if not isinstance(data["initial"], str):
@@ -435,9 +442,7 @@ def system_from_json(data: object) -> UntimedDes:
 
     events: dict[str, EventTiming] = {}
     for pos, entry in enumerate(data["events"]):
-        if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
-            raise SystemFormatError(f"events[{pos}] needs 'name' and 'kind'")
-        _known_keys(entry, f"events[{pos}]", SystemFormatError, "name kind lower upper")
+        _object(entry, f"events[{pos}]", SystemFormatError, "name kind", "lower upper")
         name = entry["name"]
         if not isinstance(name, str):
             raise SystemFormatError(f"events[{pos}]: 'name' must be a string")
@@ -452,20 +457,15 @@ def system_from_json(data: object) -> UntimedDes:
 
     transitions: dict[tuple[str, str], str] = {}
     for pos, entry in enumerate(data["transitions"]):
-        if not isinstance(entry, dict) or not {"from", "event", "to"} <= set(entry):
-            raise SystemFormatError(
-                f"transitions[{pos}] needs 'from', 'event' and 'to'"
-            )
-        _known_keys(entry, f"transitions[{pos}]", SystemFormatError, "from event to")
+        _object(entry, f"transitions[{pos}]", SystemFormatError, "from event to")
         if not all(isinstance(entry[k], str) for k in ("from", "event", "to")):
             raise SystemFormatError(
                 f"transitions[{pos}]: 'from', 'event' and 'to' must be names"
             )
         key = (entry["from"], entry["event"])
-        if key in transitions and transitions[key] != entry["to"]:
+        if key in transitions:
             raise SystemFormatError(
-                f"transitions[{pos}]: duplicate source/event pair {key!r} "
-                "with a different target"
+                f"transitions[{pos}]: duplicate source/event pair {key!r}"
             )
         transitions[key] = entry["to"]
 
@@ -530,9 +530,7 @@ def fragment_from_json(data: object, system: UntimedDes) -> Fragment:
     reconstructed by replaying the events from the initial state; provided
     activities (and timers, where present) are checked against the replay.
     """
-    if not isinstance(data, dict) or "states" not in data or "events" not in data:
-        raise FragmentError("fragment document needs 'states' and 'events'")
-    _known_keys(data, "fragment document", FragmentError, "states events")
+    _object(data, "fragment document", FragmentError, "states events")
     raw_states = data["states"]
     raw_events = data["events"]
     if not isinstance(raw_states, list) or not isinstance(raw_events, list):
@@ -548,9 +546,7 @@ def fragment_from_json(data: object, system: UntimedDes) -> Fragment:
             raise FragmentError(f"events[{pos}] must be an event name")
 
     for pos, entry in enumerate(raw_states):
-        if not isinstance(entry, dict) or "activity" not in entry:
-            raise FragmentError(f"states[{pos}] needs 'activity'")
-        _known_keys(entry, f"states[{pos}]", FragmentError, "activity timers")
+        _object(entry, f"states[{pos}]", FragmentError, "activity", "timers")
         if not isinstance(entry["activity"], str):
             raise FragmentError(f"states[{pos}]: 'activity' must be a string")
         timers = entry.get("timers")

@@ -9,6 +9,7 @@ run with nothing but counting and the direct evaluator.
 
 from __future__ import annotations
 
+import functools
 import random
 import runpy
 from collections import deque
@@ -100,6 +101,16 @@ def random_system(
         labeling=labeling,
         timing=timing,
     )
+
+
+@functools.cache
+def seed_1994_systems() -> tuple[tuple[UntimedDes, TimedDes], ...]:
+    """The 120 random systems ``random.Random(1994)`` draws, each with its
+    whole timed graph (state cap 5000), built once a session.  A whole
+    graph has nothing left to explore, so no test can change one."""
+    rng = random.Random(1994)
+    systems = [random_system(rng) for _ in range(120)]
+    return tuple((system, build_tdes(system, state_cap=5000)) for system in systems)
 
 
 def random_formula(

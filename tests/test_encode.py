@@ -43,6 +43,7 @@ from helpers import (
     random_fragment,
     random_system,
     reference_propagate,
+    seed_1994_systems,
 )
 from ticksynth.synth import enumerate_fragments
 from ticksynth.logic import evaluate
@@ -102,11 +103,8 @@ def test_trajectory_sizes_on_ring(ring_tdes):
 
 
 def test_state_vectors_cover_exactly_the_reachable_layers():
-    # the 120 random systems of test_random_reachable_graphs_match_reference
-    rng = random.Random(1994)
     horizon = 4
-    for _ in range(120):
-        graph = build_tdes(random_system(rng), state_cap=5000)
+    for _, graph in seed_1994_systems():
         enc = build_encoding(Encoding(graph, TRUE), horizon)
         for k in range(horizon + 1):
             ends = {
@@ -152,10 +150,7 @@ def test_forced_selectors_reuse_their_state_variable(ring_tdes):
                           ("!ap2 U[3,5] ap3", 7)):
         enc = build_encoding(Encoding(ring_tdes, parse(text)), horizon)
         assert_no_forced_copies(enc)
-    # the 120 random systems of test_random_reachable_graphs_match_reference
-    rng = random.Random(1994)
-    for _ in range(120):
-        graph = build_tdes(random_system(rng), state_cap=5000)
+    for _, graph in seed_1994_systems():
         assert_no_forced_copies(build_encoding(Encoding(graph, TRUE), 4))
 
 
@@ -268,11 +263,8 @@ def test_root_propagation_fixes_the_same_states(spec, text, low, fixed):
 
 
 def test_model_over_explored_graph_matches_model_over_full_graph():
-    # the 120 random systems of test_random_reachable_graphs_match_reference
-    rng, formulas = random.Random(1994), random.Random(5)
-    for trial in range(120):
-        system = random_system(rng)
-        full = build_tdes(system, state_cap=5000)
+    formulas = random.Random(5)
+    for trial, (system, full) in enumerate(seed_1994_systems()):
         for horizon in range(1, 5):
             phi = random_formula(formulas, sorted(system.atoms), horizon)
             explored = build_encoding(Encoding(TimedDes(system), phi), horizon)

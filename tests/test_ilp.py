@@ -172,8 +172,7 @@ def _expected_watches(model: IlpModel) -> tuple[list[list[int]], ...]:
     by its variable's lower bound, a negative one by its upper bound,
     and the other way round for an ``=`` row's mirror.  A unit row, all
     coefficients ±1 over variables declared [0, 1], is watched by bare
-    row index, every other row by (row, |coef|) pairs; an empty pair
-    store is ``()``, so that it allocates nothing."""
+    row index, every other row by (row, |coef|) pairs."""
     n = model.num_variables
     stores = tuple([[] for _ in range(n)] for _ in range(4))
     unit_lo, unit_hi, watch_lo, watch_hi = stores
@@ -197,8 +196,6 @@ def _expected_watches(model: IlpModel) -> tuple[list[list[int]], ...]:
                         row, abs(coef)
                     )
             row += 1
-    for watch in watch_lo, watch_hi:
-        watch[:] = [entries or () for entries in watch]
     return stores
 
 

@@ -196,12 +196,11 @@ def test_request_validation(ring, phi_two_goals):
 
 
 def test_stats_are_populated(ring, phi_avoid_until):
-    result = synthesize(
-        SynthesisRequest(ring, phi_avoid_until, 7, 7)
-    )
-    stats = result.statistics
+    request = SynthesisRequest(ring, phi_avoid_until, 7, 7)
+    stats = synthesize(request).statistics
     assert stats.variables > 0 and stats.constraints > 0
-    assert stats.wall_time >= 0.0
+    # no clock reading: two searches of one request give equal results
+    assert synthesize(request) == synthesize(request)
 
 
 # --- enumeration oracle -----------------------------------------------------------

@@ -36,7 +36,12 @@ from ticksynth.tdes import (
     untimed_to_dot,
 )
 
-from helpers import abstract_fragment, perfbench_workloads, random_system
+from helpers import (
+    abstract_fragment,
+    perfbench_workloads,
+    random_system,
+    seed_1994_systems,
+)
 from tdes_oracle import reference_reachable_graph
 
 
@@ -351,11 +356,8 @@ def _matches_reference(graph) -> bool:
 def test_random_reachable_graphs_match_reference():
     # ring4's events are all remote; random systems mix in prospective
     # ones, so tick blocking and the prospective window are cross-checked
-    rng = random.Random(1994)
     blocked_ticks = prospective_edges = 0
-    for trial in range(120):
-        system = random_system(rng)
-        graph = build_tdes(system, state_cap=5000)
+    for trial, (system, graph) in enumerate(seed_1994_systems()):
         assert _matches_reference(graph), trial
         blocked_ticks += sum(
             TICK not in dict(pairs) for pairs in graph.outgoing
@@ -388,8 +390,8 @@ def test_no_timed_state_is_a_dead_end(ring_tdes):
     # has an edge out: the encoding's flow row of a state left by no edge
     # never fires.  Random systems, dense and sparse, and the benchmark's
     # ring10 and plant4, each built whole.
-    graphs = [ring_tdes]
-    for seed, density in ((1994, 0.55), (2718, 0.2), (3, 0.55)):
+    graphs = [ring_tdes] + [graph for _, graph in seed_1994_systems()]
+    for seed, density in ((2718, 0.2), (3, 0.55)):
         rng = random.Random(seed)
         graphs += [
             build_tdes(random_system(rng, density=density), state_cap=5000)
@@ -421,11 +423,7 @@ def bfs_depths(graph):
 
 
 def test_explored_prefix_matches_full_graph():
-    # the first 120 systems of test_random_reachable_graphs_match_reference
-    rng = random.Random(1994)
-    for trial in range(120):
-        system = random_system(rng)
-        full = build_tdes(system, state_cap=5000)
+    for trial, (system, full) in enumerate(seed_1994_systems()):
         depth = bfs_depths(full)
         last = {d: i for i, d in enumerate(depth)}  # depths ascend
         for d in range(min(4, max(depth)) + 1):
@@ -604,7 +602,14 @@ def test_system_json_rejects_duplicate_transition(ring_doc):
     (lambda doc: doc["states"].extend(
         [f"s{i}" for i in range(30_000)] + ["s29999", "p1", "s7"]),
      "'states'[30012]: duplicate name 's29999'"),
-], ids=["states", "atoms", "labels", "long-states"])
+    (lambda doc: doc["transitions"].append(
+        {"from": "p1", "event": "move12", "to": "p12"}),
+     "transitions[16]: duplicate source/event pair ('p1', 'move12')"),
+    (lambda doc: doc["transitions"].append(
+        {"from": "p1", "event": "move12", "to": "p2"}),
+     "transitions[16]: duplicate source/event pair ('p1', 'move12')"),
+], ids=["states", "atoms", "labels", "long-states", "transition-repeat",
+        "transition-target"])
 def test_system_json_rejects_duplicate_names(ring_doc, edit, message):
     doc = json.loads(json.dumps(ring_doc))
     edit(doc)
@@ -630,7 +635,14 @@ def test_system_json_requires_keys():
      "events[0]: unknown key 'lowr'"),
     (lambda doc: doc["transitions"][1].update(guard="ap1"),
      "transitions[1]: unknown key 'guard'"),
-], ids=["top", "event", "transition"])
+    (lambda doc: doc.pop("initial"), "system document lacks 'initial'"),
+    (lambda doc: doc["events"][0].pop("kind"), "events[0] lacks 'kind'"),
+    (lambda doc: doc["transitions"][1].pop("to"), "transitions[1] lacks 'to'"),
+    # a misspelled required key is named, not reported as missing
+    (lambda doc: doc["events"][0].update(nmae=doc["events"][0].pop("name")),
+     "events[0]: unknown key 'nmae'"),
+], ids=["top", "event", "transition", "top-missing", "event-missing",
+        "transition-missing", "event-misspelled"])
 def test_system_json_rejects_unknown_keys(ring_doc, edit, message):
     doc = json.loads(json.dumps(ring_doc))
     edit(doc)
@@ -643,7 +655,9 @@ def test_system_json_rejects_unknown_keys(ring_doc, edit, message):
     (lambda doc: doc.update(horizon=1), "fragment document: unknown key 'horizon'"),
     (lambda doc: doc["states"][1].update(timer={}),
      "states[1]: unknown key 'timer'"),
-], ids=["top", "state"])
+    (lambda doc: doc.pop("events"), "fragment document lacks 'events'"),
+    (lambda doc: doc["states"][1].pop("activity"), "states[1] lacks 'activity'"),
+], ids=["top", "state", "top-missing", "state-missing"])
 def test_fragment_json_rejects_unknown_keys(ring, route_a, edit, message):
     doc = fragment_to_json(route_a)
     edit(doc)

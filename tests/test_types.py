@@ -41,7 +41,7 @@ def values():
     call builds new objects, so two calls give equal, distinct values."""
     a, b = Atom("a"), Atom("b")
     state = TimedState("s", (("go", 1),))
-    stats = SynthStats(3, 2, 1, 0.5)
+    stats = SynthStats(3, 2, 1)
     return [
         (a, "name"),
         (Not(a), "operand"),
@@ -53,8 +53,8 @@ def values():
         (Fragment((state,), ()), "events"),
         (LinearConstraint(((1, 0),), "<=", 1), "rhs"),
         (SolveResult(True, (1,), 3), "nodes"),
-        (stats, "wall_time"),
-        (SynthesisResult(False, None, None, 4, stats), "found"),
+        (stats, "nodes"),
+        (SynthesisResult(False, None, None, stats), "found"),
     ]
 
 
@@ -100,7 +100,7 @@ def test_fields_cannot_be_assigned():
 
 def test_repr_names_every_field():
     state = TimedState("s", (("go", 1),))
-    stats = SynthStats(3, 2, 1, 0.5)
+    stats = SynthStats(3, 2, 1)
     expected = [
         (
             Until(TRUE, Atom("b"), 1, 2),
@@ -121,10 +121,9 @@ def test_repr_names_every_field():
             "SolveResult(feasible=True, assignment=(1,), nodes=3)",
         ),
         (
-            SynthesisResult(False, None, None, 4, stats),
+            SynthesisResult(False, None, None, stats),
             "SynthesisResult(found=False, fragment=None, horizon=None, "
-            "horizon_max=4, statistics=SynthStats(variables=3, constraints=2, "
-            "nodes=1, wall_time=0.5))",
+            "statistics=SynthStats(variables=3, constraints=2, nodes=1))",
         ),
         (
             subformulas(Atom("a")),
