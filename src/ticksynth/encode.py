@@ -33,11 +33,12 @@ at 0 only keeps the windows anchored at 0.
 
 One model serves a whole horizon range: an :class:`Encoding` is built
 at horizon 0 and :func:`build_encoding` grows it in place a step at a
-time.  Every row belongs to one step except the closing rows
-``z[k] <= sum_j u[k,j]`` of each until, whose window list ends at the
-horizon; they are added last and replaced on every growth.  Each step's
-new selectors are the model's next decisions, so the solver branches
-along the run, each state's edges in ``outgoing`` order.
+time, or cuts it back to a step it has encoded.  Every row belongs to
+one step except the closing rows ``z[k] <= sum_j u[k,j]`` of each until,
+whose window list ends at the horizon; they are added last and replaced
+on every move.  Each step's new selectors are the model's next
+decisions, so the solver branches along the run, each state's edges in
+``outgoing`` order.
 
 Until windows only range over positions inside the horizon: satisfaction
 is never assumed beyond the last encoded step, matching the finite-trace
@@ -85,8 +86,10 @@ class Encoding:
     (no until below it) holds, else ``None``.  ``demanded`` holds the
     slots demanded at position 0, ``everywhere`` those demanded at every
     position.  ``zc[(a, j, at_most, bound)]`` is a threshold indicator of
-    window a..j, ``zu[(slot, a, j)]`` an until's window.  ``closing`` is
-    the number of constraints before the closing rows.
+    window a..j, ``zu[(slot, a, j)]`` an until's window.  ``steps[k]``
+    holds the sizes once step k is encoded, before any closing row: the
+    model's variables and constraints and the sizes of ``zphi``, ``zc``
+    and ``zu``, so that :func:`build_encoding` can cut back to it.
     """
 
     def __init__(self, graph: TimedDes, formula: Formula) -> None:
@@ -144,7 +147,17 @@ class Encoding:
         self.x: list[list[int]] = [[]]
         _encode_position(self, 0)
         model.add([(1, self.zphi[(table.root, 0)])], "=", 1)
-        self.closing = model.num_constraints
+        self.steps: list[tuple[int, int, int, int, int]] = []
+        _mark(self)
+
+
+def _mark(enc: Encoding) -> None:
+    """Record the sizes of the steps encoded so far (see ``steps``)."""
+    model = enc.model
+    enc.steps.append((
+        model.num_variables, model.num_constraints,
+        len(enc.zphi), len(enc.zc), len(enc.zu),
+    ))
 
 
 def _encode_step(enc: Encoding, k: int) -> None:
@@ -323,7 +336,6 @@ def _encode_position(enc: Encoding, k: int) -> None:
 def _close(enc: Encoding) -> None:
     """Add the closing rows at the current horizon."""
     model, horizon = enc.model, enc.horizon
-    enc.closing = model.num_constraints
     for slot, node in enumerate(enc.table.entries):
         if not isinstance(node, Until):
             continue
@@ -334,27 +346,36 @@ def _close(enc: Encoding) -> None:
 
 
 def build_encoding(enc: Encoding, horizon: int) -> Encoding:
-    """Grow ``enc`` in place to every run of ``horizon`` steps from the
+    """Move ``enc`` in place to every run of ``horizon`` steps from the
     initial state, with the formula's satisfaction binaries at each
     position, and return it.
 
-    The horizon may not be smaller than ``enc``'s.  Growing drops the
-    closing rows, and any row added to the model after them, appends the
-    new steps and positions, then adds the closing rows at the new
-    horizon.
+    The model is first cut back to the last step it keeps, ``horizon`` or
+    the last one encoded: the closing rows go, and so does everything
+    added after them, and on a move back the later steps' variables,
+    rows, decisions and registry entries.  Then the new steps and
+    positions are appended, each recorded in ``steps`` once encoded, and
+    the closing rows are added at ``horizon``.  The result equals an
+    encoding grown straight to ``horizon``.  A step that raises, as
+    exploration past the state cap does, leaves the steps before it
+    recorded, so a later call can still move to any of them.
     """
     if type(horizon) is not int:
         raise ValueError(f"horizon must be an integer, got {horizon!r}")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    if horizon < enc.horizon:
-        raise ValueError(
-            f"cannot shrink a horizon-{enc.horizon} encoding to {horizon}"
-        )
-    enc.model.truncate(enc.closing)
-    for k in range(enc.horizon + 1, horizon + 1):
+    keep = min(horizon, len(enc.steps) - 1)
+    variables, rows, *sizes = enc.steps[keep]
+    enc.model.truncate(rows, variables)
+    for table, size in zip((enc.zphi, enc.zc, enc.zu), sizes):
+        while len(table) > size:
+            table.popitem()
+    for registry in (enc.steps, enc.w, enc.ze, enc.c, enc.edges, enc.x):
+        del registry[keep + 1:]
+    for k in range(keep + 1, horizon + 1):
         _encode_step(enc, k)
         _encode_position(enc, k)
+        _mark(enc)
     enc.horizon = horizon
     _close(enc)
     return enc

@@ -273,12 +273,17 @@ class IlpModel:
             self._cap.append(cap)
             reach.append(last)
 
-    def truncate(self, count: int) -> None:
-        """Drop every constraint after the first ``count``.
+    def truncate(self, count: int, variables: int | None = None) -> None:
+        """Drop every constraint after the first ``count`` then, given
+        ``variables``, every variable from that index on, with its
+        decisions.
 
         Rows are removed newest first, so each one's watch entries are the
         tails of its variables' lists in the store it went into, and its
-        slack, cap and tight entry are the tails of theirs.
+        slack, cap and tight entry are the tails of theirs.  Raises
+        :class:`ModelError`, with the constraints dropped and every
+        variable kept, when a kept row names a variable to drop:
+        ``_reach`` holds the highest variable the rows up to each name.
         """
         if count < 0:
             raise ModelError(f"cannot keep {count} constraints")
@@ -301,6 +306,15 @@ class IlpModel:
                 self._reach.pop()
                 if self._tight and self._tight[-1] == len(self._rows):
                     self._tight.pop()
+        if variables is None or variables == len(self.names):
+            return
+        if not 0 <= variables < len(self.names) or (
+                self._reach and self._reach[-1] >= variables):
+            raise ModelError(f"cannot keep {variables} variables")
+        for store in (self.names, self._lower, self._upper, self._unit_lo,
+                      self._unit_hi, self._watch_lo, self._watch_hi):
+            del store[variables:]
+        self.decisions[:] = [var for var in self.decisions if var < variables]
 
 
 class _Propagator:

@@ -392,6 +392,30 @@ def subformulas(root: Formula) -> SubformulaTable:
     return SubformulaTable(tuple(entries), tuple(children), top)
 
 
+def positive(table: SubformulaTable) -> bool:
+    """Whether every until of the table's formula sits under an even
+    number of negations, on every path from the root.
+
+    Extending a run keeps every until witness it had, so a positive
+    formula that holds on a run holds on each extension of it: its
+    feasible horizons are upward closed on a graph without dead ends.
+    A slot's polarity is a mask, 1 if the root reaches it under an even
+    number of negations and 2 under an odd one; a parent follows its
+    children in the table, so one backward pass hands every mask down.
+    """
+    polarity = [0] * len(table)
+    polarity[table.root] = 1
+    for slot in reversed(range(len(table))):
+        node, mask = table.entries[slot], polarity[slot]
+        if isinstance(node, Until) and mask & 2:
+            return False
+        if isinstance(node, Not):
+            mask = (mask & 1) << 1 | mask >> 1
+        for kid in table.children[slot]:
+            polarity[kid] |= mask
+    return True
+
+
 def evaluate(
     fragment: Fragment,
     formula: Formula,

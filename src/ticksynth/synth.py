@@ -1,9 +1,11 @@
 """Horizon-iterating synthesis driver and its brute-force cross-check.
 
-``synthesize`` walks the horizon range upward with one model that grows a
-step per horizon, exploring the timed graph as it goes: extend, solve,
-decode, certify, so a reported horizon is always backed by a certified
-run and no horizon is encoded twice.  ``oracle_synthesize`` is
+``synthesize`` walks the horizon range upward with one model that grows
+in place, exploring the timed graph as it goes: extend, solve, decode,
+certify, so a reported horizon is always backed by a certified run.
+For a formula whose feasible horizons are upward closed it solves every
+second horizon once a refutation needed search, and steps back one
+horizon when it lands on a run.  ``oracle_synthesize`` is
 the independent reference: it enumerates every run of each horizon in
 lexicographic event order and evaluates the formula directly.
 """
@@ -15,10 +17,11 @@ from typing import Iterator, NamedTuple
 
 from .encode import Encoding, build_encoding, decode
 from .ilp import solve
-from .logic import Formula, evaluate
+from .logic import Formula, evaluate, positive
 from .tdes import (
     DEFAULT_STATE_CAP,
     Fragment,
+    StateCapError,
     TimedDes,
     UntimedDes,
     build_tdes,
@@ -49,12 +52,13 @@ class SynthesisRequest:
 
 
 class SynthStats(NamedTuple):
-    """Size of the decisive model plus total search effort.
+    """Size of the deciding model plus total search effort.
 
-    ``variables`` and ``constraints`` are the size of the grown model at
-    the last horizon tried, which equals that of a model built at that
-    horizon alone.  ``nodes`` accumulates over every solve of the horizon
-    loop (or every enumerated run, for the oracle).
+    ``variables`` and ``constraints`` are the size of the model at the
+    returned horizon, or at ``horizon_max`` when there is no run, which
+    equals that of a model built at that horizon alone.  ``nodes``
+    accumulates over every solve of the horizon loop (or every
+    enumerated run, for the oracle).
     """
 
     variables: int
@@ -73,29 +77,66 @@ def synthesize(request: SynthesisRequest) -> SynthesisResult:
     """The lexicographically first run, in ``outgoing`` event order, of
     the smallest feasible horizon in range: ``oracle_synthesize``'s answer.
 
-    Horizons are tried in ascending order, one encoding grown in place by
-    a step per horizon, so the reported horizon is minimal.  The solver
+    Horizons are tried in ascending order on one encoding, moved in
+    place by :func:`~ticksynth.encode.build_encoding`.  The solver
     branches along the run (see :mod:`~ticksynth.encode`), so its first
-    feasible point is the first run.  The search explores the request
-    system's timed graph itself, only as far as the horizons reach, and
-    ``state_cap`` bounds the states it discovers.
-    Every returned fragment has been certified by
-    :func:`~ticksynth.encode.decode`, which raises
+    feasible point is the first run.
+
+    A positive formula (see :func:`~ticksynth.logic.positive`) holds on
+    every extension of a run it holds on, and no timed state is a dead
+    end, so a refutation at H+2 also refutes H+1.  So once a horizon's
+    refutation needed search, the loop grows two steps and solves only
+    the second; on a run there, it cuts the encoding back one step and
+    solves the horizon it skipped, whose run, if any, is the answer.  A
+    refutation without search costs next to nothing, so it never skips.
+    Nor does a step that added more variables than the model already
+    held: on a graph whose layers keep widening, the extra step costs
+    more than the solve it saves.  The schedule reads node counts and
+    model sizes, never the clock, so two searches of one request return
+    equal results.
+
+    The search explores the request system's timed graph itself, only as
+    far as the horizons reach, and ``state_cap`` bounds the states it
+    discovers.  Growing past a skipped horizon explores one layer more
+    than solving it does; when that passes the cap, the skipped horizon
+    is solved instead, so the stride fails no request that an ascending
+    loop answers.  Every returned fragment has been certified
+    by :func:`~ticksynth.encode.decode`, which raises
     :class:`~ticksynth.encode.DecodeError` for a run that fails.
     """
     graph = TimedDes(request.system, request.state_cap)
     enc = Encoding(graph, request.formula)
-    nodes, fragment = 0, None
-    for horizon in range(request.horizon_min, request.horizon_max + 1):
-        build_encoding(enc, horizon)
+    monotone, top = positive(enc.table), request.horizon_max
+    horizon, nodes, answer, skipped = request.horizon_min, 0, None, False
+    while horizon <= top:
+        try:
+            build_encoding(enc, horizon)
+        except StateCapError:
+            if not skipped:
+                raise
+            horizon, skipped = horizon - 1, False  # solve the skipped one
+            continue
         result = solve(enc.model)
         nodes += result.nodes
         if result.feasible:
-            fragment = decode(enc, result.assignment)
+            size = enc.model.num_variables, enc.model.num_constraints
+            answer = horizon, decode(enc, result.assignment), size
+            if not skipped:
+                break
+            horizon, skipped = horizon - 1, False
+        elif answer is not None:  # the skipped horizon has no run
             break
-    stats = SynthStats(enc.model.num_variables, enc.model.num_constraints, nodes)
-    found = fragment is not None
-    return SynthesisResult(found, fragment, horizon if found else None, stats)
+        else:
+            held, grown = enc.steps[horizon - 1][0], enc.steps[horizon][0]
+            skipped = (monotone and result.nodes > 0 and horizon + 2 <= top
+                       and grown - held <= held)
+            horizon += 1 + skipped
+    if answer is None:
+        size = enc.model.num_variables, enc.model.num_constraints
+        answer = None, None, size
+    horizon, fragment, size = answer
+    stats = SynthStats(*size, nodes)
+    return SynthesisResult(fragment is not None, fragment, horizon, stats)
 
 
 def enumerate_fragments(graph: TimedDes, horizon: int) -> Iterator[Fragment]:

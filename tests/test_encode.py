@@ -526,19 +526,47 @@ def test_windows_of_a_bound_the_count_cannot_break_are_their_operand(ring_tdes):
     assert not any(name.startswith("u") for name in enc.model.names)
 
 
-def test_encoding_grows_only_forward(ring_tdes, phi_two_goals):
-    enc = build_encoding(Encoding(ring_tdes, phi_two_goals), 1)
+def _encoding_state(enc):
+    """Everything a solve or a decode reads off an encoding."""
+    model = enc.model
+    stores = (
+        model._rows, model._slack, model._cap, model._tight, model._reach,
+        model._unit_lo, model._unit_hi, model._watch_lo, model._watch_hi,
+        model.decisions,
+    )
+    registry = (
+        enc.horizon, enc.steps, enc.w, enc.ze, enc.c, enc.edges, enc.x,
+        list(enc.zphi.items()), list(enc.zc.items()), list(enc.zu.items()),
+    )
+    return dump(model), stores, registry
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["F[1,5] ap2 & F[1,5] ap4", "!ap2 U[3,5] ap3", "(ap1 U[0,4] ap3) | G[2,6] !ap4"],
+    ids=["two-goal", "avoid-until", "until-or-g"],
+)
+def test_encoding_cut_back_a_step_equals_one_grown_to_it(ring_tdes, text):
+    """Growing a step equals building at that horizon, and an encoding
+    grown to H+2 and cut back to H+1 equals one grown to H+1, rows,
+    watch stores, decisions and registry alike."""
+    phi = parse(text)
+    enc = build_encoding(Encoding(ring_tdes, phi), 1)
     assert build_encoding(enc, 2) is enc
-    # growing a step equals building at that horizon
-    fresh = build_encoding(Encoding(ring_tdes, phi_two_goals), 2)
-    assert dump(enc.model) == dump(fresh.model)
-    build_encoding(enc, 3)
-    with pytest.raises(ValueError):
-        build_encoding(enc, 2)
+    assert dump(enc.model) == dump(build_encoding(Encoding(ring_tdes, phi), 2).model)
+    for horizon in range(1, 10):
+        grown = build_encoding(Encoding(ring_tdes, phi), horizon)
+        # a row added past the closing rows goes with them
+        grown.model.add([(1, grown.model.decisions[0])], "<=", 0)
+        build_encoding(grown, horizon + 2)
+        assert build_encoding(grown, horizon + 1) is grown
+        straight = build_encoding(Encoding(ring_tdes, phi), horizon + 1)
+        assert _encoding_state(grown) == _encoding_state(straight), horizon
+        assert solve(grown.model) == solve(straight.model)
     with pytest.raises(ValueError, match="horizon must be an integer, got 2.5"):
-        build_encoding(Encoding(ring_tdes, phi_two_goals), 2.5)
+        build_encoding(Encoding(ring_tdes, phi), 2.5)
     with pytest.raises(ValueError, match="horizon must be at least 1"):
-        build_encoding(Encoding(ring_tdes, phi_two_goals), 0)
+        build_encoding(Encoding(ring_tdes, phi), 0)
 
 
 # sha256 of ``dump(model)``: any change to a variable, its index, a row

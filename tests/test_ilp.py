@@ -233,6 +233,33 @@ def test_truncate_rejects_a_negative_count():
     assert solve(model).assignment == (1, 0)
 
 
+def test_truncate_drops_trailing_variables_and_their_decisions():
+    """Cutting back to a variable count leaves what a model built only
+    that far has; a kept row naming a dropped variable refuses the cut
+    and keeps every variable."""
+    fresh, model = IlpModel(), IlpModel()
+    for built in (fresh, model):
+        x = built.add_decision(built.add_var("x", 0, 1))
+        y = built.add_var("y", 0, 3)
+        built.add([(1, x), (2, y)], "<=", 3)
+    z = model.add_decision(model.add_var("z", 0, 1))
+    model.add([(1, y), (1, z)], "=", 1)
+    model.add([(1, x)], ">=", 0)
+    with pytest.raises(ModelError):
+        model.truncate(2, 2)
+    assert model.num_constraints == 2 and model.num_variables == 3
+    assert model.decisions == [x, z]
+    model.truncate(1, 2)
+    assert (model.names, model.decisions) == (fresh.names, fresh.decisions)
+    assert (list(model.lower), list(model.upper)) == ([0, 0], [1, 3])
+    assert model._rows == fresh._rows
+    assert _watches(model) == _watches(fresh)
+    assert (model._slack, model._cap, model._tight, model._reach) == (
+        fresh._slack, fresh._cap, fresh._tight, fresh._reach,
+    )
+    assert solve(model) == solve(fresh)
+
+
 def test_declared_bounds_are_read_only():
     # each row's cached slack was computed from the declared bounds
     model = IlpModel()

@@ -18,6 +18,7 @@ from ticksynth.logic import (
     evaluate,
     format_formula,
     parse,
+    positive,
     subformulas,
 )
 from ticksynth.tdes import build_tdes
@@ -25,6 +26,7 @@ from ticksynth.tdes import build_tdes
 from helpers import (
     WORKED_ATOMS,
     WORKED_LABELS,
+    perfbench_workloads,
     random_formula,
     random_fragment,
     random_system,
@@ -218,6 +220,43 @@ def test_table_for_two_goal_formula():
     assert table.root == len(table) - 1
     for slot, kids in enumerate(table.children):
         assert all(kid < slot for kid in kids)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "G[0,5] ap1",
+        "!(ap1 U[0,3] ap2)",
+        "F[1,5] ap2 <-> ap3",
+        "F[1,5] ap2 -> ap3",
+        "F[1,8] (ap3 & F[1,4] ap1) & G[0,30] !ap4",
+        "ap1 & !(ap2 | F[0,2] ap3)",
+    ],
+)
+def test_an_until_under_a_negation_is_not_positive(text):
+    """``G`` and ``->`` negate an until, and ``<->`` uses its operands
+    under both signs."""
+    assert not positive(subformulas(parse(text)))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "ap1", "!ap1 & !(ap2 | ap3)", "!!(F[0,3] ap1)", "!ap2 U[3,5] ap3",
+        "(ap1 <-> ap2) U[0,4] ap3", "F[1,14] (ap4 & F[1,8] ap2)",
+        "F[1,6] (busy0 & F[1,3] (busy1 & !busy0))",
+    ],
+)
+def test_untils_under_even_negations_are_positive(text):
+    assert positive(subformulas(parse(text)))
+
+
+def test_every_workload_formula_is_positive():
+    workloads = perfbench_workloads()["WORKLOADS"]
+    cases = [case for make in workloads.values() for case in make(1)]
+    assert len(cases) == 5
+    for case in cases:
+        assert positive(subformulas(parse(case.formula))), case.name
 
 
 # --- evaluation -----------------------------------------------------------------

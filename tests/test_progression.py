@@ -1,14 +1,23 @@
 """The progression reference against enumeration, then against every pin."""
 
 import functools
+import random
 
 import pytest
 
-from ticksynth.logic import evaluate, parse
+from ticksynth.encode import Encoding, build_encoding, decode
+from ticksynth.ilp import solve
+from ticksynth.logic import Until, evaluate, parse, positive, subformulas
 from ticksynth.synth import SynthesisRequest, oracle_synthesize, synthesize
 from ticksynth.tdes import TimedDes, fixture_path, load_system, system_from_json
 
-from helpers import deep_requests, oracle_requests, perfbench_workloads
+from helpers import (
+    deep_requests,
+    oracle_requests,
+    perfbench_workloads,
+    random_formula,
+    random_system,
+)
 from progression import (
     Progression,
     check_no_run_certificate,
@@ -77,14 +86,14 @@ ONE_STATE = {"states": ["s"], "events": [], "transitions": [], "initial": "s",
 # in range), the deciding model's variables and constraints, the nodes of
 # the whole horizon loop, and the run's events where they are quoted.
 PINS = [
-    _bench("ring4-two-goal", 1, 5, 15, 11, 258, 255, 77, TWO_GOAL_RUN),
-    _bench("ring4-two-goal", 2, 5, 15, 11, 258, 255, 77, TWO_GOAL_RUN),
+    _bench("ring4-two-goal", 1, 5, 15, 11, 258, 255, 57, TWO_GOAL_RUN),
+    _bench("ring4-two-goal", 2, 5, 15, 11, 258, 255, 57, TWO_GOAL_RUN),
     _bench("ring4-avoid-until", 1, 5, 15, 7, 113, 120, 8, None),
     _bench("ring4-avoid-until", 2, 5, 15, 7, 113, 120, 8, None),
-    _bench("ring6", 1, 1, 16, 13, 366, 316, 41, None),
-    _bench("ring6", 2, 1, 16, 13, 366, 316, 35, None),
-    _bench("ring10", 1, 1, 23, None, 1_091, 858, 168, None),
-    _bench("ring10", 2, 1, 23, None, 1_091, 858, 168, None),
+    _bench("ring6", 1, 1, 16, 13, 366, 316, 33, None),
+    _bench("ring6", 2, 1, 16, 13, 366, 316, 29, None),
+    _bench("ring10", 1, 1, 23, None, 1_091, 858, 100, None),
+    _bench("ring10", 2, 1, 23, None, 1_091, 858, 100, None),
     _bench("plant4", 1, 1, 8, 5, 389, 135, 5, None),
     _bench("plant4", 2, 1, 8, 5, 389, 135, 5, None),
     pytest.param(
@@ -102,12 +111,12 @@ PINS = [
     ),
     pytest.param(
         RING10, "F[1,10] ap4 & F[1,20] ap7 & F[1,25] ap9", 1, 30, 29,
-        1_581, 1_200, 1_231, RING6_RUN + " move_5_6 tick tick tick reach_5_6"
+        1_581, 1_200, 939, RING6_RUN + " move_5_6 tick tick tick reach_5_6"
         " move_6_7 tick reach_6_7 move_7_8 tick tick reach_7_8 move_8_9 tick"
         " tick reach_8_9", id="deep-rung",
     ),
     pytest.param(
-        RING10, "F[1,14] (ap4 & F[1,8] ap2)", 1, 20, 17, 939, 1_464, 3_067,
+        RING10, "F[1,14] (ap4 & F[1,8] ap2)", 1, 20, 17, 939, 1_464, 2_593,
         "move_1_2 tick reach_1_2 move_2_3 tick reach_2_3 move_3_4 tick"
         " reach_3_4 move_4_3 tick tick reach_4_3 move_3_2 tick tick reach_3_2",
         id="nested-ring10",
@@ -185,6 +194,65 @@ def test_synthesis_returns_the_reference_run_on_every_pin(name):
         assert evaluate(result.fragment, phi, 0, system.labeling, system.atoms)
     if events is not None:
         assert " ".join(result.fragment.events) == events
+
+
+def _ascending(request):
+    """Horizon, run and model size of a plain ascending horizon loop, one
+    solve per horizon, as ``synthesize`` ran before its stride."""
+    enc = Encoding(TimedDes(request.system, request.state_cap), request.formula)
+    for horizon in range(request.horizon_min, request.horizon_max + 1):
+        result = solve(build_encoding(enc, horizon).model)
+        if result.feasible:
+            run = decode(enc, result.assignment)
+            return horizon, run, enc.model.num_variables, enc.model.num_constraints
+    return None, None, enc.model.num_variables, enc.model.num_constraints
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["ring4-two-goal-seed1", "ring6-seed1", "ring10-seed1", "plant4-seed1", "nested-plant4"],
+)
+def test_every_start_gives_the_ascending_answer(name):
+    """From every ``hmin`` up to 20, so the stride lands on both
+    parities: on the least horizon, one past it (the step back finds
+    the run), and past a range with no run.  Horizon, run, variables and
+    constraints equal the ascending loop's."""
+    request = _request(name)
+    high = request.horizon_max
+    for low in range(1, min(high, 20) + 1):
+        start = SynthesisRequest(request.system, request.formula, low, high)
+        result = synthesize(start)
+        stats = result.statistics
+        assert (
+            result.horizon, result.fragment, stats.variables, stats.constraints
+        ) == _ascending(start), low
+
+
+def test_positive_formulas_have_upward_closed_horizons():
+    """The lemma the stride of ``synthesize`` rests on: on 1,000 seeded
+    requests, the layer walk finds every horizon from the first feasible
+    one on feasible, whenever the formula is positive.  62 of those have
+    an until and a first feasible horizon above 1; and 6 of the other
+    formulas lose a feasible horizon as the run grows, so the closure
+    does need positivity."""
+    rng = random.Random(36)
+    late = broken = 0
+    for _ in range(1_000):
+        system = random_system(rng, max_states=4)
+        phi = random_formula(rng, sorted(system.atoms), 6)
+        walk = horizon_range(TimedDes(system), phi, budget=2_000)
+        first = min(walk.feasible, default=2 * walk.end + 2)
+        closed = all(
+            walk.holds(h) == (h >= first) for h in range(1, 2 * walk.end + 2)
+        )
+        table = subformulas(phi)
+        if positive(table):
+            assert closed, phi
+            timed = any(isinstance(node, Until) for node in table.entries)
+            late += timed and 1 < first <= walk.end
+        else:
+            broken += not closed
+    assert (late, broken) == (62, 6)
 
 
 def test_synthesis_agrees_with_progression_beyond_enumeration():

@@ -61,7 +61,7 @@ def test_two_goal_formula_feasible_exactly_from_eleven(ring, phi_two_goals):
 def test_exact_search_effort_is_pinned(ring, phi_two_goals, phi_avoid_until):
     """Total nodes of the exact horizon loop on the fixture.  Model and
     propagation changes that keep the search must keep these counts."""
-    for phi, horizon, nodes in ((phi_two_goals, 11, 77), (phi_avoid_until, 7, 8)):
+    for phi, horizon, nodes in ((phi_two_goals, 11, 57), (phi_avoid_until, 7, 8)):
         result = synthesize(SynthesisRequest(ring, phi, 5, 15))
         assert (result.horizon, result.statistics.nodes) == (horizon, nodes)
 
@@ -135,6 +135,28 @@ def test_state_cap_bounds_only_the_states_the_horizons_reach(
     default = synthesize(SynthesisRequest(ring, phi_avoid_until, 1, 7))
     assert capped.horizon == default.horizon == 7
     assert capped.fragment == default.fragment
+
+
+def test_a_cap_the_least_horizon_stays_within_is_not_hit_by_the_stride():
+    """ring8's two goals have no run at 15 and their first at 16, whose
+    encoding discovers 51 timed states.  Growing to 17, where the search
+    first lands, would discover more: at a cap of 51 it solves 16
+    instead and returns the run that an ascending loop returns.  At 50,
+    horizon 16 is past the cap and the request fails."""
+    system = system_from_json(perfbench_workloads()["ring_doc"](8))
+    phi = parse("F[1,6] ap2 & F[1,9] ap7")
+    graph = TimedDes(system)
+    enc = build_encoding(Encoding(graph, phi), 16)
+    assert graph.n == 51
+    build_encoding(enc, 17)
+    assert graph.n > 51
+    default = synthesize(SynthesisRequest(system, phi, 11, 25))
+    capped = synthesize(SynthesisRequest(system, phi, 11, 25, 51))
+    assert (capped.horizon, capped.fragment) == (default.horizon, default.fragment)
+    assert capped.horizon == 16
+    assert capped.statistics[:2] == default.statistics[:2]
+    with pytest.raises(StateCapError):
+        synthesize(SynthesisRequest(system, phi, 11, 25, 50))
 
 
 def test_decisive_model_size_is_pinned(ring, phi_two_goals, phi_avoid_until):
